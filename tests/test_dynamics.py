@@ -8,9 +8,10 @@ from gel.dynamics import (
     spectral_filter_step,
     step_model,
 )
-from gel.energy import WeightSet, dirichlet_energy, parametric_energy
+from gel.energy import WeightSet, dirichlet_energy, lp_energy, parametric_energy
 from gel.errors import ConfigurationError, NumericError, ValidationError
 from gel.graphs import (
+    adjacency_matrix,
     complete_bipartite,
     cycle,
     erdos_renyi,
@@ -149,6 +150,160 @@ def test_harmonic_step_matches_formula():
     out = step_model(ModelSpec("harmonic", weights=ws, tau=0.2), g, F)
     expected = F - 0.2 * normalized_laplacian(g) @ F @ (ws.W @ ws.W)
     assert np.abs(out - expected).max() < 1e-12
+
+
+_VARIANT_CASES = [
+    ("gradient_flow", True),
+    ("gradient_flow", False),
+    ("gradient_flow_nonlinear", True),
+    ("no_residual", False),
+    ("graff", True),
+    ("graff", False),
+    ("graff_nonlinear", True),
+    ("heat", False),
+    ("label_propagation", True),
+    ("label_propagation", False),
+    ("cgnn", True),
+    ("cgnn", False),
+    ("grand_linear", False),
+    ("pde_gcn_d", False),
+    ("harmonic", False),
+    ("laplacian_omega_eq_w", False),
+    ("diag_nonlinear", False),
+]
+
+
+def _variant_oracles(g, source, rng):
+    """Per variant: (spec, dense one-step formula F, F0 -> F', energy of a
+    unit direction x with reference ref), written out independently of the
+    package's update table."""
+    n, tau = g.n, 0.2
+    A = normalized_adjacency(g)
+    L = normalized_laplacian(g)
+    adj = adjacency_matrix(g)
+    R = np.eye(n) - (adj + np.eye(n)) / (adj.sum(axis=1) + 1.0)[:, None]
+
+    def sym():
+        m = rng.normal(size=(2, 2))
+        return m + m.T
+
+    W, Om = sym(), sym()
+    Wt = rng.normal(size=(2, 2)) if source else np.zeros((2, 2))
+    omega = np.array([0.4, -0.3])
+    beta = 0.6 if source else 0.0
+    mu = 0.7 if source else 0.0
+    OT = rng.normal(size=(2, 2))
+    k = rng.normal(size=(2, 2))
+    KtK = k.T @ k
+    neg = -np.abs(omega)
+
+    gf_ws = WeightSet(W=W, Omega=Om, Wtilde=Wt)
+    graff_ws = WeightSet(W=W, omega_diag=omega, beta=beta)
+    graff_eff = WeightSet(W=W, Omega=np.diag(omega), Wtilde=beta * np.eye(2))
+
+    def gf_z(F, F0):
+        return -F @ Om + A @ F @ W - F0 @ Wt
+
+    def graff_z(F, F0):
+        return -F @ np.diag(omega) + A @ F @ W - beta * F0
+
+    def dirichlet(x, ref):
+        return dirichlet_energy(g, x)
+
+    return {
+        "gradient_flow": (
+            ModelSpec("gradient_flow", weights=gf_ws, tau=tau),
+            lambda F, F0: F + tau * gf_z(F, F0),
+            lambda x, ref: parametric_energy(g, x, gf_ws, F0=ref),
+        ),
+        "gradient_flow_nonlinear": (
+            ModelSpec("gradient_flow_nonlinear", weights=gf_ws, tau=tau, sigma="tanh"),
+            lambda F, F0: F + tau * np.tanh(gf_z(F, F0)),
+            lambda x, ref: parametric_energy(g, x, gf_ws, F0=ref),
+        ),
+        "no_residual": (
+            ModelSpec("no_residual", weights=WeightSet(W=W), tau=tau),
+            lambda F, F0: tau * A @ F @ W,
+            lambda x, ref: parametric_energy(g, x, WeightSet(W=W)),
+        ),
+        "graff": (
+            ModelSpec("graff", weights=graff_ws, tau=tau),
+            lambda F, F0: F + tau * graff_z(F, F0),
+            lambda x, ref: parametric_energy(g, x, graff_eff, F0=ref),
+        ),
+        "graff_nonlinear": (
+            ModelSpec("graff_nonlinear", weights=graff_ws, tau=tau, sigma="relu"),
+            lambda F, F0: F + tau * np.maximum(graff_z(F, F0), 0.0),
+            lambda x, ref: parametric_energy(g, x, graff_eff, F0=ref),
+        ),
+        "heat": (
+            ModelSpec("heat", tau=tau),
+            lambda F, F0: F - tau * L @ F,
+            dirichlet,
+        ),
+        "label_propagation": (
+            ModelSpec("label_propagation", tau=tau, mu=mu),
+            lambda F, F0: F + tau * (-L @ F - mu * (F - F0)),
+            lambda x, ref: lp_energy(g, x, ref, mu),
+        ),
+        "cgnn": (
+            ModelSpec("cgnn", OmegaTilde=OT, tau=tau, source_free=not source),
+            lambda F, F0: F + tau * (-L @ F + F @ OT + (F0 if source else 0.0)),
+            dirichlet,
+        ),
+        "grand_linear": (
+            ModelSpec("grand_linear", tau=tau),
+            lambda F, F0: F - tau * R @ F,
+            dirichlet,
+        ),
+        "pde_gcn_d": (
+            ModelSpec("pde_gcn_d", KtK=KtK, tau=tau),
+            lambda F, F0: F - tau * L @ F @ KtK,
+            dirichlet,
+        ),
+        "harmonic": (
+            ModelSpec("harmonic", weights=WeightSet(W=W), tau=tau),
+            lambda F, F0: F - tau * L @ F @ W @ W,
+            lambda x, ref: parametric_energy(g, x, WeightSet(W=W @ W, Omega=W @ W)),
+        ),
+        "laplacian_omega_eq_w": (
+            ModelSpec("laplacian_omega_eq_w", weights=WeightSet(W=W), tau=tau),
+            lambda F, F0: F - tau * L @ F @ W,
+            lambda x, ref: parametric_energy(g, x, WeightSet(W=W, Omega=W)),
+        ),
+        "diag_nonlinear": (
+            ModelSpec(
+                "diag_nonlinear",
+                weights=WeightSet(W=W, omega_diag=neg),
+                tau=tau,
+                sigma="relu",
+            ),
+            lambda F, F0: F + tau * np.maximum(-(L @ F) @ np.diag(neg), 0.0),
+            dirichlet,
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "variant, source",
+    _VARIANT_CASES,
+    ids=[f"{v}-{'source' if s else 'plain'}" for v, s in _VARIANT_CASES],
+)
+def test_every_variant_matches_its_formula(variant, source):
+    rng = np.random.default_rng(31)
+    g = erdos_renyi(7, 0.5, 13)
+    spec, step, energy = _variant_oracles(g, source, rng)[variant]
+    F = rng.normal(size=(g.n, 2))
+    F0 = rng.normal(size=(g.n, 2))
+
+    expected = step(F, F0)
+    out = step_model(spec, g, F, F0=F0)
+    assert np.abs(out - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
+
+    traj = run_trajectory(spec, g, F0, 6)
+    for k in range(traj.steps.size):
+        want = energy(traj.directions[k], F0)
+        assert abs(traj.energy[k] - want) <= 1e-12 * abs(want), (k, traj.energy[k], want)
 
 
 def test_step_rejects_channel_mismatch():
