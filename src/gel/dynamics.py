@@ -1,12 +1,32 @@
 """Explicit-Euler dynamics for the message-passing model family.
 
-Each variant is one exact update rule on feature matrices.  ``step_model``
-applies a single step; ``run_trajectory`` iterates it while keeping the state
-as a unit-Frobenius direction plus a log-scale accumulator, so exponentially
-growing or shrinking flows never overflow.  Renormalization is applied only
-when the step commutes with scaling (homogeneous linear variants); runs with
-an active source term or a nonlinearity iterate the raw state and report
-overflow instead.
+Every variant is one update, ``F_next = r F + tau sigma(sum_k P_k F M_k + F0 S)``,
+with graph operators P_k in {I, A = A_hat, L = I - A, Lrw} (Lrw: the
+random-walk Laplacian of the self-loop-augmented graph, for GRAND), channel
+factors M_k (d x d, or scalars; every sign lives here, never on an n x n
+operator), a source S on the reference features F0 that is off when zero
+(for cgnn: when source_free is set), r = 0 only for no_residual, and sigma
+the identity except for the nonlinear variants.  The last column is the
+energy of the unit direction F that ``Trajectory.energy`` (CSV column
+``parametric_energy_direction``) reports:
+
+variant                  terms (P_k, M_k)           S        r  energy column
+gradient_flow            (I, -Omega), (A, W)        -Wtilde  1  parametric(W, Omega, Wtilde)
+gradient_flow_nonlinear  as gradient_flow, sigma    -Wtilde  1  parametric(W, Omega, Wtilde)
+no_residual              (I, 0), (A, W)             -        0  parametric(W)
+graff                    (I, -diag(omega)), (A, W)  -beta I  1  parametric(W, diag(omega), beta I)
+graff_nonlinear          as graff, sigma            -beta I  1  parametric(W, diag(omega), beta I)
+heat                     (L, -1)                    -        1  dirichlet(F)
+label_propagation        (L, -1), (I, -mu)          mu       1  lp(F, F0, mu)
+cgnn                     (L, -1), (I, OmegaTilde)   1        1  dirichlet(F)
+grand_linear             (Lrw, -1)                  -        1  dirichlet(F)
+pde_gcn_d                (L, -KtK)                  -        1  dirichlet(F)
+harmonic                 (L, -W W)                  -        1  dirichlet(F W)
+laplacian_omega_eq_w     (L, -W)                    -        1  parametric(W, Omega=W)
+diag_nonlinear           (L, -diag(omega)), sigma   -        1  dirichlet(F)
+
+``step_model`` applies a single step; ``run_trajectory`` iterates it with
+overflow-safe bookkeeping.
 """
 
 from __future__ import annotations
@@ -14,12 +34,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .energy import (
     WeightSet,
+    _check_channels,
+    _require_source,
     as_features,
     dirichlet_energy,
     lp_energy,
@@ -31,10 +53,10 @@ from .graphs import (
     Graph,
     adjacency_matrix,
     degree_vector,
-    edge_array,
     normalized_adjacency,
     normalized_laplacian,
     spectral_decomposition,
+    square_matrix,
 )
 
 __all__ = [
@@ -52,37 +74,118 @@ __all__ = [
     "random_walk_laplacian",
 ]
 
-LINEAR_VARIANTS = frozenset(
-    {
-        "gradient_flow",
-        "no_residual",
-        "graff",
-        "heat",
-        "label_propagation",
-        "cgnn",
-        "grand_linear",
-        "pde_gcn_d",
-        "harmonic",
-        "laplacian_omega_eq_w",
-    }
-)
-NONLINEAR_VARIANTS = frozenset(
-    {"gradient_flow_nonlinear", "graff_nonlinear", "diag_nonlinear"}
-)
-VARIANTS = LINEAR_VARIANTS | NONLINEAR_VARIANTS
 
-_WEIGHT_VARIANTS = frozenset(
-    {
-        "gradient_flow",
-        "gradient_flow_nonlinear",
-        "no_residual",
-        "graff",
-        "graff_nonlinear",
-        "harmonic",
-        "laplacian_omega_eq_w",
-        "diag_nonlinear",
-    }
-)
+class _Update(NamedTuple):
+    """One row of the module docstring's table; None is the identity operator
+    in ``terms`` and the Dirichlet energy in ``energy``."""
+
+    terms: tuple[tuple[Callable[[Graph], np.ndarray] | None, np.ndarray | float], ...]
+    source: np.ndarray | float | None = None
+    residual: bool = True
+    energy: Callable[[Graph, np.ndarray, np.ndarray], float] | None = None
+    activation: Callable[[np.ndarray], np.ndarray] | None = None
+
+
+def _parametric(w: WeightSet):
+    return lambda g, x, ref: parametric_energy(g, x, w, F0=ref)
+
+
+def _flow(w: WeightSet, residual: bool = True) -> _Update:
+    """The gradient flow of the parametric energy with weights ``w``."""
+    return _Update(
+        terms=((None, -w.Omega), (normalized_adjacency, w.W)),
+        source=-w.Wtilde if w.has_source else None,
+        residual=residual,
+        energy=_parametric(w),
+    )
+
+
+def _graff_weights(spec: ModelSpec) -> WeightSet:
+    """GRAFF's diagonal residual and scalar source as parametric weights."""
+    w = spec.weights
+    return WeightSet(W=w.W, Omega=np.diag(w.omega_diag), Wtilde=w.beta * np.eye(w.d))
+
+
+# The builders below validate what they read and store canonical copies on
+# the spec; they run once, inside ModelSpec.__post_init__.
+
+def _label_propagation(spec: ModelSpec) -> _Update:
+    mu = float(spec.mu)
+    if not np.isfinite(mu) or mu < 0:
+        raise ValidationError(f"label propagation needs mu >= 0, got {spec.mu!r}")
+    object.__setattr__(spec, "mu", mu)
+    return _Update(
+        terms=((normalized_laplacian, -1.0), (None, -mu)),
+        source=mu if mu > 0.0 else None,
+        energy=lambda g, x, ref: lp_energy(g, x, ref, mu),
+    )
+
+
+def _cgnn(spec: ModelSpec) -> _Update:
+    ot = square_matrix(spec.OmegaTilde, "OmegaTilde")
+    ot.setflags(write=False)
+    object.__setattr__(spec, "OmegaTilde", ot)
+    return _Update(
+        terms=((normalized_laplacian, -1.0), (None, ot)),
+        source=None if spec.source_free else 1.0,
+    )
+
+
+def _pde_gcn_d(spec: ModelSpec) -> _Update:
+    ktk = square_matrix(spec.KtK, "KtK", symmetric=True)
+    if float(np.linalg.eigvalsh(ktk).min()) < -1e-10:
+        raise ValidationError("KtK must be positive semidefinite")
+    ktk.setflags(write=False)
+    object.__setattr__(spec, "KtK", ktk)
+    return _Update(terms=((normalized_laplacian, -ktk),))
+
+
+def _diag_nonlinear(spec: ModelSpec) -> _Update:
+    omega = spec.weights.omega_diag
+    if np.any(omega > 1e-12):
+        raise ValidationError(
+            "diag_nonlinear requires nonpositive channel weights omega_diag"
+        )
+    return _Update(terms=((normalized_laplacian, np.diag(-omega)),))
+
+
+class _Entry(NamedTuple):
+    required: str | None  # the ModelSpec field the variant cannot do without
+    build: Callable[[ModelSpec], _Update]
+    nonlinear: bool = False
+
+
+_TABLE: dict[str, _Entry] = {
+    "gradient_flow": _Entry("weights", lambda s: _flow(s.weights)),
+    "gradient_flow_nonlinear": _Entry("weights", lambda s: _flow(s.weights), True),
+    "no_residual": _Entry("weights", lambda s: _flow(WeightSet(W=s.weights.W), False)),
+    "graff": _Entry("weights", lambda s: _flow(_graff_weights(s))),
+    "graff_nonlinear": _Entry("weights", lambda s: _flow(_graff_weights(s)), True),
+    "heat": _Entry(None, lambda s: _Update(((normalized_laplacian, -1.0),))),
+    "label_propagation": _Entry(None, _label_propagation),
+    "cgnn": _Entry("OmegaTilde", _cgnn),
+    "grand_linear": _Entry(None, lambda s: _Update(((random_walk_laplacian, -1.0),))),
+    "pde_gcn_d": _Entry("KtK", _pde_gcn_d),
+    "harmonic": _Entry(
+        "weights",
+        lambda s: _Update(
+            ((normalized_laplacian, -(s.weights.W @ s.weights.W)),),
+            energy=lambda g, x, ref: dirichlet_energy(g, x @ s.weights.W),
+        ),
+    ),
+    "laplacian_omega_eq_w": _Entry(
+        "weights",
+        lambda s: _Update(
+            ((normalized_laplacian, -s.weights.W),),
+            energy=_parametric(WeightSet(W=s.weights.W, Omega=s.weights.W)),
+        ),
+    ),
+    "diag_nonlinear": _Entry("weights", _diag_nonlinear, True),
+}
+
+VARIANTS = frozenset(_TABLE)
+NONLINEAR_VARIANTS = frozenset(v for v, entry in _TABLE.items() if entry.nonlinear)
+LINEAR_VARIANTS = VARIANTS - NONLINEAR_VARIANTS
 
 
 def _relu(x: np.ndarray) -> np.ndarray:
@@ -138,8 +241,8 @@ def resolve_sigma(sigma) -> Callable[[np.ndarray], np.ndarray]:
     )
 
 
-def _check_admissible_sigma(fn: Callable[[np.ndarray], np.ndarray]) -> None:
-    """Sample the activation and require x * sigma(x) >= 0 everywhere."""
+def _check_admissible_sigma(fn: Callable[[np.ndarray], np.ndarray]) -> Callable:
+    """Sample the activation, require x * sigma(x) >= 0 everywhere, return it."""
     xs = np.linspace(-5.0, 5.0, 1000)
     ys = np.asarray(fn(xs), dtype=float)
     if ys.shape != xs.shape or not np.all(np.isfinite(ys)):
@@ -148,6 +251,7 @@ def _check_admissible_sigma(fn: Callable[[np.ndarray], np.ndarray]) -> None:
         raise ValidationError(
             "activation is inadmissible: x * sigma(x) < 0 at a sampled point"
         )
+    return fn
 
 
 @dataclass(frozen=True)
@@ -177,54 +281,21 @@ class ModelSpec:
             raise ValidationError(f"step size tau must be positive, got {self.tau!r}")
         object.__setattr__(self, "tau", tau)
 
-        if self.variant in _WEIGHT_VARIANTS:
-            if self.weights is None:
-                raise ConfigurationError(f"variant {self.variant!r} needs weights")
-            if not isinstance(self.weights, WeightSet):
-                raise ConfigurationError("weights must be a WeightSet")
-        if self.variant == "diag_nonlinear":
-            if np.any(self.weights.omega_diag > 1e-12):
-                raise ValidationError(
-                    "diag_nonlinear requires nonpositive channel weights omega_diag"
-                )
-        if self.variant == "label_propagation":
-            mu = float(self.mu)
-            if not np.isfinite(mu) or mu < 0:
-                raise ValidationError(
-                    f"label propagation needs mu >= 0, got {self.mu!r}"
-                )
-            object.__setattr__(self, "mu", mu)
-        if self.variant == "cgnn":
-            if self.OmegaTilde is None:
-                raise ConfigurationError("variant 'cgnn' needs OmegaTilde")
-            ot = np.asarray(self.OmegaTilde, dtype=float)
-            if ot.ndim != 2 or ot.shape[0] != ot.shape[1]:
-                raise ValidationError("OmegaTilde must be a square matrix")
-            if not np.all(np.isfinite(ot)):
-                raise ValidationError("OmegaTilde contains non-finite entries")
-            ot.setflags(write=False)
-            object.__setattr__(self, "OmegaTilde", ot)
-        if self.variant == "pde_gcn_d":
-            if self.KtK is None:
-                raise ConfigurationError("variant 'pde_gcn_d' needs KtK")
-            ktk = np.asarray(self.KtK, dtype=float)
-            if ktk.ndim != 2 or ktk.shape[0] != ktk.shape[1]:
-                raise ValidationError("KtK must be a square matrix")
-            scale = max(1.0, float(np.abs(ktk).max()))
-            if float(np.abs(ktk - ktk.T).max()) > 1e-12 * scale:
-                raise ValidationError("KtK must be symmetric")
-            if float(np.linalg.eigvalsh(ktk).min()) < -1e-10:
-                raise ValidationError("KtK must be positive semidefinite")
-            ktk.setflags(write=False)
-            object.__setattr__(self, "KtK", ktk)
-
-        if self.variant in NONLINEAR_VARIANTS:
-            _check_admissible_sigma(resolve_sigma(self.sigma))
+        entry = _TABLE[self.variant]
+        if entry.required is not None and getattr(self, entry.required) is None:
+            raise ConfigurationError(f"variant {self.variant!r} needs {entry.required}")
+        if entry.required == "weights" and not isinstance(self.weights, WeightSet):
+            raise ConfigurationError("weights must be a WeightSet")
+        activation = None
+        if entry.nonlinear:
+            activation = _check_admissible_sigma(resolve_sigma(self.sigma))
         elif not (self.sigma == "identity" or self.sigma is None):
             raise ConfigurationError(
                 f"variant {self.variant!r} is linear; an activation is only "
                 "accepted by the *_nonlinear and diag_nonlinear variants"
             )
+        update = entry.build(self)._replace(activation=activation)
+        object.__setattr__(self, "_update", update)
 
     @property
     def channels(self) -> int | None:
@@ -239,21 +310,12 @@ class ModelSpec:
     @property
     def has_active_source(self) -> bool:
         """True when the update couples to the reference features F0."""
-        v = self.variant
-        if v in ("gradient_flow", "gradient_flow_nonlinear"):
-            return self.weights.has_source
-        if v in ("graff", "graff_nonlinear"):
-            return self.weights.beta != 0.0
-        if v == "cgnn":
-            return not self.source_free
-        if v == "label_propagation":
-            return self.mu > 0.0
-        return False
+        return self._update.source is not None
 
     @property
     def is_homogeneous(self) -> bool:
         """True when one step commutes with rescaling the state."""
-        return self.variant in LINEAR_VARIANTS and not self.has_active_source
+        return self._update.activation is None and not self.has_active_source
 
 
 @dataclass(frozen=True)
@@ -296,61 +358,23 @@ def random_walk_laplacian(g: Graph) -> np.ndarray:
     return lap
 
 
-def _flow_increment(spec: ModelSpec, g: Graph, F: np.ndarray, F0) -> np.ndarray:
-    """The pre-activation update direction Z with step F + tau * sigma(Z)."""
-    v = spec.variant
-    w = spec.weights
-    if v in ("gradient_flow", "gradient_flow_nonlinear"):
-        z = -F @ w.Omega + normalized_adjacency(g) @ F @ w.W
-        if w.has_source:
-            z = z - _need_reference(spec, g, F0) @ w.Wtilde
-        return z
-    if v in ("graff", "graff_nonlinear"):
-        z = -F * w.omega_diag[None, :] + normalized_adjacency(g) @ F @ w.W
-        if w.beta != 0.0:
-            z = z - w.beta * _need_reference(spec, g, F0)
-        return z
-    if v == "heat":
-        return -normalized_laplacian(g) @ F
-    if v == "label_propagation":
-        z = -normalized_laplacian(g) @ F
-        if spec.mu > 0.0:
-            z = z - spec.mu * (F - _need_reference(spec, g, F0))
-        return z
-    if v == "cgnn":
-        z = -normalized_laplacian(g) @ F + F @ spec.OmegaTilde
-        if not spec.source_free:
-            z = z + _need_reference(spec, g, F0)
-        return z
-    if v == "grand_linear":
-        return -random_walk_laplacian(g) @ F
-    if v == "pde_gcn_d":
-        return -normalized_laplacian(g) @ F @ spec.KtK
-    if v == "harmonic":
-        return -normalized_laplacian(g) @ F @ (w.W @ w.W)
-    if v == "laplacian_omega_eq_w":
-        return -normalized_laplacian(g) @ F @ w.W
-    if v == "diag_nonlinear":
-        return normalized_laplacian(g) @ F * (-w.omega_diag[None, :])
-    raise ConfigurationError(f"unhandled variant {v!r}")  # unreachable
-
-
 def step_model(spec: ModelSpec, g: Graph, F, F0=None) -> np.ndarray:
     """One explicit-Euler step of the chosen variant.
 
-    The discarding variant replaces the state by ``tau * A_bar F W``; all
-    others are residual updates ``F + tau * sigma(Z)`` with the variant's
-    pre-activation ``Z`` and sigma = identity for the linear family.
+    Sums the variant's ``P_k F M_k`` terms and its source ``F0 S``, applies
+    sigma (the identity for the linear family), and returns
+    ``F + tau * sigma(Z)``, or ``tau * Z`` for the discarding variant.
     """
     feats = as_features(g, F)
-    _check_spec_channels(spec, feats)
-    if spec.variant == "no_residual":
-        out = spec.tau * (normalized_adjacency(g) @ feats @ spec.weights.W)
-    else:
-        z = _flow_increment(spec, g, feats, F0)
-        if spec.variant in NONLINEAR_VARIANTS:
-            z = resolve_sigma(spec.sigma)(z)
-        out = feats + spec.tau * z
+    _check_channels(spec.channels, feats, "model parameters")
+    update = spec._update
+    # np.dot multiplies by a scalar factor and matrix-multiplies by a d x d one
+    z = sum(np.dot(feats if op is None else op(g) @ feats, m) for op, m in update.terms)
+    if update.source is not None:
+        z = z + np.dot(_require_source(g, F0, feats.shape[1]), update.source)
+    if update.activation is not None:
+        z = update.activation(z)
+    out = feats + spec.tau * z if update.residual else spec.tau * z
     if not np.all(np.isfinite(out)):
         raise NumericError(
             "step produced non-finite values (overflow); use run_trajectory, "
@@ -371,7 +395,7 @@ def run_trajectory(spec: ModelSpec, g: Graph, F0, steps: int) -> Trajectory:
     if not isinstance(steps, (int, np.integer)) or steps < 0:
         raise ValidationError(f"steps must be a nonnegative integer, got {steps!r}")
     feats = as_features(g, F0)
-    _check_spec_channels(spec, feats)
+    _check_channels(spec.channels, feats, "model parameters")
     norm = float(np.linalg.norm(feats))
     if norm == 0.0:
         raise ValidationError("initial features must be nonzero")
@@ -388,11 +412,12 @@ def run_trajectory(spec: ModelSpec, g: Graph, F0, steps: int) -> Trajectory:
     rec_energy = np.empty(count)
     rec_log = np.empty(count)
     rec_dirs = np.empty((count,) + feats.shape)
+    energy = spec._update.energy
 
     def record(k: int, dir_k: np.ndarray, log_k: float) -> None:
         rec_rayleigh[k] = rayleigh_quotient(g, dir_k)
         rec_dirichlet[k] = dirichlet_energy(g, dir_k)
-        rec_energy[k] = _trajectory_energy(spec, g, dir_k, reference)
+        rec_energy[k] = energy(g, dir_k, reference) if energy else rec_dirichlet[k]
         rec_log[k] = log_k
         rec_dirs[k] = dir_k
 
@@ -447,55 +472,7 @@ def spectral_filter_step(g: Graph, W, tau: float, F) -> np.ndarray:
     ``step_model`` for the residual-free gradient flow to machine precision.
     """
     feats = as_features(g, F)
-    w = np.asarray(W, dtype=float)
-    pair = spectral_decomposition(w)
-    if pair.eigenvalues.shape[0] != feats.shape[1]:
-        raise ValidationError(
-            f"W must be {feats.shape[1]}x{feats.shape[1]} for these features"
-        )
+    pair = spectral_decomposition(square_matrix(W, "W", feats.shape[1]))
     z = feats @ pair.eigenvectors
     z = z + float(tau) * (normalized_adjacency(g) @ z) * pair.eigenvalues[None, :]
     return z @ pair.eigenvectors.T
-
-
-def _need_reference(spec: ModelSpec, g: Graph, F0) -> np.ndarray:
-    if F0 is None:
-        raise ConfigurationError(
-            f"variant {spec.variant!r} couples to the reference features; pass F0"
-        )
-    return as_features(g, F0, name="F0")
-
-
-def _check_spec_channels(spec: ModelSpec, feats: np.ndarray) -> None:
-    d = spec.channels
-    if d is not None and d != feats.shape[1]:
-        raise ValidationError(
-            f"model expects d={d} channels but features have {feats.shape[1]}"
-        )
-
-
-def _trajectory_energy(spec: ModelSpec, g: Graph, direction: np.ndarray, ref) -> float:
-    """The natural scalar energy of the unit direction for this variant."""
-    v = spec.variant
-    w = spec.weights
-    if v in ("gradient_flow", "gradient_flow_nonlinear"):
-        return parametric_energy(g, direction, w, F0=ref if w.has_source else None)
-    if v == "no_residual":
-        return parametric_energy(g, direction, WeightSet(W=w.W))
-    if v in ("graff", "graff_nonlinear"):
-        eff = WeightSet(
-            W=w.W,
-            Omega=np.diag(w.omega_diag),
-            Wtilde=w.beta * np.eye(w.d),
-        )
-        return parametric_energy(g, direction, eff, F0=ref if w.beta != 0.0 else None)
-    if v == "label_propagation":
-        return lp_energy(g, direction, ref, spec.mu)
-    if v == "harmonic":
-        e = edge_array(g)
-        scaled = direction / np.sqrt(degree_vector(g))[:, None]
-        diffs = scaled[e[:, 1]] - scaled[e[:, 0]]
-        return float(np.sum((diffs @ w.W.T) ** 2))
-    if v == "laplacian_omega_eq_w":
-        return parametric_energy(g, direction, WeightSet(W=w.W, Omega=w.W))
-    return dirichlet_energy(g, direction)

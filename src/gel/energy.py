@@ -15,13 +15,13 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericError, ValidationError
 from .graphs import (
-    SYMMETRY_TOL,
     Graph,
     degree_vector,
     edge_array,
     normalized_adjacency,
     normalized_laplacian,
     spectral_decomposition,
+    square_matrix,
 )
 
 __all__ = [
@@ -39,30 +39,6 @@ __all__ = [
 #: Eigenvalues of W with magnitude below this go to neither factor of the
 #: attraction/repulsion split.
 KERNEL_TOL = 1e-12
-
-
-def _symmetric_part(m: np.ndarray, name: str) -> np.ndarray:
-    """Return (M + M^T)/2 after checking M is symmetric within 1e-12."""
-    scale = max(1.0, float(np.abs(m).max()) if m.size else 1.0)
-    asym = float(np.abs(m - m.T).max()) if m.size else 0.0
-    if asym > SYMMETRY_TOL * scale:
-        raise ValidationError(
-            f"{name} must be symmetric within {SYMMETRY_TOL:g} "
-            f"(max |M - M^T| = {asym:.3e}); use make_weights('symmetrize', ...) "
-            "to symmetrize intentionally"
-        )
-    return 0.5 * (m + m.T)
-
-
-def _as_square(value, d: int | None, name: str) -> np.ndarray:
-    m = np.asarray(value, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError(f"{name} must be a square matrix, got shape {m.shape}")
-    if d is not None and m.shape[0] != d:
-        raise ValidationError(f"{name} must be {d}x{d}, got {m.shape[0]}x{m.shape[1]}")
-    if not np.all(np.isfinite(m)):
-        raise ValidationError(f"{name} contains non-finite entries")
-    return m
 
 
 @dataclass(frozen=True)
@@ -83,17 +59,17 @@ class WeightSet:
     beta: float = 0.0
 
     def __post_init__(self) -> None:
-        w = _symmetric_part(_as_square(self.W, None, "W"), "W")
+        w = square_matrix(self.W, "W", symmetric=True)
         d = w.shape[0]
         omega = (
             np.zeros((d, d))
             if self.Omega is None
-            else _symmetric_part(_as_square(self.Omega, d, "Omega"), "Omega")
+            else square_matrix(self.Omega, "Omega", d, symmetric=True)
         )
         wtilde = (
             np.zeros((d, d))
             if self.Wtilde is None
-            else _as_square(self.Wtilde, d, "Wtilde")
+            else square_matrix(self.Wtilde, "Wtilde", d)
         )
         if self.omega_diag is None:
             odiag = np.zeros(d)
@@ -197,12 +173,12 @@ def parametric_energy(g: Graph, F, weights: WeightSet, F0=None) -> float:
     twice :func:`energy_gradient`.
     """
     feats = as_features(g, F)
-    _check_channels(weights, feats)
+    _check_channels(weights.d, feats)
     bar_a = normalized_adjacency(g)
     value = float(np.einsum("ia,ab,ib->", feats, weights.Omega, feats))
     value -= float(np.einsum("ia,ab,ib->", bar_a @ feats, weights.W, feats))
     if weights.has_source:
-        source = _require_source(g, F0, weights)
+        source = _require_source(g, F0, weights.d)
         value += 2.0 * float(np.sum(feats * (source @ weights.Wtilde)))
     return value
 
@@ -225,14 +201,14 @@ def energy_gradient(g: Graph, F, weights: WeightSet, F0=None) -> np.ndarray:
     of :func:`parametric_energy` recover minus twice this array.
     """
     feats = as_features(g, F)
-    _check_channels(weights, feats)
+    _check_channels(weights.d, feats)
     # defensive re-check: WeightSet guarantees symmetry, but the gradient/energy
     # pairing silently breaks if an asymmetric matrix sneaks in sideways
-    _symmetric_part(weights.W, "W")
-    _symmetric_part(weights.Omega, "Omega")
+    square_matrix(weights.W, "W", symmetric=True)
+    square_matrix(weights.Omega, "Omega", symmetric=True)
     grad = -feats @ weights.Omega + normalized_adjacency(g) @ feats @ weights.W
     if weights.has_source:
-        grad = grad - _require_source(g, F0, weights) @ weights.Wtilde
+        grad = grad - _require_source(g, F0, weights.d) @ weights.Wtilde
     return grad
 
 
@@ -246,7 +222,7 @@ def energy_decomposition(g: Graph, F, weights: WeightSet) -> EnergyBreakdown:
     :func:`parametric_energy` to 1e-9 relative.
     """
     feats = as_features(g, F)
-    _check_channels(weights, feats)
+    _check_channels(weights.d, feats)
     if weights.has_source:
         raise ValidationError(
             "energy_decomposition is defined for source-free weights (Wtilde = 0)"
@@ -298,7 +274,7 @@ def make_weights(mode: str, *, W0=None, diag=None, q=None, r=None) -> np.ndarray
     if mode == "symmetrize":
         if W0 is None:
             raise ConfigurationError("make_weights('symmetrize') needs W0")
-        m = _as_square(W0, None, "W0")
+        m = square_matrix(W0, "W0")
         return 0.5 * (m + m.T)
     if mode == "diagonal":
         if diag is None:
@@ -310,8 +286,8 @@ def make_weights(mode: str, *, W0=None, diag=None, q=None, r=None) -> np.ndarray
     if mode == "diag_dom":
         if W0 is None or q is None or r is None:
             raise ConfigurationError("make_weights('diag_dom') needs W0, q and r")
-        m = _symmetric_part(_as_square(W0, None, "W0"), "W0")
-        if m.size and float(np.abs(np.diag(m)).max()) > KERNEL_TOL:
+        m = square_matrix(W0, "W0", symmetric=True)
+        if float(np.abs(np.diag(m)).max()) > KERNEL_TOL:
             raise ValidationError("diag_dom needs W0 with zero diagonal")
         d = m.shape[0]
         qv = np.asarray(q, dtype=float).reshape(-1)
@@ -326,21 +302,17 @@ def make_weights(mode: str, *, W0=None, diag=None, q=None, r=None) -> np.ndarray
     )
 
 
-def _check_channels(weights: WeightSet, feats: np.ndarray) -> None:
-    if weights.d != feats.shape[1]:
+def _check_channels(d: int | None, feats: np.ndarray, owner: str = "weights") -> None:
+    if d is not None and d != feats.shape[1]:
         raise ValidationError(
-            f"weights have d={weights.d} channels but features have {feats.shape[1]}"
+            f"{owner} have d={d} channels but features have {feats.shape[1]}"
         )
 
 
-def _require_source(g: Graph, F0, weights: WeightSet) -> np.ndarray:
+def _require_source(g: Graph, F0, d: int) -> np.ndarray:
     if F0 is None:
-        raise ConfigurationError(
-            "Wtilde is nonzero: the source term needs reference features F0"
-        )
+        raise ConfigurationError("the source term needs reference features F0")
     source = as_features(g, F0, name="F0")
-    if source.shape[1] != weights.d:
-        raise ValidationError(
-            f"F0 must have d={weights.d} channels, got {source.shape[1]}"
-        )
+    if source.shape[1] != d:
+        raise ValidationError(f"F0 must have d={d} channels, got {source.shape[1]}")
     return source

@@ -285,35 +285,46 @@ def normalized_laplacian(g: Graph) -> np.ndarray:
 # spectra
 # ---------------------------------------------------------------------------
 
+def square_matrix(value, name: str, d=None, symmetric=False) -> np.ndarray:
+    """Validate a nonempty, finite, square float matrix (``d x d`` if given);
+    ``symmetric`` rejects asymmetry above SYMMETRY_TOL * max(1, max |M|) and
+    returns ``(M + M^T) / 2``."""
+    m = np.asarray(value, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise ValidationError(f"{name} must be a nonempty square matrix, got {m.shape}")
+    if d is not None and m.shape[0] != d:
+        raise ValidationError(f"{name} must be {d}x{d}, got {m.shape[0]}x{m.shape[1]}")
+    if not np.all(np.isfinite(m)):
+        raise ValidationError(f"{name} contains non-finite entries")
+    if not symmetric:
+        return m
+    scale = max(1.0, float(np.abs(m).max()))
+    asym = float(np.abs(m - m.T).max())
+    if asym > SYMMETRY_TOL * scale:
+        raise ValidationError(
+            f"{name} must be symmetric within {SYMMETRY_TOL:g} "
+            f"(max |M - M^T| = {asym:.3e}); use make_weights('symmetrize', ...) "
+            "to symmetrize intentionally"
+        )
+    return 0.5 * (m + m.T)
+
+
 def spectral_decomposition(matrix: np.ndarray) -> SpectralPair:
     """Eigendecomposition of a symmetric matrix with deterministic signs.
 
-    The input may be asymmetric by at most 1e-12 entrywise (it is symmetrized
-    by averaging with its transpose); larger asymmetry is rejected.  The
+    The input is checked and symmetrized by :func:`square_matrix`.  The
     returned eigenvector signs follow the largest-magnitude-entry-positive
     convention, ties broken by lowest index.
     """
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValidationError("matrix contains non-finite entries")
-    scale = max(1.0, float(np.abs(m).max()) if m.size else 1.0)
-    asym = float(np.abs(m - m.T).max()) if m.size else 0.0
-    if asym > SYMMETRY_TOL * scale:
-        raise ValidationError(
-            f"matrix is asymmetric (max |M - M^T| = {asym:.3e}); "
-            "spectral decomposition requires a symmetric matrix"
-        )
-    sym = 0.5 * (m + m.T)
+    sym = square_matrix(matrix, "matrix", symmetric=True)
     values, vectors = np.linalg.eigh(sym)
     vectors = _fix_eigenvector_signs(vectors)
 
-    ident = vectors.T @ vectors - np.eye(m.shape[0])
+    ident = vectors.T @ vectors - np.eye(sym.shape[0])
     if float(np.abs(ident).max()) > SPECTRAL_TOL:
         raise NumericError("eigenvector matrix failed the orthonormality check")
     recon = vectors @ np.diag(values) @ vectors.T
-    norm = float(np.linalg.norm(m))
+    norm = float(np.linalg.norm(sym))
     if float(np.linalg.norm(recon - sym)) > SPECTRAL_TOL * max(norm, 1e-30):
         raise NumericError("eigendecomposition failed the reconstruction check")
 

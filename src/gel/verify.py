@@ -701,6 +701,8 @@ def run_check(witness: Witness) -> CheckReport:
     """Execute the check a witness describes and report the outcome."""
     if witness.check not in CHECK_RUNNERS:
         raise ValidationError(f"unknown check kind {witness.check!r}")
+    if witness.graph is None:
+        raise ValidationError(f"check {witness.check!r} needs a graph block")
     return CHECK_RUNNERS[witness.check](witness)
 
 
@@ -771,7 +773,12 @@ def parse_witness(text: str) -> Witness:
                     break
                 parts = row.split()
                 if parts and parts[0] == "n" and len(parts) == 2:
-                    n = int(parts[1])
+                    try:
+                        n = int(parts[1])
+                    except ValueError:
+                        raise ParseError(
+                            f"line {rowno}: node count {parts[1]!r} is not an integer"
+                        ) from None
                 elif len(parts) == 2:
                     try:
                         edges.append((int(parts[0]), int(parts[1])))
@@ -789,7 +796,12 @@ def parse_witness(text: str) -> Witness:
         elif kind == "matrix":
             if len(tokens) != 4:
                 raise ParseError(f"line {lineno}: bad matrix header {line!r}")
-            name, rows, cols = tokens[1], int(tokens[2]), int(tokens[3])
+            try:
+                name, rows, cols = tokens[1], int(tokens[2]), int(tokens[3])
+            except ValueError:
+                raise ParseError(
+                    f"line {lineno}: matrix size in {line!r} is not an integer"
+                ) from None
             data = []
             for _ in range(rows):
                 if i >= len(lines):

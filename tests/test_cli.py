@@ -128,6 +128,16 @@ def test_exit_4_on_overflow(workdir):
     assert main(["run", cfg]) == 4
 
 
+def test_exit_3_on_nonfinite_ktk(workdir, capsys):
+    cfg = write(
+        workdir / "nan.cfg",
+        "graph = cycle(5)\nvariant = pde_gcn_d\nKtK = [[NaN]]\nsteps = 5\n"
+        "init = one_hot(0)\ncsv = n.csv\nsvg = n.svg\nreport = n.txt\n",
+    )
+    assert main(["run", cfg]) == 3
+    assert "KtK" in capsys.readouterr().err
+
+
 def test_exit_5_on_missing_config(workdir):
     assert main(["run", "does_not_exist.cfg"]) == 5
 
@@ -207,6 +217,24 @@ def test_replay_missing_file(workdir):
 def test_replay_corrupt_file(workdir):
     bad = write(workdir / "bad.txt", "not a witness\n")
     assert main(["replay", bad]) == 2
+
+
+_GRAPH_BLOCK = "graph\nn 3\n0 1\n1 2\nend\n"
+
+
+@pytest.mark.parametrize(
+    "body, code, needle",
+    [
+        (_GRAPH_BLOCK + "matrix F0 x 1\n1\nend\n", 2, "line 8"),
+        ("graph\nn abc\n0 1\nend\n", 2, "line 4"),
+        ("matrix F0 3 1\n1\n0\n0\nend\nscalar tau 0.1\n", 3, "graph"),
+    ],
+    ids=["matrix-size", "node-count", "no-graph"],
+)
+def test_replay_malformed_witness_exit_codes(workdir, capsys, body, code, needle):
+    path = write(workdir / "w.txt", "gel-witness 1\ncheck heat_monotone\n" + body)
+    assert main(["replay", path]) == code
+    assert needle in capsys.readouterr().err
 
 
 # --- csv formatting ---------------------------------------------------------

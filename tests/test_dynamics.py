@@ -81,6 +81,20 @@ def test_pde_needs_psd_ktk():
         ModelSpec("pde_gcn_d", KtK=np.array([[-1.0]]))
 
 
+@pytest.mark.parametrize(
+    "variant, param, value",
+    [
+        ("pde_gcn_d", "KtK", np.array([[np.nan]])),
+        ("pde_gcn_d", "KtK", np.zeros((0, 0))),
+        ("cgnn", "OmegaTilde", np.zeros((0, 0))),
+    ],
+    ids=["ktk-nan", "ktk-empty", "omega-tilde-empty"],
+)
+def test_matrix_parameters_reject_nonfinite_and_empty(variant, param, value):
+    with pytest.raises(ValidationError):
+        ModelSpec(variant, **{param: value})
+
+
 # --- single-step oracles ----------------------------------------------------
 
 def test_heat_step_oracle():
@@ -309,6 +323,20 @@ def test_every_variant_matches_its_formula(variant, source):
 def test_step_rejects_channel_mismatch():
     with pytest.raises(ValidationError):
         step_model(gf(np.eye(2)), path(2), np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ModelSpec("label_propagation", mu=1.0),
+        ModelSpec("cgnn", OmegaTilde=np.eye(2)),
+        ModelSpec("gradient_flow", weights=WeightSet(W=np.eye(2), Wtilde=np.eye(2))),
+    ],
+    ids=["label_propagation", "cgnn", "gradient_flow-Wtilde"],
+)
+def test_step_rejects_reference_with_wrong_channel_count(spec):
+    with pytest.raises(ValidationError, match="F0"):
+        step_model(spec, path(3), np.ones((3, 2)), F0=np.ones((3, 3)))
 
 
 # --- trajectories -----------------------------------------------------------

@@ -98,6 +98,11 @@ def test_weightset_shape_mismatch():
         WeightSet(W=np.eye(2), Omega=np.eye(3))
 
 
+def test_weightset_rejects_empty_w():
+    with pytest.raises(ValidationError):
+        WeightSet(W=np.zeros((0, 0)))
+
+
 # --- parametric energy ------------------------------------------------------
 
 @pytest.mark.parametrize("source", [False, True])
