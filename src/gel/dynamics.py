@@ -22,11 +22,26 @@ cgnn                     (L, -1), (I, OmegaTilde)   1        1  dirichlet(F)
 grand_linear             (Lrw, -1)                  -        1  dirichlet(F)
 pde_gcn_d                (L, -KtK)                  -        1  dirichlet(F)
 harmonic                 (L, -W W)                  -        1  dirichlet(F W)
-laplacian_omega_eq_w     (L, -W)                    -        1  parametric(W, Omega=W)
+laplacian_omega_eq_w     (L, -W)                    -        1  sum_e <dF_e W, dF_e>
 diag_nonlinear           (L, -diag(omega)), sigma   -        1  dirichlet(F)
 
-``step_model`` applies a single step; ``run_trajectory`` iterates it with
-overflow-safe bookkeeping.
+dirichlet(F W) and the last form are sums over the per-edge differences dF_e
+of the degree-normalized features; both equal their trace forms
+(parametric(W W, W W) and parametric(W, Omega=W)) but stay accurate, and
+nonnegative for PSD W, once a run has converged.
+
+``step_model`` applies a single step; ``run_trajectory`` iterates the same
+update with overflow-safe bookkeeping.
+
+Cost model: ``run_trajectory`` does one dense operator product per recorded
+state F, ``AF = A_hat F`` (grand_linear adds its own ``Lrw F``).  The step
+reads its terms from it (I -> F, A -> AF, L -> F - AF) and every CSV column
+of that state reuses it: the Dirichlet energy from one set of per-edge
+differences in O(m d), the Rayleigh quotient as that value over |F|^2, the
+parametric energy from AF, the LP energy as the Dirichlet value plus
+``mu |F - F0|^2``.  In debug runs (asserts on) each state's Dirichlet value
+is cross-checked against the trace form ``|F|^2 - <F, AF>`` in O(n d).
+Inputs are validated once, on entry.
 """
 
 from __future__ import annotations
@@ -41,12 +56,12 @@ import numpy as np
 from .energy import (
     WeightSet,
     _check_channels,
+    _check_trace_form,
+    _edge_differences,
+    _parametric_value,
     _require_source,
     as_features,
-    dirichlet_energy,
-    lp_energy,
-    parametric_energy,
-    rayleigh_quotient,
+    dirichlet_energy,  # noqa: F401  (perfbench traces gel.dynamics.dirichlet_energy)
 )
 from .errors import ConfigurationError, NumericError, ValidationError
 from .graphs import (
@@ -54,7 +69,6 @@ from .graphs import (
     adjacency_matrix,
     degree_vector,
     normalized_adjacency,
-    normalized_laplacian,
     spectral_decomposition,
     square_matrix,
 )
@@ -75,25 +89,40 @@ __all__ = [
 ]
 
 
-class _Update(NamedTuple):
-    """One row of the module docstring's table; None is the identity operator
-    in ``terms`` and the Dirichlet energy in ``energy``."""
+class _State(NamedTuple):
+    """A recorded unit direction and what its diagnostics share: ``ax`` is
+    ``A_hat x``, ``diffs`` its per-edge differences, ``dirichlet`` their sum
+    of squares and ``ref`` the run's reference features F0."""
 
-    terms: tuple[tuple[Callable[[Graph], np.ndarray] | None, np.ndarray | float], ...]
+    x: np.ndarray
+    ax: np.ndarray
+    diffs: np.ndarray
+    dirichlet: float
+    ref: np.ndarray
+
+
+class _Update(NamedTuple):
+    """One row of the module docstring's table.  A term's operator is "I",
+    "A" (A_hat) or "L" (I - A_hat), all read off one product ``A_hat F``, or a
+    ``Graph -> matrix`` function (GRAND's Lrw) that multiplies F itself;
+    ``energy`` None is the Dirichlet energy."""
+
+    terms: tuple[tuple[str | Callable[[Graph], np.ndarray], np.ndarray | float], ...]
     source: np.ndarray | float | None = None
     residual: bool = True
-    energy: Callable[[Graph, np.ndarray, np.ndarray], float] | None = None
+    energy: Callable[[_State], float] | None = None
     activation: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 def _parametric(w: WeightSet):
-    return lambda g, x, ref: parametric_energy(g, x, w, F0=ref)
+    has_source = w.has_source
+    return lambda s: _parametric_value(s.x, s.ax, w, s.ref if has_source else None)
 
 
 def _flow(w: WeightSet, residual: bool = True) -> _Update:
     """The gradient flow of the parametric energy with weights ``w``."""
     return _Update(
-        terms=((None, -w.Omega), (normalized_adjacency, w.W)),
+        terms=(("I", -w.Omega), ("A", w.W)),
         source=-w.Wtilde if w.has_source else None,
         residual=residual,
         energy=_parametric(w),
@@ -115,9 +144,9 @@ def _label_propagation(spec: ModelSpec) -> _Update:
         raise ValidationError(f"label propagation needs mu >= 0, got {spec.mu!r}")
     object.__setattr__(spec, "mu", mu)
     return _Update(
-        terms=((normalized_laplacian, -1.0), (None, -mu)),
+        terms=(("L", -1.0), ("I", -mu)),
         source=mu if mu > 0.0 else None,
-        energy=lambda g, x, ref: lp_energy(g, x, ref, mu),
+        energy=lambda s: s.dirichlet + mu * float(np.sum((s.x - s.ref) ** 2)),
     )
 
 
@@ -126,7 +155,7 @@ def _cgnn(spec: ModelSpec) -> _Update:
     ot.setflags(write=False)
     object.__setattr__(spec, "OmegaTilde", ot)
     return _Update(
-        terms=((normalized_laplacian, -1.0), (None, ot)),
+        terms=(("L", -1.0), ("I", ot)),
         source=None if spec.source_free else 1.0,
     )
 
@@ -137,7 +166,7 @@ def _pde_gcn_d(spec: ModelSpec) -> _Update:
         raise ValidationError("KtK must be positive semidefinite")
     ktk.setflags(write=False)
     object.__setattr__(spec, "KtK", ktk)
-    return _Update(terms=((normalized_laplacian, -ktk),))
+    return _Update(terms=(("L", -ktk),))
 
 
 def _diag_nonlinear(spec: ModelSpec) -> _Update:
@@ -146,7 +175,7 @@ def _diag_nonlinear(spec: ModelSpec) -> _Update:
         raise ValidationError(
             "diag_nonlinear requires nonpositive channel weights omega_diag"
         )
-    return _Update(terms=((normalized_laplacian, np.diag(-omega)),))
+    return _Update(terms=(("L", np.diag(-omega)),))
 
 
 class _Entry(NamedTuple):
@@ -161,7 +190,7 @@ _TABLE: dict[str, _Entry] = {
     "no_residual": _Entry("weights", lambda s: _flow(WeightSet(W=s.weights.W), False)),
     "graff": _Entry("weights", lambda s: _flow(_graff_weights(s))),
     "graff_nonlinear": _Entry("weights", lambda s: _flow(_graff_weights(s)), True),
-    "heat": _Entry(None, lambda s: _Update(((normalized_laplacian, -1.0),))),
+    "heat": _Entry(None, lambda s: _Update((("L", -1.0),))),
     "label_propagation": _Entry(None, _label_propagation),
     "cgnn": _Entry("OmegaTilde", _cgnn),
     "grand_linear": _Entry(None, lambda s: _Update(((random_walk_laplacian, -1.0),))),
@@ -169,15 +198,15 @@ _TABLE: dict[str, _Entry] = {
     "harmonic": _Entry(
         "weights",
         lambda s: _Update(
-            ((normalized_laplacian, -(s.weights.W @ s.weights.W)),),
-            energy=lambda g, x, ref: dirichlet_energy(g, x @ s.weights.W),
+            (("L", -(s.weights.W @ s.weights.W)),),
+            energy=lambda st: float(np.sum((st.diffs @ s.weights.W) ** 2)),
         ),
     ),
     "laplacian_omega_eq_w": _Entry(
         "weights",
         lambda s: _Update(
-            ((normalized_laplacian, -s.weights.W),),
-            energy=_parametric(WeightSet(W=s.weights.W, Omega=s.weights.W)),
+            (("L", -s.weights.W),),
+            energy=lambda st: float(np.sum((st.diffs @ s.weights.W) * st.diffs)),
         ),
     ),
     "diag_nonlinear": _Entry("weights", _diag_nonlinear, True),
@@ -358,6 +387,42 @@ def random_walk_laplacian(g: Graph) -> np.ndarray:
     return lap
 
 
+def _coupling(update: _Update, g: Graph, F0, d: int) -> np.ndarray | None:
+    """The source term ``F0 S`` of ``update``, or None when it has none."""
+    if update.source is None:
+        return None
+    return np.dot(_require_source(g, F0, d), update.source)
+
+
+def _advance(spec: ModelSpec, g: Graph, F: np.ndarray, AF, coupling) -> np.ndarray:
+    """One step from validated ``F`` given ``AF = A_hat F`` (None when no term
+    reads it) and the source term from :func:`_coupling`."""
+    update = spec._update
+    z = 0
+    for op, m in update.terms:
+        if op == "I":
+            product = F
+        elif op == "A":
+            product = AF
+        elif op == "L":
+            product = F - AF
+        else:
+            product = op(g) @ F
+        # np.dot multiplies by a scalar factor and matrix-multiplies by a d x d one
+        z = z + np.dot(product, m)
+    if coupling is not None:
+        z = z + coupling
+    if update.activation is not None:
+        z = update.activation(z)
+    out = F + spec.tau * z if update.residual else spec.tau * z
+    if not np.all(np.isfinite(out)):
+        raise NumericError(
+            "step produced non-finite values (overflow); use run_trajectory, "
+            "which keeps homogeneous linear dynamics renormalized"
+        )
+    return out
+
+
 def step_model(spec: ModelSpec, g: Graph, F, F0=None) -> np.ndarray:
     """One explicit-Euler step of the chosen variant.
 
@@ -368,29 +433,21 @@ def step_model(spec: ModelSpec, g: Graph, F, F0=None) -> np.ndarray:
     feats = as_features(g, F)
     _check_channels(spec.channels, feats, "model parameters")
     update = spec._update
-    # np.dot multiplies by a scalar factor and matrix-multiplies by a d x d one
-    z = sum(np.dot(feats if op is None else op(g) @ feats, m) for op, m in update.terms)
-    if update.source is not None:
-        z = z + np.dot(_require_source(g, F0, feats.shape[1]), update.source)
-    if update.activation is not None:
-        z = update.activation(z)
-    out = feats + spec.tau * z if update.residual else spec.tau * z
-    if not np.all(np.isfinite(out)):
-        raise NumericError(
-            "step produced non-finite values (overflow); use run_trajectory, "
-            "which keeps homogeneous linear dynamics renormalized"
-        )
-    return out
+    reads_af = any(op in ("A", "L") for op, _ in update.terms)
+    af = normalized_adjacency(g) @ feats if reads_af else None
+    return _advance(spec, g, feats, af, _coupling(update, g, F0, feats.shape[1]))
 
 
 def run_trajectory(spec: ModelSpec, g: Graph, F0, steps: int) -> Trajectory:
-    """Iterate ``step_model`` for ``steps`` steps with overflow-safe bookkeeping.
+    """Iterate the update of :func:`step_model` for ``steps`` steps with
+    overflow-safe bookkeeping.
 
     For homogeneous linear variants the state is renormalized to unit
     Frobenius norm after every step and the removed log-factor accumulates in
     ``log_scale`` (the direction sequence is identical to the unnormalized
     one).  Source-coupled and nonlinear runs iterate the raw state; overflow
-    raises a numeric error naming the failing step.
+    raises a numeric error naming the failing step.  Each recorded state
+    costs one ``A_hat`` product, shared by its diagnostics and its step.
     """
     if not isinstance(steps, (int, np.integer)) or steps < 0:
         raise ValidationError(f"steps must be a nonnegative integer, got {steps!r}")
@@ -402,6 +459,7 @@ def run_trajectory(spec: ModelSpec, g: Graph, F0, steps: int) -> Trajectory:
 
     renormalize = spec.is_homogeneous
     reference = feats  # source / clamping reference, in raw units
+    coupling = _coupling(spec._update, g, reference, feats.shape[1])
     direction = feats / norm
     log_scale = float(np.log(norm))
     raw = feats
@@ -413,18 +471,28 @@ def run_trajectory(spec: ModelSpec, g: Graph, F0, steps: int) -> Trajectory:
     rec_log = np.empty(count)
     rec_dirs = np.empty((count,) + feats.shape)
     energy = spec._update.energy
+    a_hat = normalized_adjacency(g)
+    differences = _edge_differences(g)
 
-    def record(k: int, dir_k: np.ndarray, log_k: float) -> None:
-        rec_rayleigh[k] = rayleigh_quotient(g, dir_k)
-        rec_dirichlet[k] = dirichlet_energy(g, dir_k)
-        rec_energy[k] = energy(g, dir_k, reference) if energy else rec_dirichlet[k]
+    def record(k: int, x: np.ndarray, ax: np.ndarray, log_k: float) -> None:
+        diffs = differences(x)
+        dirichlet = float(np.sum(diffs * diffs))
+        sq = float(np.sum(x * x))
+        if __debug__:
+            _check_trace_form(dirichlet, sq - float(np.sum(x * ax)))
+        rec_rayleigh[k] = dirichlet / sq
+        rec_dirichlet[k] = dirichlet
+        rec_energy[k] = (
+            energy(_State(x, ax, diffs, dirichlet, reference)) if energy else dirichlet
+        )
         rec_log[k] = log_k
-        rec_dirs[k] = dir_k
+        rec_dirs[k] = x
 
-    record(0, direction, log_scale)
+    af = a_hat @ direction
+    record(0, direction, af, log_scale)
     for k in range(1, count):
         if renormalize:
-            new = step_model(spec, g, direction, F0=reference)
+            new = _advance(spec, g, direction, af, coupling)
             step_norm = float(np.linalg.norm(new))
             if not np.isfinite(step_norm) or step_norm == 0.0:
                 raise NumericError(
@@ -435,7 +503,8 @@ def run_trajectory(spec: ModelSpec, g: Graph, F0, steps: int) -> Trajectory:
             log_scale += float(np.log(step_norm))
         else:
             try:
-                raw = step_model(spec, g, raw, F0=reference)
+                # A_hat raw = norm * A_hat direction: the recorded product
+                raw = _advance(spec, g, raw, af * norm, coupling)
             except NumericError as exc:
                 raise NumericError(f"overflow at step {k}: {exc}") from None
             norm = float(np.linalg.norm(raw))
@@ -449,7 +518,8 @@ def run_trajectory(spec: ModelSpec, g: Graph, F0, steps: int) -> Trajectory:
                 raise NumericError(f"state collapsed to zero at step {k}")
             direction = raw / norm
             log_scale = float(np.log(norm))
-        record(k, direction, log_scale)
+        af = a_hat @ direction
+        record(k, direction, af, log_scale)
 
     rec_dirs.setflags(write=False)
     return Trajectory(

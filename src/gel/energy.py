@@ -129,11 +129,28 @@ def as_features(g: Graph, F, name: str = "F") -> np.ndarray:
     return arr
 
 
-def _normalized_differences(g: Graph, F: np.ndarray) -> np.ndarray:
-    """Per-edge differences of degree-normalized features, one row per edge."""
-    scaled = F / np.sqrt(degree_vector(g))[:, None]
+def _edge_differences(g: Graph):
+    """The map from features F to the per-edge differences of their
+    degree-normalized rows (one row per edge); looks up the degrees and edges
+    of ``g`` once, so a loop can reuse it."""
+    sqrt_deg = np.sqrt(degree_vector(g))[:, None]
     e = edge_array(g)
-    return scaled[e[:, 1]] - scaled[e[:, 0]]
+    tail, head = np.ascontiguousarray(e[:, 0]), np.ascontiguousarray(e[:, 1])
+
+    def differences(F: np.ndarray) -> np.ndarray:
+        scaled = F / sqrt_deg
+        return np.take(scaled, head, axis=0) - np.take(scaled, tail, axis=0)
+
+    return differences
+
+
+def _check_trace_form(value: float, trace_form: float) -> None:
+    """Debug cross-check of an edge-form Dirichlet energy against its
+    Laplacian trace form ``tr(F^T L F)``."""
+    assert abs(value - trace_form) <= 1e-9 * max(1.0, abs(value)), (
+        f"edge-sum and trace forms of the Dirichlet energy disagree: "
+        f"{value!r} vs {trace_form!r}"
+    )
 
 
 def dirichlet_energy(g: Graph, F) -> float:
@@ -145,14 +162,10 @@ def dirichlet_energy(g: Graph, F) -> float:
     debug runs it is cross-checked against the Laplacian trace form.
     """
     feats = as_features(g, F)
-    diffs = _normalized_differences(g, feats)
+    diffs = _edge_differences(g)(feats)
     value = float(np.sum(diffs * diffs))
     if __debug__:
-        trace_form = float(np.sum(feats * (normalized_laplacian(g) @ feats)))
-        assert abs(value - trace_form) <= 1e-9 * max(1.0, abs(value)), (
-            f"edge-sum and trace forms of the Dirichlet energy disagree: "
-            f"{value!r} vs {trace_form!r}"
-        )
+        _check_trace_form(value, float(np.sum(feats * (normalized_laplacian(g) @ feats))))
     return value
 
 
@@ -174,12 +187,17 @@ def parametric_energy(g: Graph, F, weights: WeightSet, F0=None) -> float:
     """
     feats = as_features(g, F)
     _check_channels(weights.d, feats)
-    bar_a = normalized_adjacency(g)
-    value = float(np.einsum("ia,ab,ib->", feats, weights.Omega, feats))
-    value -= float(np.einsum("ia,ab,ib->", bar_a @ feats, weights.W, feats))
-    if weights.has_source:
-        source = _require_source(g, F0, weights.d)
-        value += 2.0 * float(np.sum(feats * (source @ weights.Wtilde)))
+    source = _require_source(g, F0, weights.d) if weights.has_source else None
+    return _parametric_value(feats, normalized_adjacency(g) @ feats, weights, source)
+
+
+def _parametric_value(F: np.ndarray, AF: np.ndarray, weights: WeightSet, F0) -> float:
+    """The parametric energy of validated ``F`` given ``AF = A_bar F``; ``F0``
+    is the validated reference, or None when ``weights`` has no source."""
+    value = float(np.sum((F @ weights.Omega) * F))
+    value -= float(np.sum((AF @ weights.W) * F))
+    if F0 is not None:
+        value += 2.0 * float(np.sum(F * (F0 @ weights.Wtilde)))
     return value
 
 
@@ -228,7 +246,7 @@ def energy_decomposition(g: Graph, F, weights: WeightSet) -> EnergyBreakdown:
             "energy_decomposition is defined for source-free weights (Wtilde = 0)"
         )
     pair = spectral_decomposition(weights.W)
-    diffs = _normalized_differences(g, feats)
+    diffs = _edge_differences(g)(feats)
 
     def half_sum(mask: np.ndarray) -> float:
         if not np.any(mask):

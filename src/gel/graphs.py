@@ -5,7 +5,8 @@ of thousand nodes): adjacency matrices are materialized as numpy arrays and
 all eigendecompositions go through ``numpy.linalg.eigh``.
 
 Operators and spectra are cached per graph, so ``Graph`` is immutable and
-hashable; cached arrays are returned read-only.
+hashable (the hash is computed once, so a cache lookup costs O(1), not
+O(m)); cached arrays are returned read-only.
 """
 
 from __future__ import annotations
@@ -81,6 +82,10 @@ class Graph:
             canon.add((min(u, v), max(u, v)))
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "edges", tuple(sorted(canon)))
+        object.__setattr__(self, "_hash", hash((self.n, self.edges)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def num_edges(self) -> int:
@@ -288,7 +293,8 @@ def normalized_laplacian(g: Graph) -> np.ndarray:
 def square_matrix(value, name: str, d=None, symmetric=False) -> np.ndarray:
     """Validate a nonempty, finite, square float matrix (``d x d`` if given);
     ``symmetric`` rejects asymmetry above SYMMETRY_TOL * max(1, max |M|) and
-    returns ``(M + M^T) / 2``."""
+    returns ``(M + M^T) / 2``.  The result never shares memory with
+    ``value``, so callers may freeze it without freezing the caller's array."""
     m = np.asarray(value, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
         raise ValidationError(f"{name} must be a nonempty square matrix, got {m.shape}")
@@ -297,7 +303,7 @@ def square_matrix(value, name: str, d=None, symmetric=False) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValidationError(f"{name} contains non-finite entries")
     if not symmetric:
-        return m
+        return m.copy()
     scale = max(1.0, float(np.abs(m).max()))
     asym = float(np.abs(m - m.T).max())
     if asym > SYMMETRY_TOL * scale:

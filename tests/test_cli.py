@@ -1,3 +1,8 @@
+import os
+import re
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -61,6 +66,43 @@ def test_run_is_byte_deterministic(workdir):
     assert main(["run", cfg]) == 0
     second = [(workdir / f"run.{ext}").read_bytes() for ext in ("csv", "svg", "txt")]
     assert first == second
+
+
+def _gel(args, cwd, optimize):
+    """Run ``python [-O] -m gel.cli <args>`` in a fresh interpreter."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    env.pop("GEL_SEED", None)
+    cmd = [sys.executable, *(["-O"] if optimize else []), "-m", "gel.cli", *args]
+    return subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_suite_passes_with_asserts_off(tmp_path):
+    done = _gel(["suite"], tmp_path, optimize=True)
+    assert done.returncode == 0, done.stderr
+    summary = re.search(r"^(\d+) checks: (\d+) passed, 0 failed$", done.stdout, re.M)
+    assert summary and summary[1] == summary[2], done.stdout
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        HFD_CFG.replace("W = [[-1.0]]", "W = [[-1.0]]\nWtilde = [[0.3]]"),
+        HFD_CFG.replace("variant = gradient_flow", "variant = label_propagation")
+        .replace("W = [[-1.0]]", "mu = 0.1\nd = 2"),
+    ],
+    ids=["gradient_flow-source", "label_propagation"],
+)
+def test_run_csv_is_identical_with_asserts_off(tmp_path, config):
+    # the debug-only cross-checks must feed nothing into the outputs
+    csvs = []
+    for optimize in (False, True):
+        (tmp_path / "run.cfg").write_text(config)
+        done = _gel(["run", "run.cfg"], tmp_path, optimize)
+        assert done.returncode == 0, done.stderr
+        csvs.append((tmp_path / "run.csv").read_bytes())
+    assert csvs[0] == csvs[1]
 
 
 def test_run_gel_seed_override(workdir, monkeypatch):

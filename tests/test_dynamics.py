@@ -315,9 +315,28 @@ def test_every_variant_matches_its_formula(variant, source):
     assert np.abs(out - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
 
     traj = run_trajectory(spec, g, F0, 6)
+    L = normalized_laplacian(g)
     for k in range(traj.steps.size):
-        want = energy(traj.directions[k], F0)
+        x = traj.directions[k]
+        want = energy(x, F0)
         assert abs(traj.energy[k] - want) <= 1e-12 * abs(want), (k, traj.energy[k], want)
+        trace = float(np.trace(x.T @ L @ x))
+        assert abs(traj.dirichlet[k] - trace) <= 1e-12 * abs(trace), (k, "dirichlet")
+        quotient = trace / float(np.sum(x * x))
+        assert abs(traj.rayleigh[k] - quotient) <= 1e-12 * abs(quotient), (k, "rayleigh")
+
+    # the loop shares one product between step and diagnostics; iterating the
+    # public step_model (renormalizing like the loop) must land on its final state
+    state, log_scale = F0, 0.0
+    for _ in range(6):
+        state = step_model(spec, g, state, F0=F0)
+        if spec.is_homogeneous:
+            norm = float(np.linalg.norm(state))
+            state, log_scale = state / norm, log_scale + np.log(norm)
+    norm = float(np.linalg.norm(state))
+    log_scale += np.log(norm)
+    assert np.abs(traj.final.direction - state / norm).max() <= 1e-9
+    assert abs(traj.final.log_scale - log_scale) <= 1e-9 * max(1.0, abs(log_scale))
 
 
 def test_step_rejects_channel_mismatch():
@@ -374,6 +393,19 @@ def test_trajectory_energy_column_is_parametric_energy_of_direction():
     for k in [0, 3, 5]:
         expected = parametric_energy(g, traj.directions[k], ws)
         assert traj.energy[k] == pytest.approx(expected, abs=1e-12)
+
+
+def test_omega_eq_w_energy_column_is_nonnegative_for_psd_w():
+    # the trace form parametric(W, Omega=W) read below zero here once the run
+    # converged; the edge form keeps every row >= 0 and next to the Dirichlet value
+    spec = ModelSpec(
+        "laplacian_omega_eq_w", weights=WeightSet(W=np.diag([1.0, 0.5])), tau=0.5
+    )
+    F0 = np.random.default_rng(0).standard_normal((6, 2))
+    traj = run_trajectory(spec, path(6), F0, 3000)
+    assert traj.energy.min() >= 0.0
+    assert traj.energy[-1] <= traj.dirichlet[-1]
+    assert traj.energy[-1] >= 0.5 * traj.dirichlet[-1]
 
 
 def test_label_propagation_converges_to_clamped_solution():

@@ -11,6 +11,7 @@ from gel.energy import (
     parametric_energy,
     rayleigh_quotient,
 )
+from gel.dynamics import ModelSpec
 from gel.errors import ValidationError
 from gel.graphs import (
     complete_bipartite,
@@ -96,6 +97,26 @@ def test_weightset_wtilde_may_be_asymmetric():
 def test_weightset_shape_mismatch():
     with pytest.raises(ValidationError):
         WeightSet(W=np.eye(2), Omega=np.eye(3))
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda m: WeightSet(W=m), "W"),
+        (lambda m: WeightSet(W=np.eye(2), Omega=m), "Omega"),
+        (lambda m: WeightSet(W=np.eye(2), Wtilde=m), "Wtilde"),
+        (lambda m: ModelSpec("cgnn", OmegaTilde=m), "OmegaTilde"),
+        (lambda m: ModelSpec("pde_gcn_d", KtK=m), "KtK"),
+    ],
+    ids=["W", "Omega", "Wtilde", "OmegaTilde", "KtK"],
+)
+def test_matrix_parameters_leave_the_callers_array_alone(build, field):
+    arr = np.array([[2.0, 0.5], [0.5, 1.0]])
+    spec = build(arr)
+    stored = getattr(spec, field)
+    assert arr.flags.writeable
+    arr[0, 0] = -7.0
+    assert stored[0, 0] == 2.0
 
 
 def test_weightset_rejects_empty_w():

@@ -170,3 +170,23 @@ def test_normalized_laplacian_is_identity_minus_adjacency():
     assert np.allclose(
         normalized_laplacian(g), np.eye(g.n) - normalized_adjacency(g)
     )
+
+
+def test_graphs_from_permuted_or_duplicated_edges_hash_equal():
+    base = Graph(4, ((0, 1), (1, 2), (2, 3)))
+    permuted = Graph(4, ((3, 2), (0, 1), (2, 1)))
+    duplicated = Graph(4, ((0, 1), (1, 0), (1, 2), (2, 3), (3, 2)))
+    for other in (permuted, duplicated):
+        assert other == base
+        assert hash(other) == hash(base)
+    assert Graph(4, ((0, 1), (1, 2))) != base
+
+
+def test_equal_distinct_graph_hits_operator_cache():
+    first = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0)))
+    normalized_adjacency(first)
+    hits = normalized_adjacency.cache_info().hits
+    second = Graph(5, ((4, 0), (3, 4), (2, 3), (1, 2), (0, 1)))
+    assert second is not first
+    assert normalized_adjacency(second) is normalized_adjacency(first)
+    assert normalized_adjacency.cache_info().hits >= hits + 2
