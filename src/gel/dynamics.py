@@ -30,18 +30,20 @@ of the degree-normalized features; both equal their trace forms
 (parametric(W W, W W) and parametric(W, Omega=W)) but stay accurate, and
 nonnegative for PSD W, once a run has converged.
 
-``step_model`` applies a single step; ``run_trajectory`` iterates the same
-update with overflow-safe bookkeeping.
+``step_model`` applies a single step; ``run_trajectory`` iterates it with
+overflow-safe bookkeeping.
 
-Cost model: ``run_trajectory`` does one dense operator product per recorded
-state F, ``AF = A_hat F`` (grand_linear adds its own ``Lrw F``).  The step
-reads its terms from it (I -> F, A -> AF, L -> F - AF) and every CSV column
-of that state reuses it: the Dirichlet energy from one set of per-edge
-differences in O(m d), the Rayleigh quotient as that value over |F|^2, the
-parametric energy from AF, the LP energy as the Dirichlet value plus
+Cost model: each step does one dense operator product, ``AF = A_hat F``,
+which its A and L terms share (I -> F, A -> AF, L -> F - AF); grand_linear
+does its own ``Lrw F`` instead.  The CSV columns of each recorded state
+need no dense product: they come from one gather of the degree-normalized
+rows at both ends of every edge, in O(m d).  The Dirichlet energy is the sum of the squared per-edge
+differences, the Rayleigh quotient that value over |F|^2, the parametric
+energy's mixing term ``trace(F^T A_hat F W)`` twice the per-edge sum of
+``<head_e W, tail_e>``, the LP energy the Dirichlet value plus
 ``mu |F - F0|^2``.  In debug runs (asserts on) each state's Dirichlet value
-is cross-checked against the trace form ``|F|^2 - <F, AF>`` in O(n d).
-Inputs are validated once, on entry.
+is cross-checked against the trace form ``|F|^2 - trace(F^T A_hat F)``, its
+second part summed over the same edges, also in O(m d).
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from .energy import (
     WeightSet,
     _check_channels,
     _check_trace_form,
-    _edge_differences,
+    _edge_rows,
     _parametric_value,
     _require_source,
     as_features,
@@ -90,12 +92,14 @@ __all__ = [
 
 
 class _State(NamedTuple):
-    """A recorded unit direction and what its diagnostics share: ``ax`` is
-    ``A_hat x``, ``diffs`` its per-edge differences, ``dirichlet`` their sum
-    of squares and ``ref`` the run's reference features F0."""
+    """A recorded unit direction ``x`` and what its diagnostics share: the
+    rows of ``x / sqrt(deg)`` at the ``head`` and ``tail`` of each edge,
+    their differences ``diffs``, ``dirichlet`` the sum of squares of those
+    and ``ref`` the run's reference features F0."""
 
     x: np.ndarray
-    ax: np.ndarray
+    head: np.ndarray
+    tail: np.ndarray
     diffs: np.ndarray
     dirichlet: float
     ref: np.ndarray
@@ -103,20 +107,28 @@ class _State(NamedTuple):
 
 class _Update(NamedTuple):
     """One row of the module docstring's table.  A term's operator is "I",
-    "A" (A_hat) or "L" (I - A_hat), all read off one product ``A_hat F``, or a
-    ``Graph -> matrix`` function (GRAND's Lrw) that multiplies F itself;
-    ``energy`` None is the Dirichlet energy."""
+    "A" (A_hat) or "L" (I - A_hat), the last two read off one product
+    ``A_hat F``, or a ``Graph -> matrix`` function (GRAND's Lrw) that
+    multiplies F itself; ``reads_af`` says whether a term needs that product
+    and is set by ``ModelSpec``.  ``energy`` None is the Dirichlet energy."""
 
     terms: tuple[tuple[str | Callable[[Graph], np.ndarray], np.ndarray | float], ...]
     source: np.ndarray | float | None = None
     residual: bool = True
     energy: Callable[[_State], float] | None = None
     activation: Callable[[np.ndarray], np.ndarray] | None = None
+    reads_af: bool = False
 
 
 def _parametric(w: WeightSet):
     has_source = w.has_source
-    return lambda s: _parametric_value(s.x, s.ax, w, s.ref if has_source else None)
+
+    def energy(s: _State) -> float:
+        # trace(x^T A_hat x W) = 2 sum_e <head_e W, tail_e> for symmetric W
+        mixing = 2.0 * float(np.sum((s.head @ w.W) * s.tail))
+        return _parametric_value(s.x, mixing, w, s.ref if has_source else None)
+
+    return energy
 
 
 def _flow(w: WeightSet, residual: bool = True) -> _Update:
@@ -323,7 +335,11 @@ class ModelSpec:
                 f"variant {self.variant!r} is linear; an activation is only "
                 "accepted by the *_nonlinear and diag_nonlinear variants"
             )
-        update = entry.build(self)._replace(activation=activation)
+        update = entry.build(self)
+        update = update._replace(
+            activation=activation,
+            reads_af=any(op in ("A", "L") for op, _ in update.terms),
+        )
         object.__setattr__(self, "_update", update)
 
     @property
@@ -387,34 +403,35 @@ def random_walk_laplacian(g: Graph) -> np.ndarray:
     return lap
 
 
-def _coupling(update: _Update, g: Graph, F0, d: int) -> np.ndarray | None:
-    """The source term ``F0 S`` of ``update``, or None when it has none."""
-    if update.source is None:
-        return None
-    return np.dot(_require_source(g, F0, d), update.source)
+def step_model(spec: ModelSpec, g: Graph, F, F0=None) -> np.ndarray:
+    """One explicit-Euler step of the chosen variant.
 
-
-def _advance(spec: ModelSpec, g: Graph, F: np.ndarray, AF, coupling) -> np.ndarray:
-    """One step from validated ``F`` given ``AF = A_hat F`` (None when no term
-    reads it) and the source term from :func:`_coupling`."""
+    Sums the variant's ``P_k F M_k`` terms and its source ``F0 S``, applies
+    sigma (the identity for the linear family), and returns
+    ``F + tau * sigma(Z)``, or ``tau * Z`` for the discarding variant.  The
+    A and L terms share one product ``A_hat F``.
+    """
+    feats = as_features(g, F)
+    _check_channels(spec.channels, feats, "model parameters")
     update = spec._update
+    af = normalized_adjacency(g) @ feats if update.reads_af else None
     z = 0
     for op, m in update.terms:
         if op == "I":
-            product = F
+            product = feats
         elif op == "A":
-            product = AF
+            product = af
         elif op == "L":
-            product = F - AF
+            product = feats - af
         else:
-            product = op(g) @ F
+            product = op(g) @ feats
         # np.dot multiplies by a scalar factor and matrix-multiplies by a d x d one
         z = z + np.dot(product, m)
-    if coupling is not None:
-        z = z + coupling
+    if update.source is not None:
+        z = z + np.dot(_require_source(g, F0, feats.shape[1]), update.source)
     if update.activation is not None:
         z = update.activation(z)
-    out = F + spec.tau * z if update.residual else spec.tau * z
+    out = feats + spec.tau * z if update.residual else spec.tau * z
     if not np.all(np.isfinite(out)):
         raise NumericError(
             "step produced non-finite values (overflow); use run_trajectory, "
@@ -423,31 +440,16 @@ def _advance(spec: ModelSpec, g: Graph, F: np.ndarray, AF, coupling) -> np.ndarr
     return out
 
 
-def step_model(spec: ModelSpec, g: Graph, F, F0=None) -> np.ndarray:
-    """One explicit-Euler step of the chosen variant.
-
-    Sums the variant's ``P_k F M_k`` terms and its source ``F0 S``, applies
-    sigma (the identity for the linear family), and returns
-    ``F + tau * sigma(Z)``, or ``tau * Z`` for the discarding variant.
-    """
-    feats = as_features(g, F)
-    _check_channels(spec.channels, feats, "model parameters")
-    update = spec._update
-    reads_af = any(op in ("A", "L") for op, _ in update.terms)
-    af = normalized_adjacency(g) @ feats if reads_af else None
-    return _advance(spec, g, feats, af, _coupling(update, g, F0, feats.shape[1]))
-
-
 def run_trajectory(spec: ModelSpec, g: Graph, F0, steps: int) -> Trajectory:
-    """Iterate the update of :func:`step_model` for ``steps`` steps with
-    overflow-safe bookkeeping.
+    """Iterate ``step_model`` for ``steps`` steps with overflow-safe bookkeeping.
 
     For homogeneous linear variants the state is renormalized to unit
     Frobenius norm after every step and the removed log-factor accumulates in
     ``log_scale`` (the direction sequence is identical to the unnormalized
     one).  Source-coupled and nonlinear runs iterate the raw state; overflow
-    raises a numeric error naming the failing step.  Each recorded state
-    costs one ``A_hat`` product, shared by its diagnostics and its step.
+    raises a numeric error naming the failing step.  The diagnostics of each
+    recorded state are edge sums in O(m d); the step's ``A_hat`` product is
+    the only dense one.
     """
     if not isinstance(steps, (int, np.integer)) or steps < 0:
         raise ValidationError(f"steps must be a nonnegative integer, got {steps!r}")
@@ -459,7 +461,6 @@ def run_trajectory(spec: ModelSpec, g: Graph, F0, steps: int) -> Trajectory:
 
     renormalize = spec.is_homogeneous
     reference = feats  # source / clamping reference, in raw units
-    coupling = _coupling(spec._update, g, reference, feats.shape[1])
     direction = feats / norm
     log_scale = float(np.log(norm))
     raw = feats
@@ -471,28 +472,31 @@ def run_trajectory(spec: ModelSpec, g: Graph, F0, steps: int) -> Trajectory:
     rec_log = np.empty(count)
     rec_dirs = np.empty((count,) + feats.shape)
     energy = spec._update.energy
-    a_hat = normalized_adjacency(g)
-    differences = _edge_differences(g)
+    edge_rows = _edge_rows(g)
 
-    def record(k: int, x: np.ndarray, ax: np.ndarray, log_k: float) -> None:
-        diffs = differences(x)
+    def record(k: int, x: np.ndarray, log_k: float) -> None:
+        head, tail = edge_rows(x)
+        diffs = head - tail
         dirichlet = float(np.sum(diffs * diffs))
         sq = float(np.sum(x * x))
         if __debug__:
-            _check_trace_form(dirichlet, sq - float(np.sum(x * ax)))
+            # trace form |x|^2 - trace(x^T A_hat x), with the A_hat part summed
+            # over the edges: it holds only if the degrees match the edge list
+            _check_trace_form(dirichlet, sq - 2.0 * float(np.sum(head * tail)))
         rec_rayleigh[k] = dirichlet / sq
         rec_dirichlet[k] = dirichlet
         rec_energy[k] = (
-            energy(_State(x, ax, diffs, dirichlet, reference)) if energy else dirichlet
+            energy(_State(x, head, tail, diffs, dirichlet, reference))
+            if energy
+            else dirichlet
         )
         rec_log[k] = log_k
         rec_dirs[k] = x
 
-    af = a_hat @ direction
-    record(0, direction, af, log_scale)
+    record(0, direction, log_scale)
     for k in range(1, count):
         if renormalize:
-            new = _advance(spec, g, direction, af, coupling)
+            new = step_model(spec, g, direction, F0=reference)
             step_norm = float(np.linalg.norm(new))
             if not np.isfinite(step_norm) or step_norm == 0.0:
                 raise NumericError(
@@ -503,8 +507,7 @@ def run_trajectory(spec: ModelSpec, g: Graph, F0, steps: int) -> Trajectory:
             log_scale += float(np.log(step_norm))
         else:
             try:
-                # A_hat raw = norm * A_hat direction: the recorded product
-                raw = _advance(spec, g, raw, af * norm, coupling)
+                raw = step_model(spec, g, raw, F0=reference)
             except NumericError as exc:
                 raise NumericError(f"overflow at step {k}: {exc}") from None
             norm = float(np.linalg.norm(raw))
@@ -518,8 +521,7 @@ def run_trajectory(spec: ModelSpec, g: Graph, F0, steps: int) -> Trajectory:
                 raise NumericError(f"state collapsed to zero at step {k}")
             direction = raw / norm
             log_scale = float(np.log(norm))
-        af = a_hat @ direction
-        record(k, direction, af, log_scale)
+        record(k, direction, log_scale)
 
     rec_dirs.setflags(write=False)
     return Trajectory(

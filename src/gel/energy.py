@@ -129,19 +129,19 @@ def as_features(g: Graph, F, name: str = "F") -> np.ndarray:
     return arr
 
 
-def _edge_differences(g: Graph):
-    """The map from features F to the per-edge differences of their
-    degree-normalized rows (one row per edge); looks up the degrees and edges
-    of ``g`` once, so a loop can reuse it."""
+def _edge_rows(g: Graph):
+    """The map from features F to the rows of ``F / sqrt(deg)`` at the head
+    and at the tail of each edge (one row per edge); looks up the degrees
+    and edges of ``g`` once, so a loop can reuse it."""
     sqrt_deg = np.sqrt(degree_vector(g))[:, None]
     e = edge_array(g)
-    tail, head = np.ascontiguousarray(e[:, 0]), np.ascontiguousarray(e[:, 1])
+    head, tail = np.ascontiguousarray(e[:, 1]), np.ascontiguousarray(e[:, 0])
 
-    def differences(F: np.ndarray) -> np.ndarray:
+    def rows(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         scaled = F / sqrt_deg
-        return np.take(scaled, head, axis=0) - np.take(scaled, tail, axis=0)
+        return np.take(scaled, head, axis=0), np.take(scaled, tail, axis=0)
 
-    return differences
+    return rows
 
 
 def _check_trace_form(value: float, trace_form: float) -> None:
@@ -162,7 +162,8 @@ def dirichlet_energy(g: Graph, F) -> float:
     debug runs it is cross-checked against the Laplacian trace form.
     """
     feats = as_features(g, F)
-    diffs = _edge_differences(g)(feats)
+    head, tail = _edge_rows(g)(feats)
+    diffs = head - tail
     value = float(np.sum(diffs * diffs))
     if __debug__:
         _check_trace_form(value, float(np.sum(feats * (normalized_laplacian(g) @ feats))))
@@ -188,14 +189,15 @@ def parametric_energy(g: Graph, F, weights: WeightSet, F0=None) -> float:
     feats = as_features(g, F)
     _check_channels(weights.d, feats)
     source = _require_source(g, F0, weights.d) if weights.has_source else None
-    return _parametric_value(feats, normalized_adjacency(g) @ feats, weights, source)
+    mixing = float(np.sum((normalized_adjacency(g) @ feats @ weights.W) * feats))
+    return _parametric_value(feats, mixing, weights, source)
 
 
-def _parametric_value(F: np.ndarray, AF: np.ndarray, weights: WeightSet, F0) -> float:
-    """The parametric energy of validated ``F`` given ``AF = A_bar F``; ``F0``
-    is the validated reference, or None when ``weights`` has no source."""
-    value = float(np.sum((F @ weights.Omega) * F))
-    value -= float(np.sum((AF @ weights.W) * F))
+def _parametric_value(F: np.ndarray, mixing: float, weights: WeightSet, F0) -> float:
+    """The parametric energy of validated ``F`` given its pairwise mixing term
+    ``mixing = trace(F^T A_bar F W)``; ``F0`` is the validated reference, or
+    None when ``weights`` has no source."""
+    value = float(np.sum((F @ weights.Omega) * F)) - mixing
     if F0 is not None:
         value += 2.0 * float(np.sum(F * (F0 @ weights.Wtilde)))
     return value
@@ -246,7 +248,8 @@ def energy_decomposition(g: Graph, F, weights: WeightSet) -> EnergyBreakdown:
             "energy_decomposition is defined for source-free weights (Wtilde = 0)"
         )
     pair = spectral_decomposition(weights.W)
-    diffs = _edge_differences(g)(feats)
+    head, tail = _edge_rows(g)(feats)
+    diffs = head - tail
 
     def half_sum(mask: np.ndarray) -> float:
         if not np.any(mask):

@@ -325,8 +325,8 @@ def test_every_variant_matches_its_formula(variant, source):
         quotient = trace / float(np.sum(x * x))
         assert abs(traj.rayleigh[k] - quotient) <= 1e-12 * abs(quotient), (k, "rayleigh")
 
-    # the loop shares one product between step and diagnostics; iterating the
-    # public step_model (renormalizing like the loop) must land on its final state
+    # iterating the public step_model (renormalizing like the loop) must land
+    # on the trajectory's final state
     state, log_scale = F0, 0.0
     for _ in range(6):
         state = step_model(spec, g, state, F0=F0)
