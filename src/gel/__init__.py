@@ -50,6 +50,7 @@ from .dynamics import (
     run_trajectory,
     spectral_filter_step,
     step_model,
+    trajectory_states,
 )
 from .spectral import (
     HfdRates,

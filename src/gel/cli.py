@@ -26,19 +26,13 @@ from .errors import (
     ValidationError,
 )
 from .graphs import Graph, complete_bipartite, laplacian_spectrum
-from .spectral import RegimeReport, asymptotic_profile, classify_regime
+from .spectral import _PROFILES, RegimeReport, asymptotic_profile, classify_regime
+from .verify import _fmt
 
 CSV_HEADER = (
     "step,time,rayleigh_quotient,dirichlet_direction,"
     "parametric_energy_direction,log_scale"
 )
-
-#: Variants with an implemented terminal-state prediction.
-_PROFILE_VARIANTS = ("gradient_flow", "no_residual", "grand_linear", "harmonic")
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
 
 
 def trajectory_csv(traj: Trajectory) -> str:
@@ -84,7 +78,7 @@ def _profile_lines(
     g: Graph, cfg_spec: ModelSpec, F0: np.ndarray, traj: Trajectory
 ) -> list[str]:
     """Terminal-prediction agreement metrics, or the reason none apply."""
-    if cfg_spec.variant not in _PROFILE_VARIANTS:
+    if cfg_spec.variant not in _PROFILES:
         return []
     try:
         profile = asymptotic_profile(g, cfg_spec, F0)

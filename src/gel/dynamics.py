@@ -30,17 +30,19 @@ of the degree-normalized features; both equal their trace forms
 (parametric(W W, W W) and parametric(W, Omega=W)) but stay accurate, and
 nonnegative for PSD W, once a run has converged.
 
-``step_model`` applies a single step; ``run_trajectory`` iterates it with
-overflow-safe bookkeeping.
+``step_model`` applies a single step.  ``trajectory_states`` iterates it with
+overflow-safe bookkeeping and yields each state as it is reached, keeping
+none; ``run_trajectory`` records the CSV columns of each, so a run's memory is
+O(n d + steps), not O(steps n d).
 
 Cost model: each step does one dense operator product, ``AF = A_hat F``,
 which its A and L terms share (I -> F, A -> AF, L -> F - AF); grand_linear
 does its own ``Lrw F`` instead.  The CSV columns of each recorded state
 need no dense product: they come from one gather of the degree-normalized
-rows at both ends of every edge, in O(m d).  The Dirichlet energy is the sum of the squared per-edge
-differences, the Rayleigh quotient that value over |F|^2, the parametric
-energy's mixing term ``trace(F^T A_hat F W)`` twice the per-edge sum of
-``<head_e W, tail_e>``, the LP energy the Dirichlet value plus
+rows at both ends of every edge, in O(m d).  The Dirichlet energy is the sum
+of the squared per-edge differences, the Rayleigh quotient that value over
+|F|^2, the parametric energy's mixing term ``trace(F^T A_hat F W)`` twice the
+per-edge sum of ``<head_e W, tail_e>``, the LP energy the Dirichlet value plus
 ``mu |F - F0|^2``.  In debug runs (asserts on) each state's Dirichlet value
 is cross-checked against the trace form ``|F|^2 - trace(F^T A_hat F)``, its
 second part summed over the same edges, also in O(m d).
@@ -51,7 +53,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -86,6 +88,7 @@ __all__ = [
     "normalize_variant",
     "step_model",
     "run_trajectory",
+    "trajectory_states",
     "spectral_filter_step",
     "random_walk_laplacian",
 ]
@@ -110,12 +113,12 @@ class _Update(NamedTuple):
     "A" (A_hat) or "L" (I - A_hat), the last two read off one product
     ``A_hat F``, or a ``Graph -> matrix`` function (GRAND's Lrw) that
     multiplies F itself; ``reads_af`` says whether a term needs that product
-    and is set by ``ModelSpec``.  ``energy`` None is the Dirichlet energy."""
+    and is set by ``ModelSpec``.  ``energy`` defaults to the Dirichlet energy."""
 
     terms: tuple[tuple[str | Callable[[Graph], np.ndarray], np.ndarray | float], ...]
     source: np.ndarray | float | None = None
     residual: bool = True
-    energy: Callable[[_State], float] | None = None
+    energy: Callable[[_State], float] = lambda s: s.dirichlet
     activation: Callable[[np.ndarray], np.ndarray] | None = None
     reads_af: bool = False
 
@@ -380,7 +383,8 @@ class Trajectory:
     """Per-step diagnostics of one run, plus the final overflow-safe state.
 
     Arrays have one entry per recorded step, including the initial state at
-    index 0; ``directions[k]`` is the unit-Frobenius state after k steps.
+    index 0.  The states themselves are not kept; ``trajectory_states``
+    yields them one at a time.
     """
 
     steps: np.ndarray
@@ -389,7 +393,6 @@ class Trajectory:
     dirichlet: np.ndarray
     energy: np.ndarray
     log_scale: np.ndarray
-    directions: np.ndarray
     final: FeatureState
 
 
@@ -403,6 +406,8 @@ def random_walk_laplacian(g: Graph) -> np.ndarray:
     return lap
 
 
+# overflow is reported as the NumericError below, not as a numpy warning
+@np.errstate(over="ignore", invalid="ignore")
 def step_model(spec: ModelSpec, g: Graph, F, F0=None) -> np.ndarray:
     """One explicit-Euler step of the chosen variant.
 
@@ -440,16 +445,14 @@ def step_model(spec: ModelSpec, g: Graph, F, F0=None) -> np.ndarray:
     return out
 
 
-def run_trajectory(spec: ModelSpec, g: Graph, F0, steps: int) -> Trajectory:
-    """Iterate ``step_model`` for ``steps`` steps with overflow-safe bookkeeping.
+def trajectory_states(spec: ModelSpec, g: Graph, F0, steps: int) -> Iterator[FeatureState]:
+    """Check the inputs, then iterate ``step_model`` ``steps`` times, yielding
+    each state (the initial one first) as it is reached and keeping none.
 
-    For homogeneous linear variants the state is renormalized to unit
-    Frobenius norm after every step and the removed log-factor accumulates in
-    ``log_scale`` (the direction sequence is identical to the unnormalized
-    one).  Source-coupled and nonlinear runs iterate the raw state; overflow
-    raises a numeric error naming the failing step.  The diagnostics of each
-    recorded state are edge sums in O(m d); the step's ``A_hat`` product is
-    the only dense one.
+    Homogeneous linear runs are renormalized to unit Frobenius norm after
+    every step, the removed log-factor accumulating in ``log_scale``;
+    source-coupled and nonlinear runs iterate the raw state, whose norm gives
+    ``log_scale``.  Overflow or collapse raises a numeric error naming the step.
     """
     if not isinstance(steps, (int, np.integer)) or steps < 0:
         raise ValidationError(f"steps must be a nonnegative integer, got {steps!r}")
@@ -458,81 +461,65 @@ def run_trajectory(spec: ModelSpec, g: Graph, F0, steps: int) -> Trajectory:
     norm = float(np.linalg.norm(feats))
     if norm == 0.0:
         raise ValidationError("initial features must be nonzero")
+    return _states(spec, g, feats, norm, int(steps))
 
+
+def _states(spec, g, reference, norm, steps) -> Iterator[FeatureState]:
     renormalize = spec.is_homogeneous
-    reference = feats  # source / clamping reference, in raw units
-    direction = feats / norm
-    log_scale = float(np.log(norm))
-    raw = feats
+    direction, log_scale = reference / norm, float(np.log(norm))
+    yield FeatureState(direction, log_scale)
+    state = direction if renormalize else reference
+    for k in range(1, steps + 1):
+        try:
+            state = step_model(spec, g, state, F0=reference)
+        except NumericError:  # the step overflowed; step_model checks that
+            norm = np.inf
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                norm = float(np.linalg.norm(state))
+        if not np.isfinite(norm) or norm == 0.0:
+            what = "collapsed to zero" if norm == 0.0 else "overflowed"
+            raise NumericError(f"state {what} at step {k}; reduce tau or the steps")
+        direction = state / norm
+        log_scale = (log_scale if renormalize else 0.0) + float(np.log(norm))
+        if renormalize:
+            state = direction
+        yield FeatureState(direction, log_scale)
 
+
+def run_trajectory(spec: ModelSpec, g: Graph, F0, steps: int) -> Trajectory:
+    """The CSV columns of every state ``trajectory_states`` yields, and the
+    last state.  The columns of a state are edge sums in O(m d); the step's
+    ``A_hat`` product is the only dense one.
+    """
+    states = trajectory_states(spec, g, F0, steps)
+    reference = as_features(g, F0)  # source / clamping reference, in raw units
     count = int(steps) + 1
-    rec_rayleigh = np.empty(count)
-    rec_dirichlet = np.empty(count)
-    rec_energy = np.empty(count)
-    rec_log = np.empty(count)
-    rec_dirs = np.empty((count,) + feats.shape)
-    energy = spec._update.energy
+    rayleigh, dirichlet, energy, log_scale = (np.empty(count) for _ in range(4))
+    energy_of = spec._update.energy
     edge_rows = _edge_rows(g)
-
-    def record(k: int, x: np.ndarray, log_k: float) -> None:
+    for k, state in enumerate(states):
+        x = state.direction
         head, tail = edge_rows(x)
         diffs = head - tail
-        dirichlet = float(np.sum(diffs * diffs))
+        value = float(np.sum(diffs * diffs))
         sq = float(np.sum(x * x))
         if __debug__:
             # trace form |x|^2 - trace(x^T A_hat x), with the A_hat part summed
             # over the edges: it holds only if the degrees match the edge list
-            _check_trace_form(dirichlet, sq - 2.0 * float(np.sum(head * tail)))
-        rec_rayleigh[k] = dirichlet / sq
-        rec_dirichlet[k] = dirichlet
-        rec_energy[k] = (
-            energy(_State(x, head, tail, diffs, dirichlet, reference))
-            if energy
-            else dirichlet
-        )
-        rec_log[k] = log_k
-        rec_dirs[k] = x
-
-    record(0, direction, log_scale)
-    for k in range(1, count):
-        if renormalize:
-            new = step_model(spec, g, direction, F0=reference)
-            step_norm = float(np.linalg.norm(new))
-            if not np.isfinite(step_norm) or step_norm == 0.0:
-                raise NumericError(
-                    f"state collapsed or overflowed at step {k} "
-                    f"(norm {step_norm!r})"
-                )
-            direction = new / step_norm
-            log_scale += float(np.log(step_norm))
-        else:
-            try:
-                raw = step_model(spec, g, raw, F0=reference)
-            except NumericError as exc:
-                raise NumericError(f"overflow at step {k}: {exc}") from None
-            norm = float(np.linalg.norm(raw))
-            if not np.isfinite(norm):
-                # entries can still be finite while the sum of squares is not
-                raise NumericError(
-                    f"overflow at step {k}: feature norm exceeds the floating "
-                    "range; reduce tau or the step count"
-                )
-            if norm == 0.0:
-                raise NumericError(f"state collapsed to zero at step {k}")
-            direction = raw / norm
-            log_scale = float(np.log(norm))
-        record(k, direction, log_scale)
-
-    rec_dirs.setflags(write=False)
+            _check_trace_form(value, sq - 2.0 * float(np.sum(head * tail)))
+        rayleigh[k] = value / sq
+        dirichlet[k] = value
+        energy[k] = energy_of(_State(x, head, tail, diffs, value, reference))
+        log_scale[k] = state.log_scale
     return Trajectory(
         steps=np.arange(count),
         times=np.arange(count) * spec.tau,
-        rayleigh=rec_rayleigh,
-        dirichlet=rec_dirichlet,
-        energy=rec_energy,
-        log_scale=rec_log,
-        directions=rec_dirs,
-        final=FeatureState(direction=direction, log_scale=log_scale),
+        rayleigh=rayleigh,
+        dirichlet=dirichlet,
+        energy=energy,
+        log_scale=log_scale,
+        final=state,
     )
 
 

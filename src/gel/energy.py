@@ -296,7 +296,7 @@ def make_weights(mode: str, *, W0=None, diag=None, q=None, r=None) -> np.ndarray
         if W0 is None:
             raise ConfigurationError("make_weights('symmetrize') needs W0")
         m = square_matrix(W0, "W0")
-        return 0.5 * (m + m.T)
+        return 0.5 * m + 0.5 * m.T  # halving first cannot overflow
     if mode == "diagonal":
         if diag is None:
             raise ConfigurationError("make_weights('diagonal') needs diag")

@@ -312,7 +312,7 @@ def square_matrix(value, name: str, d=None, symmetric=False) -> np.ndarray:
             f"(max |M - M^T| = {asym:.3e}); use make_weights('symmetrize', ...) "
             "to symmetrize intentionally"
         )
-    return 0.5 * (m + m.T)
+    return 0.5 * m + 0.5 * m.T  # halving first cannot overflow
 
 
 def spectral_decomposition(matrix: np.ndarray) -> SpectralPair:
@@ -329,9 +329,15 @@ def spectral_decomposition(matrix: np.ndarray) -> SpectralPair:
     ident = vectors.T @ vectors - np.eye(sym.shape[0])
     if float(np.abs(ident).max()) > SPECTRAL_TOL:
         raise NumericError("eigenvector matrix failed the orthonormality check")
-    recon = vectors @ np.diag(values) @ vectors.T
-    norm = float(np.linalg.norm(sym))
-    if float(np.linalg.norm(recon - sym)) > SPECTRAL_TOL * max(norm, 1e-30):
+    if not np.all(np.isfinite(values)):
+        raise NumericError("an eigenvalue exceeds the floating range")
+    # |V diag(values) V^T - sym| vs |sym| = |values|, over max |sym| to stay finite
+    scale = float(np.abs(sym).max()) or 1.0
+    residual = (vectors * values) @ vectors.T
+    residual -= sym
+    residual /= scale
+    norm = float(np.linalg.norm(values / scale))
+    if float(np.linalg.norm(residual)) > SPECTRAL_TOL * norm:
         raise NumericError("eigendecomposition failed the reconstruction check")
 
     values.setflags(write=False)

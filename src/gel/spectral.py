@@ -267,16 +267,9 @@ def asymptotic_profile(g: Graph, spec: ModelSpec, F0) -> ProfilePrediction:
     norm0 = float(np.linalg.norm(feats))
     if norm0 == 0.0:
         raise DegenerateInputError("initial features must be nonzero")
-    v = spec.variant
-    if v == "gradient_flow":
-        return _gradient_flow_profile(g, spec, feats, norm0)
-    if v == "no_residual":
-        return _no_residual_profile(g, spec, feats, norm0)
-    if v == "grand_linear":
-        return _grand_profile(g, feats, norm0)
-    if v == "harmonic":
-        return _harmonic_profile(g, spec, feats, norm0)
-    raise ConfigurationError(f"no asymptotic prediction implemented for variant {v!r}")
+    if spec.variant not in _PROFILES:
+        raise ConfigurationError(f"no asymptotic prediction for variant {spec.variant!r}")
+    return _PROFILES[spec.variant](g, spec, feats, norm0)
 
 
 def _block_projection(
@@ -368,7 +361,9 @@ def _no_residual_profile(
     )
 
 
-def _grand_profile(g: Graph, feats: np.ndarray, norm0: float) -> ProfilePrediction:
+def _grand_profile(
+    g: Graph, spec: ModelSpec, feats: np.ndarray, norm0: float
+) -> ProfilePrediction:
     means = feats.mean(axis=0)
     terminal = np.ones((g.n, 1)) @ means[None, :]
     direction = _checked_direction(terminal.copy(), norm0, "the constant profile")
@@ -396,3 +391,12 @@ def _harmonic_profile(
     return ProfilePrediction(
         direction=direction, growth=1.0, label="harmonic-limit", terminal=terminal
     )
+
+
+#: The variants with a terminal prediction; ``cli`` reports one for these keys.
+_PROFILES = {
+    "gradient_flow": _gradient_flow_profile,
+    "no_residual": _no_residual_profile,
+    "grand_linear": _grand_profile,
+    "harmonic": _harmonic_profile,
+}

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .dynamics import (
     run_trajectory,
     spectral_filter_step,
     step_model,
+    trajectory_states,
 )
 from .energy import WeightSet, as_features, dirichlet_energy, parametric_energy
 from .errors import NumericError, ParseError, ValidationError
@@ -448,11 +450,10 @@ def _run_rate_certification(w: Witness) -> CheckReport:
     # the relative residual falls below ~1e-5 the measured contraction picks
     # up noise/residual >~ the 1e-9 tolerance and stops testing the theorem.
     steps = _horizon(_grid_rate_ratio(g, wmat, tau), 1e-5)
-    traj = run_trajectory(spec, g, F0, steps)
     worst = 0.0
     prev = None
-    for k in range(traj.directions.shape[0]):
-        direction = traj.directions[k]
+    for state in trajectory_states(spec, g, F0, steps):
+        direction = state.direction
         block = profile.direction * float(np.sum(profile.direction * direction))
         residual = float(np.linalg.norm(direction - block))
         dominant = float(np.abs(np.sum(profile.direction * direction)))
@@ -472,13 +473,12 @@ def _run_conservation(w: Witness) -> CheckReport:
     spec = ModelSpec(
         variant="laplacian_omega_eq_w", weights=WeightSet(W=wmat), tau=tau
     )
-    traj = run_trajectory(spec, g, F0, steps)
     phi0 = laplacian_spectrum(g).eigenvectors[:, 0]
     psi = spectral_decomposition(np.asarray(wmat, dtype=float)).eigenvectors
     coeffs = np.array(
         [
-            math.exp(traj.log_scale[k]) * (phi0 @ traj.directions[k] @ psi)
-            for k in range(traj.directions.shape[0])
+            math.exp(state.log_scale) * (phi0 @ state.direction @ psi)
+            for state in trajectory_states(spec, g, F0, steps)
         ]
     )
     drift = float(np.abs(coeffs - coeffs[0]).max())
@@ -641,13 +641,12 @@ def _run_scale_commutation(w: Witness) -> CheckReport:
     steps = w.count("steps", 30)
     F0 = w.matrix("F0")
     spec = ModelSpec(variant="gradient_flow", weights=WeightSet(W=wmat), tau=tau)
-    traj = run_trajectory(spec, g, F0, steps)
     raw = as_features(g, F0)
     worst = 0.0
-    for k in range(1, steps + 1):
+    for state in islice(trajectory_states(spec, g, F0, steps), 1, None):
         raw = step_model(spec, g, raw)
         raw_dir = raw / float(np.linalg.norm(raw))
-        worst = max(worst, float(np.abs(raw_dir - traj.directions[k]).max()))
+        worst = max(worst, float(np.abs(raw_dir - state.direction).max()))
     return _report(w.label, worst, 1e-9, w)
 
 
@@ -714,7 +713,8 @@ _WITNESS_HEADER = "gel-witness 1"
 
 
 def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+    """17 significant digits, which read back as the same double."""
+    return f"{float(x):.17g}"
 
 
 def serialize_witness(w: Witness) -> str:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from gel.dynamics import (
     run_trajectory,
     spectral_filter_step,
     step_model,
+    trajectory_states,
 )
 from gel.energy import WeightSet, dirichlet_energy, lp_energy, parametric_energy
 from gel.errors import ConfigurationError, NumericError, ValidationError
@@ -316,8 +319,8 @@ def test_every_variant_matches_its_formula(variant, source):
 
     traj = run_trajectory(spec, g, F0, 6)
     L = normalized_laplacian(g)
-    for k in range(traj.steps.size):
-        x = traj.directions[k]
+    for k, state in enumerate(trajectory_states(spec, g, F0, 6)):
+        x = state.direction
         want = energy(x, F0)
         assert abs(traj.energy[k] - want) <= 1e-12 * abs(want), (k, traj.energy[k], want)
         trace = float(np.trace(x.T @ L @ x))
@@ -365,9 +368,44 @@ def test_trajectory_shapes_and_time_axis():
     traj = run_trajectory(gf(np.array([[-1.0]]), tau=0.25), g, np.ones(5), 10)
     assert traj.steps.tolist() == list(range(11))
     assert np.allclose(traj.times, 0.25 * np.arange(11))
-    assert traj.directions.shape == (11, 5, 1)
-    norms = np.linalg.norm(traj.directions.reshape(11, -1), axis=1)
-    assert np.abs(norms - 1.0).max() < 1e-12
+    for column in (traj.rayleigh, traj.dirichlet, traj.energy, traj.log_scale):
+        assert column.shape == (11,)
+    assert traj.final.direction.shape == (5, 1)
+
+
+def test_trajectory_states_are_unit_and_end_at_final():
+    g = erdos_renyi(8, 0.4, 21)
+    F = np.random.default_rng(4).normal(size=(g.n, 2))
+    for spec in (gf(np.array([[1.2, 0.3], [0.3, -0.8]])), ModelSpec("label_propagation", mu=0.5)):
+        states = list(trajectory_states(spec, g, F, 7))
+        assert len(states) == 8
+        for state in states:
+            assert abs(np.linalg.norm(state.direction) - 1.0) < 1e-12
+        traj = run_trajectory(spec, g, F, 7)
+        assert np.array_equal(states[-1].direction, traj.final.direction)
+        assert states[-1].log_scale == traj.final.log_scale
+        assert [s.log_scale for s in states] == traj.log_scale.tolist()
+
+
+def test_trajectory_states_with_zero_steps_yield_the_initial_state():
+    F = np.arange(1.0, 6.0)
+    (state,) = trajectory_states(ModelSpec("heat"), cycle(5), F, 0)
+    norm = float(np.linalg.norm(F))
+    assert np.array_equal(state.direction, (F / norm)[:, None])
+    assert state.log_scale == np.log(norm)
+
+
+def test_trajectory_memory_does_not_grow_with_steps():
+    F0 = np.random.default_rng(2).normal(size=(200, 8))
+    spec = ModelSpec("heat", tau=0.1)
+    tracemalloc.start()
+    try:
+        run_trajectory(spec, cycle(200), F0, 5000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # keeping every state would take 5001 * 200 * 8 floats = 64 MB
+    assert peak < 8e6
 
 
 def test_trajectory_renormalized_matches_raw_iteration():
@@ -390,8 +428,8 @@ def test_trajectory_energy_column_is_parametric_energy_of_direction():
     spec = ModelSpec("gradient_flow", weights=ws, tau=0.3)
     F = rng.normal(size=(g.n, 1))
     traj = run_trajectory(spec, g, F, 5)
-    for k in [0, 3, 5]:
-        expected = parametric_energy(g, traj.directions[k], ws)
+    for k, state in enumerate(trajectory_states(spec, g, F, 5)):
+        expected = parametric_energy(g, state.direction, ws)
         assert traj.energy[k] == pytest.approx(expected, abs=1e-12)
 
 
@@ -454,6 +492,19 @@ def test_overflow_names_step_and_suggests_remedy():
     spec = ModelSpec("gradient_flow", weights=ws, tau=5.0)
     with pytest.raises(NumericError, match="step"):
         run_trajectory(spec, g, np.ones(5), 4000)
+
+
+def test_renormalized_overflow_names_step_without_self_reference():
+    spec = ModelSpec("gradient_flow", weights=WeightSet(W=[[1e300]]), tau=1e10)
+    with pytest.raises(NumericError, match="step 1") as info:
+        run_trajectory(spec, cycle(5), np.ones(5), 3)
+    assert "use run_trajectory" not in str(info.value)
+
+
+def test_collapse_names_step():
+    spec = ModelSpec("no_residual", weights=WeightSet(W=[[0.0]]))
+    with pytest.raises(NumericError, match="collapsed to zero at step 1"):
+        run_trajectory(spec, cycle(5), np.ones(5), 3)
 
 
 def test_zero_init_rejected():

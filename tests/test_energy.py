@@ -12,7 +12,7 @@ from gel.energy import (
     rayleigh_quotient,
 )
 from gel.dynamics import ModelSpec
-from gel.errors import ValidationError
+from gel.errors import NumericError, ValidationError
 from gel.graphs import (
     complete_bipartite,
     cycle,
@@ -20,6 +20,7 @@ from gel.graphs import (
     laplacian_spectrum,
     normalized_laplacian,
     path,
+    spectral_decomposition,
 )
 from gel.verify import kronecker_oracle_energy
 
@@ -217,6 +218,16 @@ def test_make_weights_symmetrize():
     m = np.array([[1.0, 2.0], [0.0, 1.0]])
     w = make_weights("symmetrize", W0=m)
     assert np.allclose(w, 0.5 * (m + m.T))
+
+
+def test_symmetrizing_huge_finite_entries_stays_finite():
+    big = np.array([[1e308, 1.7e308], [1.7e308, -1e308]])
+    assert np.array_equal(WeightSet(W=big).W, big)
+    assert np.array_equal(WeightSet(W=[[1e308]]).W, [[1e308]])
+    assert np.array_equal(make_weights("symmetrize", W0=big), big)
+    assert spectral_decomposition([[1e308]]).eigenvalues.tolist() == [1e308]
+    with pytest.raises(NumericError, match="floating range"):
+        spectral_decomposition(np.full((2, 2), 1e308))  # eigenvalue 2e308
 
 
 def test_make_weights_diagonal():
