@@ -438,10 +438,12 @@ def step_model(spec: ModelSpec, g: Graph, F, F0=None) -> np.ndarray:
         z = update.activation(z)
     out = feats + spec.tau * z if update.residual else spec.tau * z
     if not np.all(np.isfinite(out)):
-        raise NumericError(
-            "step produced non-finite values (overflow); use run_trajectory, "
-            "which keeps homogeneous linear dynamics renormalized"
+        remedy = (
+            "use run_trajectory, which keeps homogeneous linear dynamics renormalized"
+            if spec.is_homogeneous
+            else "reduce tau"
         )
+        raise NumericError(f"step produced non-finite values (overflow); {remedy}")
     return out
 
 

@@ -1,6 +1,13 @@
 """Undirected graphs, their normalized operators, and dense spectra.
 
-Everything here is dense and aimed at desk-scale instances (n up to a couple
+A :class:`Graph` canonicalizes its edges once, in bulk, into a sorted int64
+``(m, 2)`` array of ``(lo, hi)`` pairs that it keeps; the generators emit
+such arrays, and everything else here that needs the edges reads that array
+with numpy rather than walking them in Python.  ``graph_checks`` counts
+connected components by label propagation, on the graph and on its bipartite
+double cover.
+
+The operators are dense and aimed at desk-scale instances (n up to a couple
 of thousand nodes): adjacency matrices are materialized as numpy arrays and
 all eigendecompositions go through ``numpy.linalg.eigh``.
 
@@ -11,6 +18,7 @@ O(m)); cached arrays are returned read-only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -53,9 +61,11 @@ class Graph:
     ----------
     n : int
         Number of nodes (positive).
-    edges : iterable of (int, int)
-        Undirected edges.  Pairs are canonicalized to ``u < v``, duplicates
-        collapse, and self-loops are rejected.
+    edges : iterable of (int, int), or an (m, 2) integer array
+        Undirected edges.  Node ids must be whole numbers (``1.0`` is node
+        1).  Pairs are canonicalized to ``u < v``, duplicates collapse, and
+        self-loops are rejected.  ``edges`` becomes the sorted tuple of
+        ``(u, v)`` int pairs; :func:`edge_array` gives them as an array.
     """
 
     n: int
@@ -66,22 +76,14 @@ class Graph:
             raise ValidationError(f"node count must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValidationError(f"node count must be positive, got {self.n}")
-        canon = set()
-        for pair in self.edges:
-            try:
-                u, v = pair
-            except (TypeError, ValueError):
-                raise ValidationError(f"edge {pair!r} is not a pair of nodes") from None
-            u, v = int(u), int(v)
-            if u == v:
-                raise ValidationError(f"self-loop at node {u} is not allowed")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValidationError(
-                    f"edge ({u}, {v}) references a node outside 0..{self.n - 1}"
-                )
-            canon.add((min(u, v), max(u, v)))
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "edges", tuple(sorted(canon)))
+        if self.n > _MAX_NODES:  # the sort key lo * n + hi must fit in int64
+            raise ValidationError(f"node count must be at most {_MAX_NODES}, got {self.n}")
+        n = int(self.n)
+        arr = _canonical_edges(n, _pair_rows(n, self.edges))
+        arr.setflags(write=False)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", tuple(zip(arr[:, 0].tolist(), arr[:, 1].tolist())))
+        object.__setattr__(self, "_edge_array", arr)
         object.__setattr__(self, "_hash", hash((self.n, self.edges)))
 
     def __hash__(self) -> int:
@@ -93,6 +95,93 @@ class Graph:
 
     def __repr__(self) -> str:  # keep reprs short; edge lists can be long
         return f"Graph(n={self.n}, m={self.num_edges})"
+
+
+#: Largest node count whose edge keys ``lo * n + hi`` fit in int64.
+_MAX_NODES = math.isqrt(int(np.iinfo(np.int64).max))
+
+
+def _pair_rows(n: int, edges) -> np.ndarray:
+    """The edges as an int64 ``(m, 2)`` array in input order.
+
+    Raises a validation error for the first pair, in input order, that is
+    not a pair of whole-number node ids, is a self-loop, or leaves
+    ``0 .. n-1``.
+    """
+    if not isinstance(edges, (np.ndarray, tuple, list)):
+        edges = tuple(edges)
+    if len(edges) == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    try:
+        rows = np.asarray(edges)
+    except ValueError:  # ragged: some entry is not a pair
+        rows = None
+    if rows is None or rows.ndim != 2 or rows.shape[1] != 2 or rows.dtype.kind not in "biuf":
+        return _rows_one_by_one(n, edges)
+    if rows.dtype.kind == "f":
+        fractional = ~np.all(np.isfinite(rows) & (np.floor(rows) == rows), axis=1)
+    else:
+        fractional = np.zeros(rows.shape[0], dtype=bool)
+    u, v = rows[:, 0], rows[:, 1]
+    loop = u == v
+    outside = (np.minimum(u, v) < 0) | (np.maximum(u, v) >= n)
+    bad = fractional | loop | outside
+    if bad.any():
+        i = int(np.argmax(bad))
+        if fractional[i]:
+            pair = tuple(rows[i].tolist()) if isinstance(edges, np.ndarray) else edges[i]
+            raise ValidationError(f"edge {pair!r} has a node id that is not a whole number")
+        a, b = (int(x) for x in rows[i].tolist())
+        if loop[i]:
+            raise ValidationError(f"self-loop at node {a} is not allowed")
+        raise ValidationError(f"edge ({a}, {b}) references a node outside 0..{n - 1}")
+    return rows.astype(np.int64, copy=False)
+
+
+def _rows_one_by_one(n: int, edges) -> np.ndarray:
+    """``_pair_rows`` for input numpy cannot read as one numeric ``(m, 2)``
+    array (a malformed pair, a node id that is not a number, or an int
+    beyond int64): reads and checks the pairs one at a time, so the first
+    bad one raises."""
+    rows = []
+    for pair in edges:
+        try:
+            u, v = pair
+        except (TypeError, ValueError):
+            raise ValidationError(f"edge {pair!r} is not a pair of nodes") from None
+        u, v = _node_id(u), _node_id(v)
+        if u is None or v is None:
+            raise ValidationError(f"edge {pair!r} has a node id that is not a whole number")
+        if u == v:
+            raise ValidationError(f"self-loop at node {u} is not allowed")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValidationError(f"edge ({u}, {v}) references a node outside 0..{n - 1}")
+        rows.append((u, v))
+    return np.array(rows, dtype=np.int64).reshape(-1, 2)
+
+
+def _node_id(x) -> int | None:
+    """``x`` as an int if it is a whole number, else None."""
+    if isinstance(x, (int, np.integer)):
+        return int(x)
+    if isinstance(x, (float, np.floating)) and math.isfinite(x) and float(x).is_integer():
+        return int(x)
+    return None
+
+
+def _canonical_edges(n: int, rows: np.ndarray) -> np.ndarray:
+    """Validated pairs as sorted, duplicate-free ``(lo, hi)`` rows with
+    ``lo < hi``.  Input whose keys already strictly increase, as every
+    generator's do, is not sorted."""
+    lo = np.minimum(rows[:, 0], rows[:, 1])
+    hi = np.maximum(rows[:, 0], rows[:, 1])
+    key = lo * n + hi
+    if not (key[1:] > key[:-1]).all():
+        # not np.unique: its first call imports numpy.ma, tens of ms of start-up
+        key = np.sort(key)
+        key = key[np.concatenate(([True], key[1:] != key[:-1]))]
+        lo, hi = np.divmod(key, n)
+    return np.stack((lo, hi), axis=1)
 
 
 @dataclass(frozen=True)
@@ -180,22 +269,27 @@ def complete_bipartite(a: int, b: int) -> Graph:
     """Complete bipartite graph K_{a,b}: part A = 0..a-1, part B = a..a+b-1."""
     _require_positive(a, "a")
     _require_positive(b, "b")
-    edges = tuple((i, a + j) for i in range(a) for j in range(b))
-    return Graph(n=a + b, edges=edges)
+    lo = np.repeat(np.arange(a), b)
+    hi = np.tile(np.arange(a, a + b), a)
+    return Graph(n=a + b, edges=np.stack((lo, hi), axis=1))
 
 
 def cycle(n: int) -> Graph:
     """Cycle graph C_n (requires n >= 3)."""
     if not isinstance(n, (int, np.integer)) or n < 3:
         raise ValidationError(f"cycle needs n >= 3, got {n!r}")
-    return Graph(n=int(n), edges=tuple((i, (i + 1) % n) for i in range(n)))
+    # the path's edges with (0, n-1) second, which keeps the rows sorted
+    lo = np.concatenate(([0], np.arange(n - 1)))
+    hi = np.concatenate(([1, n - 1], np.arange(2, n)))
+    return Graph(n=int(n), edges=np.stack((lo, hi), axis=1))
 
 
 def path(n: int) -> Graph:
     """Path graph P_n (requires n >= 2)."""
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ValidationError(f"path needs n >= 2, got {n!r}")
-    return Graph(n=int(n), edges=tuple((i, i + 1) for i in range(n - 1)))
+    lo = np.arange(n - 1)
+    return Graph(n=int(n), edges=np.stack((lo, lo + 1), axis=1))
 
 
 def erdos_renyi(n: int, p: float, seed: int) -> Graph:
@@ -209,12 +303,11 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
         raise ValidationError(f"erdos_renyi needs n >= 2, got {n!r}")
     if not 0.0 < p <= 1.0:
         raise ValidationError(f"edge probability must be in (0, 1], got {p!r}")
+    iu, ju = np.triu_indices(n, k=1)
     for attempt in range(100):
         rng = np.random.default_rng(int(seed) + attempt)
-        iu, ju = np.triu_indices(n, k=1)
         mask = rng.random(iu.size) < p
-        edges = tuple(zip(iu[mask].tolist(), ju[mask].tolist()))
-        g = Graph(n=int(n), edges=edges)
+        g = Graph(n=int(n), edges=np.stack((iu[mask], ju[mask]), axis=1))
         if graph_checks(g).connected:
             return g
     raise ValidationError(
@@ -236,26 +329,23 @@ def _require_positive(value: int, name: str) -> None:
 def adjacency_matrix(g: Graph) -> np.ndarray:
     """Dense 0/1 adjacency matrix of ``g`` (read-only)."""
     a = np.zeros((g.n, g.n))
-    for u, v in g.edges:
-        a[u, v] = 1.0
-        a[v, u] = 1.0
+    e = edge_array(g)
+    a[e[:, 0], e[:, 1]] = 1.0
+    a[e[:, 1], e[:, 0]] = 1.0
     a.setflags(write=False)
     return a
 
 
 @lru_cache(maxsize=512)
 def degree_vector(g: Graph) -> np.ndarray:
-    d = adjacency_matrix(g).sum(axis=1)
+    d = np.bincount(edge_array(g).ravel(), minlength=g.n).astype(float)
     d.setflags(write=False)
     return d
 
 
-@lru_cache(maxsize=512)
 def edge_array(g: Graph) -> np.ndarray:
-    """Edges as an (m, 2) int array, rows sorted, u < v (read-only)."""
-    arr = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
-    arr.setflags(write=False)
-    return arr
+    """Edges as an (m, 2) int64 array, rows sorted, u < v (read-only)."""
+    return g._edge_array
 
 
 @lru_cache(maxsize=512)
@@ -292,7 +382,8 @@ def normalized_laplacian(g: Graph) -> np.ndarray:
 
 def square_matrix(value, name: str, d=None, symmetric=False) -> np.ndarray:
     """Validate a nonempty, finite, square float matrix (``d x d`` if given);
-    ``symmetric`` rejects asymmetry above SYMMETRY_TOL * max(1, max |M|) and
+    ``symmetric`` rejects asymmetry above SYMMETRY_TOL * max(1, max |M|),
+    measured on the halves ``M / 2`` so that it cannot overflow, and
     returns ``(M + M^T) / 2``.  The result never shares memory with
     ``value``, so callers may freeze it without freezing the caller's array."""
     m = np.asarray(value, dtype=float)
@@ -305,14 +396,15 @@ def square_matrix(value, name: str, d=None, symmetric=False) -> np.ndarray:
     if not symmetric:
         return m.copy()
     scale = max(1.0, float(np.abs(m).max()))
-    asym = float(np.abs(m - m.T).max())
-    if asym > SYMMETRY_TOL * scale:
+    half = 0.5 * m  # halving first: M - M^T overflows for entries above ~9e307
+    asym = float(np.abs(half - half.T).max())
+    if asym > 0.5 * SYMMETRY_TOL * scale:
         raise ValidationError(
             f"{name} must be symmetric within {SYMMETRY_TOL:g} "
-            f"(max |M - M^T| = {asym:.3e}); use make_weights('symmetrize', ...) "
+            f"(max |M - M^T| / 2 = {asym:.3e}); use make_weights('symmetrize', ...) "
             "to symmetrize intentionally"
         )
-    return 0.5 * m + 0.5 * m.T  # halving first cannot overflow
+    return half + half.T
 
 
 def spectral_decomposition(matrix: np.ndarray) -> SpectralPair:
@@ -347,11 +439,10 @@ def spectral_decomposition(matrix: np.ndarray) -> SpectralPair:
 
 def _fix_eigenvector_signs(vectors: np.ndarray) -> np.ndarray:
     fixed = np.array(vectors)
-    for k in range(fixed.shape[1]):
-        col = fixed[:, k]
-        pivot = int(np.argmax(np.abs(col)))  # argmax takes the lowest index on ties
-        if col[pivot] < 0:
-            fixed[:, k] = -col
+    cols = np.arange(fixed.shape[1])
+    pivots = np.argmax(np.abs(fixed), axis=0)  # argmax takes the lowest index on ties
+    flip = fixed[pivots, cols] < 0
+    fixed[:, flip] = -fixed[:, flip]
     return fixed
 
 
@@ -367,30 +458,44 @@ def laplacian_spectrum(g: Graph) -> SpectralPair:
 
 @lru_cache(maxsize=512)
 def graph_checks(g: Graph) -> GraphChecks:
-    """Connectivity and bipartiteness via breadth-first 2-coloring."""
-    neighbors: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        neighbors[u].append(v)
-        neighbors[v].append(u)
+    """Connectivity and bipartiteness from connected-component counts.
 
-    color = np.full(g.n, -1, dtype=np.int64)
-    bipartite = True
-    components = 0
-    for start in range(g.n):
-        if color[start] != -1:
-            continue
-        components += 1
-        color[start] = 0
-        queue = [start]
-        while queue:
-            node = queue.pop()
-            for nb in neighbors[node]:
-                if color[nb] == -1:
-                    color[nb] = 1 - color[node]
-                    queue.append(nb)
-                elif color[nb] == color[node]:
-                    bipartite = False
-    return GraphChecks(connected=(components == 1), bipartite=bipartite)
+    ``g`` is connected iff it has one component.  Its bipartite double cover
+    (nodes ``u`` and ``u + n``, edges ``(u, v + n)`` and ``(u + n, v)``) splits
+    a component in two iff that component is bipartite, so ``g`` is
+    bipartite iff the cover has twice as many components.
+    """
+    e = edge_array(g)
+    u, v = e[:, 0], e[:, 1]
+    components = _count_components(g.n, u, v)
+    cover = _count_components(
+        2 * g.n, np.concatenate((u, u + g.n)), np.concatenate((v + g.n, v))
+    )
+    return GraphChecks(connected=(components == 1), bipartite=(cover == 2 * components))
+
+
+def _count_components(n: int, u: np.ndarray, v: np.ndarray) -> int:
+    """Connected components of the graph on ``0 .. n-1`` with edges ``(u, v)``.
+
+    Min-label hooking and pointer jumping, in the style of Shiloach and
+    Vishkin (1982): every label is a node of its own component and no larger
+    than it, each round hooks the larger of two adjacent roots onto the
+    smaller and then jumps every label to its root.  A round is O(n + m)
+    numpy work; rounds grow like log n.
+    """
+    label = np.arange(n)
+    while True:
+        lu, lv = label[u], label[v]
+        split = lu != lv
+        if not split.any():
+            return int(np.count_nonzero(label == np.arange(n)))
+        lu, lv = lu[split], lv[split]
+        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
+        while True:
+            jumped = label[label]
+            if (jumped == label).all():
+                break
+            label = jumped
 
 
 def require_connected(g: Graph, context: str) -> None:

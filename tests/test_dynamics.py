@@ -501,6 +501,20 @@ def test_renormalized_overflow_names_step_without_self_reference():
     assert "use run_trajectory" not in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "spec, advice",
+    [
+        (ModelSpec("label_propagation", mu=0.5, tau=1e10), "reduce tau"),
+        (ModelSpec("gradient_flow", weights=WeightSet(W=[[1e300]]), tau=1e10), "use run_trajectory"),
+    ],
+)
+def test_step_overflow_advice_fits_the_spec(spec, advice):
+    with pytest.raises(NumericError, match="overflow") as info:
+        step_model(spec, cycle(5), np.full(5, 1e300), F0=np.ones(5))
+    assert advice in str(info.value)
+    assert ("run_trajectory" in str(info.value)) == spec.is_homogeneous
+
+
 def test_collapse_names_step():
     spec = ModelSpec("no_residual", weights=WeightSet(W=[[0.0]]))
     with pytest.raises(NumericError, match="collapsed to zero at step 1"):

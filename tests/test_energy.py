@@ -90,6 +90,12 @@ def test_weightset_rejects_gross_asymmetry():
         WeightSet(W=np.array([[1.0, 0.3], [0.0, 1.0]]))
 
 
+def test_weightset_rejects_huge_asymmetry_without_overflow():
+    # W - W^T overflows to inf here (an error under pytest's warning filter)
+    with pytest.raises(ValidationError, match=r"= 1\.000e\+308"):
+        WeightSet(W=[[0.0, 1e308], [-1e308, 0.0]])
+
+
 def test_weightset_wtilde_may_be_asymmetric():
     ws = WeightSet(W=np.eye(2), Wtilde=np.array([[0.0, 1.0], [0.0, 0.0]]))
     assert ws.has_source

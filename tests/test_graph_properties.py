@@ -1,0 +1,181 @@
+"""Property tests of the graph core against a pure-Python reference.
+
+The reference walks the edges one at a time: a set of ``(min, max)`` pairs
+for canonicalization and a breadth-first 2-colouring for connectivity and
+bipartiteness.
+"""
+
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gel.graphs import (
+    Graph,
+    adjacency_matrix,
+    complete_bipartite,
+    cycle,
+    degree_vector,
+    erdos_renyi,
+    graph_checks,
+    laplacian_spectrum,
+    path,
+)
+
+# --- the reference ----------------------------------------------------------
+
+def oracle_edges(pairs):
+    canon = set()
+    for u, v in pairs:
+        canon.add((min(u, v), max(u, v)))
+    return tuple(sorted(canon))
+
+
+def oracle_checks(n, edges):
+    """(connected, bipartite) by breadth-first 2-colouring."""
+    neighbors = [[] for _ in range(n)]
+    for u, v in edges:
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    color = [-1] * n
+    bipartite, components = True, 0
+    for start in range(n):
+        if color[start] != -1:
+            continue
+        components += 1
+        color[start] = 0
+        queue = [start]
+        while queue:
+            node = queue.pop()
+            for nb in neighbors[node]:
+                if color[nb] == -1:
+                    color[nb] = 1 - color[node]
+                    queue.append(nb)
+                elif color[nb] == color[node]:
+                    bipartite = False
+    return components == 1, bipartite
+
+
+def oracle_adjacency(n, edges):
+    a = [[0.0] * n for _ in range(n)]
+    for u, v in edges:
+        a[u][v] = a[v][u] = 1.0
+    return a
+
+
+def oracle_erdos_renyi(n, p, seed):
+    """The same draws as ``erdos_renyi``, canonicalized and checked by the
+    reference."""
+    iu, ju = np.triu_indices(n, k=1)
+    for attempt in range(100):
+        rng = np.random.default_rng(seed + attempt)
+        mask = rng.random(iu.size) < p
+        edges = oracle_edges(zip(iu[mask].tolist(), ju[mask].tolist()))
+        if oracle_checks(n, edges)[0]:
+            return edges
+    raise AssertionError("no connected draw")
+
+
+# --- strategies -------------------------------------------------------------
+
+@st.composite
+def edge_lists(draw):
+    """A node count up to 30 and an edge list with duplicates, reversed
+    pairs and, often, several components."""
+    n = draw(st.integers(1, 30))
+    if n == 1:
+        return n, []
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node).filter(lambda p: p[0] != p[1]), max_size=60))
+    if pairs:
+        repeats = draw(st.lists(st.sampled_from(pairs), max_size=10))
+        pairs += [(v, u) for u, v in repeats] + repeats[: len(repeats) // 2]
+    return n, draw(st.permutations(pairs))
+
+
+@st.composite
+def connected_edge_lists(draw):
+    """A random spanning tree on 2..30 nodes, relabelled, plus extra edges."""
+    n = draw(st.integers(2, 30))
+    labels = draw(st.permutations(range(n)))
+    pairs = [(labels[i], labels[draw(st.integers(0, i - 1))]) for i in range(1, n)]
+    node = st.integers(0, n - 1)
+    pairs += draw(st.lists(st.tuples(node, node).filter(lambda p: p[0] != p[1]), max_size=20))
+    return n, pairs
+
+
+# --- properties -------------------------------------------------------------
+
+@settings(deadline=None)
+@given(edge_lists())
+def test_graph_core_matches_the_reference(case):
+    n, pairs = case
+    g = Graph(n, pairs)
+    edges = oracle_edges(pairs)
+    assert g.edges == edges
+    assert g == Graph(n, edges) and hash(g) == hash(Graph(n, edges))
+    a = oracle_adjacency(n, edges)
+    assert adjacency_matrix(g).tolist() == a
+    assert degree_vector(g).tolist() == [sum(row) for row in a]
+    assert tuple(graph_checks(g)) == oracle_checks(n, edges)
+
+
+@settings(deadline=None)
+@given(connected_edge_lists())
+def test_lambda_max_two_iff_bipartite(case):
+    g = Graph(*case)
+    assert graph_checks(g).connected
+    lam_max = laplacian_spectrum(g).eigenvalues[-1]
+    assert (lam_max >= 2.0 - 1e-9) == graph_checks(g).bipartite
+
+
+@pytest.mark.parametrize(
+    "n, p, seed",
+    [(1000, 0.008, 1), (1000, 0.008, 7), (1000, 0.008, 31), (2000, 0.004, 7), (2000, 0.004, 32)],
+)
+def test_erdos_renyi_matches_the_reference(n, p, seed):
+    g = erdos_renyi(n, p, seed)
+    assert g.edges == oracle_erdos_renyi(n, p, seed)
+    assert tuple(graph_checks(g)) == (True, False)
+
+
+@pytest.mark.parametrize(
+    "g, pairs, checks",
+    [
+        (
+            complete_bipartite(300, 300),
+            [(i, 300 + j) for i in range(300) for j in range(300)],
+            (True, True),
+        ),
+        (cycle(20001), [(i, (i + 1) % 20001) for i in range(20001)], (True, False)),
+        (cycle(20000), [(i, (i + 1) % 20000) for i in range(20000)], (True, True)),
+        (path(7), [(i, i + 1) for i in range(6)], (True, True)),
+    ],
+)
+def test_generators_match_the_reference(g, pairs, checks):
+    edges = oracle_edges(pairs)
+    assert g.edges == edges
+    assert tuple(graph_checks(g)) == oracle_checks(g.n, edges) == checks
+
+
+def test_graph_core_does_not_import_numpy_ma():
+    # np.unique's first call imports numpy.ma, tens of ms of start-up
+    code = (
+        "import sys\n"
+        "from gel.graphs import Graph, complete_bipartite, cycle, graph_checks\n"
+        "for g in (complete_bipartite(30, 30), cycle(9), Graph(4, ((2, 3), (1, 0), (0, 1)))):\n"
+        "    graph_checks(g)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -36,6 +36,43 @@ def test_out_of_range_endpoint_rejected():
 
 
 @pytest.mark.parametrize(
+    "edges",
+    [((0, 1.5),), ((0, 1), (2, 0.5)), ((0, float("nan")),), ((0, "1"),), ((0, None),)],
+)
+def test_non_whole_node_id_rejected_naming_the_edge(edges):
+    with pytest.raises(ValidationError, match="not a whole number") as info:
+        Graph(3, edges)
+    assert repr(edges[-1]) in str(info.value)
+
+
+def test_whole_node_ids_of_any_numeric_type_accepted():
+    g = Graph(3, ((np.int64(2), 1.0), (np.int32(0), 1), [2.0, 0]))
+    assert g.edges == ((0, 1), (0, 2), (1, 2))
+    assert all(type(x) is int for pair in g.edges for x in pair)
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        (((0, 1), (2, 2), (0, 5)), "self-loop at node 2"),
+        (((0, 1), (0, 5), (2, 2)), r"edge \(0, 5\) references a node outside 0\.\.2"),
+        (((0, 1), (1, 1), (0,)), "self-loop at node 1"),
+        (((0, 1), (0,), (1, 1)), r"edge \(0,\) is not a pair of nodes"),
+        (((0, 0.5), (1, 1)), "not a whole number"),
+        (((0, 2**70), (1, 1)), "references a node outside"),
+    ],
+)
+def test_first_bad_pair_in_input_order_is_reported(edges, message):
+    with pytest.raises(ValidationError, match=message):
+        Graph(3, edges)
+
+
+def test_node_count_beyond_int64_keys_rejected():
+    with pytest.raises(ValidationError, match="node count must be at most"):
+        Graph(2**40, ((0, 1),))
+
+
+@pytest.mark.parametrize(
     "g, n_edges",
     [(cycle(5), 5), (path(4), 3), (complete_bipartite(2, 3), 6)],
 )
