@@ -26,7 +26,7 @@ from .errors import (
     ValidationError,
 )
 from .graphs import Graph, complete_bipartite, laplacian_spectrum
-from .spectral import _PROFILES, RegimeReport, asymptotic_profile, classify_regime
+from .spectral import RegimeReport, asymptotic_profile, classify_regime
 from .verify import _fmt
 
 CSV_HEADER = (
@@ -77,15 +77,16 @@ def _regime_lines(report: RegimeReport) -> list[str]:
 def _profile_lines(
     g: Graph, cfg_spec: ModelSpec, F0: np.ndarray, traj: Trajectory
 ) -> list[str]:
-    """Terminal-prediction agreement metrics, or the reason none apply."""
-    if cfg_spec.variant not in _PROFILES:
+    """Terminal-prediction agreement metrics for a homogeneous spec, or the
+    reason none apply."""
+    if not cfg_spec.is_homogeneous:
         return []
     try:
         profile = asymptotic_profile(g, cfg_spec, F0)
     except GelError as exc:
-        # e.g. bipartite graph for the discarding update, or a boundary /
-        # step-size-violated weight spectrum: report the obstruction in
-        # place of a terminal-state claim.
+        # e.g. bipartite graph for the discarding update, or a tie at the
+        # regime boundary: report the obstruction in place of a
+        # terminal-state claim.
         return ["terminal prediction unavailable:", f"  {exc}"]
     out = [
         f"terminal prediction ({profile.label}):",
@@ -140,8 +141,14 @@ def run_experiment(cfg: ExperimentConfig, seed_override: int | None = None) -> i
         "",
     ]
     if cfg.spec.variant in ("gradient_flow", "gradient_flow_nonlinear"):
+        weights = cfg.spec.weights
         try:
-            lines += _regime_lines(classify_regime(cfg.graph, cfg.spec.weights.W, cfg.spec.tau))
+            if np.any(weights.Omega != 0.0) or weights.has_source:
+                raise ConfigurationError(
+                    "the classification reads W alone; it needs Omega = 0 and "
+                    "no source (Wtilde = 0)"
+                )
+            lines += _regime_lines(classify_regime(cfg.graph, weights.W, cfg.spec.tau))
         except GelError as exc:
             lines += ["regime classification unavailable:", f"  {exc}"]
         lines.append("")

@@ -1,12 +1,26 @@
-"""Spectral regime prediction for the discrete gradient flow.
+"""Spectral prediction for the linear message-passing flows.
 
-The residual-free flow ``F <- F + tau * A_bar F W`` diagonalizes over the
-product of the Laplacian eigenbasis (frequencies lambda) and the weight
-eigenbasis (channels mu): each mode is multiplied by ``1 + tau*mu*(1-lambda)``
-per step.  The interplay of the most negative weight eigenvalue with the top
-graph frequency against the most positive weight eigenvalue with frequency
-zero decides whether the dynamics sharpens (dominant high frequency, Rayleigh
-quotient -> lambda_max) or smooths (dominant low frequency, quotient -> 0).
+A homogeneous linear step ``F <- r F + tau sum_k P_k F M_k`` (the rows of
+``dynamics``' update table without a source or an activation) has graph
+operators that are functions of the normalized Laplacian: I -> 1,
+A_hat -> 1 - lambda, L -> lambda.  It therefore splits into independent
+graph frequencies lambda_l, and at each one the step is a single d x d
+matrix ``S(lambda_l) = r I + tau sum_k p_k(lambda_l) M_k`` acting on the
+row of F's Laplacian coefficients.  With symmetric channel factors every
+S(lambda_l) is symmetric, and one batched ``eigh`` of the (n, d, d) stack
+gives modes (l, j) that the step multiplies by ``s_lj`` each time.  This
+covers gradient_flow (any symmetric Omega, also one not commuting with W),
+no_residual, graff, heat, label_propagation, cgnn, pde_gcn_d, harmonic and
+laplacian_omega_eq_w; source-coupled, nonlinear and grand_linear specs
+(GRAND steps with its own random-walk operator) and a non-symmetric
+OmegaTilde have no such form.
+
+The modes with the largest ``|s|`` dominate: at lambda = 0 the dynamics
+smooths (Rayleigh quotient -> 0), at lambda_max it sharpens (quotient ->
+lambda_max).  For the residual-free flow ``F + tau A_hat F W`` this is the
+contest of the most negative weight eigenvalue at the top frequency
+against the most positive one at frequency zero, which ``classify_regime``
+decides from the spectra of L and W alone and certifies with rates.
 This module computes exact closed-form states, classifies the regime,
 certifies convergence rates, and predicts terminal directions.
 """
@@ -14,11 +28,12 @@ certifies convergence rates, and predicts terminal directions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .dynamics import FeatureState, ModelSpec
-from .energy import as_features
+from .energy import _check_channels, as_features
 from .errors import (
     ConfigurationError,
     DegenerateInputError,
@@ -27,7 +42,10 @@ from .errors import (
     RegimeError,
 )
 from .graphs import (
+    SYMMETRY_TOL,
     Graph,
+    SpectralPair,
+    degree_vector,
     graph_checks,
     laplacian_spectrum,
     require_connected,
@@ -93,26 +111,78 @@ class HfdRates:
 @dataclass(frozen=True)
 class ProfilePrediction:
     """Predicted terminal behavior: unit direction (up to global sign),
-    per-step norm growth factor, and — for flows with a genuine fixed point —
-    the raw terminal matrix."""
+    per-step norm growth factor, for flows with a genuine fixed point the
+    raw terminal matrix, and the per-step factor by which the rest shrinks
+    against the dominant modes (None for grand_linear)."""
 
     direction: np.ndarray
     growth: float
     label: str
     terminal: np.ndarray | None = None
+    contraction: float | None = None
 
 
 # ---------------------------------------------------------------------------
-# closed form
+# the mode-wise engine and the closed form
 # ---------------------------------------------------------------------------
 
-def closed_form_features(g: Graph, W, tau: float, m: int, F0) -> FeatureState:
-    """Exact state of the residual-free flow after m steps, overflow-safe.
+class _Modes(NamedTuple):
+    """One homogeneous linear step, mode by mode: ``factors[l]`` and the
+    columns of ``vectors[l]`` are the eigenpairs of S(lambda_l), and
+    ``coeff[l, j]`` is the component of F0 on mode (l, j)."""
 
-    Expands F0 over the frequency x channel eigenbasis, scales mode (l, r) by
-    ``(1 + tau*mu_r*(1-lambda_l))^m`` in sign/log-magnitude arithmetic, pulls
-    the largest log out into ``log_scale``, and maps back.  With m = 0 this
-    reproduces F0 exactly.
+    lap: SpectralPair
+    factors: np.ndarray  # (n, d)
+    vectors: np.ndarray  # (n, d, d)
+    coeff: np.ndarray  # (n, d)
+
+    def synthesize(self, amplitudes: np.ndarray) -> np.ndarray:
+        """The n x d features with the given amplitude on each mode."""
+        rows = np.einsum("lj,lkj->lk", amplitudes, self.vectors)
+        return self.lap.eigenvectors @ rows
+
+
+def _modes(g: Graph, spec: ModelSpec, feats: np.ndarray) -> _Modes:
+    """Build ``S(lambda) = r I + tau sum_k p_k(lambda) M_k`` from the spec's
+    update terms at every Laplacian eigenvalue and diagonalize the stack."""
+    if not spec.is_homogeneous:
+        raise ConfigurationError(
+            f"variant {spec.variant!r} is not homogeneous linear here (it has "
+            "a source or an activation); it has no mode-wise form"
+        )
+    _check_channels(spec.channels, feats, "model parameters")
+    lap = laplacian_spectrum(g)
+    lam = lap.eigenvalues
+    d = feats.shape[1]
+    per_op = {"I": np.ones_like(lam), "A": 1.0 - lam, "L": lam}
+    update = spec._update
+    stack = np.tile(float(update.residual) * np.eye(d), (lam.size, 1, 1))
+    for op, factor in update.terms:
+        if not isinstance(op, str):
+            raise ConfigurationError(
+                f"variant {spec.variant!r} steps with its own operator, not "
+                "a function of the normalized Laplacian; it has no mode-wise form"
+            )
+        m = factor * np.eye(d) if np.ndim(factor) == 0 else np.asarray(factor)
+        if float(np.abs(m - m.T).max()) > SYMMETRY_TOL * max(1.0, float(np.abs(m).max())):
+            raise ConfigurationError(
+                f"variant {spec.variant!r} has a non-symmetric channel factor; "
+                "the mode-wise form needs symmetric ones"
+            )
+        stack += spec.tau * per_op[op][:, None, None] * (0.5 * (m + m.T))
+    factors, vectors = np.linalg.eigh(stack)
+    coeff = np.einsum("lk,lkj->lj", lap.eigenvectors.T @ feats, vectors)
+    return _Modes(lap, factors, vectors, coeff)
+
+
+def closed_form_features(g: Graph, spec: ModelSpec, m: int, F0) -> FeatureState:
+    """Exact state of a homogeneous linear spec after m steps, overflow-safe.
+
+    Expands F0 over the modes of S(lambda), scales mode (l, j) by
+    ``s_lj^m`` in sign/log-magnitude arithmetic, pulls the largest log out
+    into ``log_scale``, and maps back.  With m = 0 this reproduces F0
+    exactly.  Source-coupled, nonlinear and grand_linear specs, and a
+    non-symmetric channel factor, raise ``ConfigurationError``.
     """
     if not isinstance(m, (int, np.integer)) or m < 0:
         raise ConfigurationError(f"step count m must be a nonnegative integer, got {m!r}")
@@ -120,20 +190,11 @@ def closed_form_features(g: Graph, W, tau: float, m: int, F0) -> FeatureState:
     norm0 = float(np.linalg.norm(feats))
     if norm0 == 0.0:
         raise DegenerateInputError("initial features must be nonzero")
-    tau = float(tau)
-
-    lap = laplacian_spectrum(g)
-    wpair = spectral_decomposition(np.asarray(W, dtype=float))
-    if wpair.eigenvalues.shape[0] != feats.shape[1]:
-        raise ConfigurationError(
-            f"W must be {feats.shape[1]}x{feats.shape[1]} for these features"
-        )
-    coeff = lap.eigenvectors.T @ feats @ wpair.eigenvectors
-    factors = 1.0 + tau * np.outer(1.0 - lap.eigenvalues, wpair.eigenvalues)
-
+    modes = _modes(g, spec, feats)
     if m == 0:
         return FeatureState(direction=feats / norm0, log_scale=float(np.log(norm0)))
 
+    coeff, factors = modes.coeff, modes.factors
     alive = (coeff != 0.0) & (factors != 0.0)
     if not np.any(alive):
         raise NumericError("every mode is annihilated: the state collapses to zero")
@@ -145,8 +206,7 @@ def closed_form_features(g: Graph, W, tau: float, m: int, F0) -> FeatureState:
         alive, np.sign(coeff) * np.where(factors < 0.0, (-1.0) ** m, 1.0), 0.0
     )
     peak = float(np.max(log_mag))
-    scaled = signs * np.exp(log_mag - peak)
-    state = lap.eigenvectors @ scaled @ wpair.eigenvectors.T
+    state = modes.synthesize(signs * np.exp(log_mag - peak))
     norm = float(np.linalg.norm(state))
     return FeatureState(direction=state / norm, log_scale=peak + float(np.log(norm)))
 
@@ -256,30 +316,72 @@ def convergence_rates(g: Graph, W, tau: float) -> HfdRates:
 def asymptotic_profile(g: Graph, spec: ModelSpec, F0) -> ProfilePrediction:
     """Predict the terminal direction (up to sign) and per-step growth.
 
-    Supported variants: the residual-free gradient flow (dominant-eigenspace
-    block projection in either regime), the discarding update (kernel profile
-    paired with the largest-|mu| channel; needs a non-bipartite graph), the
-    random-walk diffusion (per-channel means), and the harmonic-metric flow
-    (degree-profile limit plus the kernel-channel component of F0).
+    Covers every homogeneous linear spec the mode-wise engine covers (see
+    the module docstring), plus grand_linear, whose limit is the mean of
+    F0 weighted by ``deg + 1``.  The dominant modes are those with the
+    largest ``|s|``, within ``TIE_TOL * max(1, |s|)``; their projection of
+    F0 is the terminal direction, ``|s|`` the growth, and ``contraction``
+    the largest other ``|s|`` over it.  Tie rules, in order:
+
+    - ``|s|`` vanishes everywhere: ``DegenerateInputError``.
+    - dominant factors of both signs alternate without a limit:
+      ``HypothesisError`` on a bipartite graph (where lambda = 2 mirrors
+      lambda = 0), ``DegenerateInputError`` otherwise.
+    - the label is ``LFD`` when every dominant mode sits at lambda = 0,
+      ``HFD`` when every one sits at lambda_max; dominant modes that span
+      the spectrum are a regime boundary (``RegimeError``) unless their
+      factor is +1 (label ``fixed-point``).
+    - a dominant factor of +1 (heat, harmonic) also fills in ``terminal``.
+    - F0 without a component on the dominant modes: ``DegenerateInputError``.
     """
     require_connected(g, "asymptotic prediction")
     feats = as_features(g, F0)
     norm0 = float(np.linalg.norm(feats))
     if norm0 == 0.0:
         raise DegenerateInputError("initial features must be nonzero")
-    if spec.variant not in _PROFILES:
-        raise ConfigurationError(f"no asymptotic prediction for variant {spec.variant!r}")
-    return _PROFILES[spec.variant](g, spec, feats, norm0)
-
-
-def _block_projection(
-    feats: np.ndarray,
-    freq_vectors: np.ndarray,
-    chan_vectors: np.ndarray,
-) -> np.ndarray:
-    """Project features onto span(freq block) x span(channel block)."""
-    pf = freq_vectors @ (freq_vectors.T @ feats)
-    return pf @ chan_vectors @ chan_vectors.T
+    if spec.variant == "grand_linear":
+        return _grand_profile(g, feats, norm0)
+    modes = _modes(g, spec, feats)
+    mags = np.abs(modes.factors)
+    top = float(mags.max())
+    if top <= 1e-12:
+        raise DegenerateInputError("the update vanishes; every mode is annihilated")
+    dominant = mags >= top - TIE_TOL * max(top, 1.0)
+    dominant_factors = modes.factors[dominant]
+    if dominant_factors.min() < 0.0 < dominant_factors.max():
+        if graph_checks(g).bipartite:
+            raise HypothesisError(
+                "the dominant factors tie across both signs on this bipartite "
+                "graph; the direction alternates and has no single limit"
+            )
+        raise DegenerateInputError(
+            "the dominant factors tie across both signs; the direction "
+            "alternates and has no single limit"
+        )
+    lam = modes.lap.eigenvalues
+    dominant_lam = lam[dominant.any(axis=1)]
+    fixed = bool(np.all(np.abs(dominant_factors - 1.0) <= TIE_TOL))
+    if np.all(dominant_lam <= lam[0] + TIE_TOL):
+        label = "LFD"
+    elif np.all(dominant_lam >= lam[-1] - TIE_TOL):
+        label = "HFD"
+    elif fixed:
+        label = "fixed-point"
+    else:
+        raise RegimeError(
+            "the dominant factor is shared by low and high frequencies "
+            "(regime boundary); no prediction"
+        )
+    block = modes.synthesize(np.where(dominant, modes.coeff, 0.0))
+    direction = _checked_direction(block, norm0, "the dominant modes")
+    rest = mags[~dominant]
+    return ProfilePrediction(
+        direction=direction,
+        growth=top,
+        label=label,
+        terminal=block if fixed else None,
+        contraction=float(rest.max()) / top if rest.size else 0.0,
+    )
 
 
 def _checked_direction(block: np.ndarray, norm0: float, what: str) -> np.ndarray:
@@ -292,111 +394,13 @@ def _checked_direction(block: np.ndarray, norm0: float, what: str) -> np.ndarray
     return block / norm
 
 
-def _gradient_flow_profile(
-    g: Graph, spec: ModelSpec, feats: np.ndarray, norm0: float
-) -> ProfilePrediction:
-    w = spec.weights
-    if w is None or np.any(w.Omega != 0.0) or w.has_source:
-        raise ConfigurationError(
-            "the spectral prediction covers the residual-free, source-free flow "
-            "(Omega = 0, Wtilde = 0)"
-        )
-    report = classify_regime(g, w.W, spec.tau)
-    if report.regime == "Boundary":
-        raise RegimeError(
-            "the growth candidates tie at the regime boundary; no prediction"
-        )
-    if report.regime == "StepSizeViolated":
-        raise RegimeError(
-            "the step size violates the stability bound; the high-frequency "
-            "expansion does not apply"
-        )
-    lap = laplacian_spectrum(g)
-    wpair = spectral_decomposition(w.W)
-    if report.regime == "HFD":
-        freq_sel = lap.eigenvalues >= report.lambda_max - TIE_TOL
-        chan_sel = wpair.eigenvalues <= report.mu_bottom + TIE_TOL
-        growth = 1.0 + spec.tau * report.rho_minus
-        what = "the top-frequency / bottom-channel block"
-    else:
-        freq_sel = lap.eigenvalues <= lap.eigenvalues[0] + TIE_TOL
-        chan_sel = wpair.eigenvalues >= report.mu_top - TIE_TOL
-        growth = 1.0 + spec.tau * report.mu_top
-        what = "the frequency-zero / top-channel block"
-    block = _block_projection(
-        feats, lap.eigenvectors[:, freq_sel], wpair.eigenvectors[:, chan_sel]
-    )
-    direction = _checked_direction(block, norm0, what)
-    return ProfilePrediction(direction=direction, growth=growth, label=report.regime)
-
-
-def _no_residual_profile(
-    g: Graph, spec: ModelSpec, feats: np.ndarray, norm0: float
-) -> ProfilePrediction:
-    if graph_checks(g).bipartite:
-        raise HypothesisError(
-            "the discarding update is low-frequency dominant on non-bipartite "
-            "graphs only; this graph is bipartite"
-        )
-    wpair = spectral_decomposition(spec.weights.W)
-    amax = float(np.abs(wpair.eigenvalues).max())
-    if amax <= 1e-12:
-        raise DegenerateInputError("W vanishes; the update is identically zero")
-    sel = np.abs(np.abs(wpair.eigenvalues) - amax) <= TIE_TOL
-    if np.any(wpair.eigenvalues[sel] > 0) and np.any(wpair.eigenvalues[sel] < 0):
-        raise DegenerateInputError(
-            "largest-|mu| channels tie across both signs; the direction "
-            "alternates and has no single limit"
-        )
-    lap = laplacian_spectrum(g)
-    freq_sel = lap.eigenvalues <= lap.eigenvalues[0] + TIE_TOL
-    block = _block_projection(
-        feats, lap.eigenvectors[:, freq_sel], wpair.eigenvectors[:, sel]
-    )
-    direction = _checked_direction(
-        block, norm0, "the kernel-profile / largest-|mu| block"
-    )
-    return ProfilePrediction(
-        direction=direction, growth=spec.tau * amax, label="LFD"
-    )
-
-
-def _grand_profile(
-    g: Graph, spec: ModelSpec, feats: np.ndarray, norm0: float
-) -> ProfilePrediction:
-    means = feats.mean(axis=0)
+def _grand_profile(g: Graph, feats: np.ndarray, norm0: float) -> ProfilePrediction:
+    # D~^-1 A~ (A~ = A + I) is a random walk whose stationary law is
+    # proportional to deg + 1, so the step conserves that weighted mean
+    weights = degree_vector(g) + 1.0
+    means = (weights @ feats) / float(weights.sum())
     terminal = np.ones((g.n, 1)) @ means[None, :]
-    direction = _checked_direction(terminal.copy(), norm0, "the constant profile")
+    direction = _checked_direction(terminal, norm0, "the constant profile")
     return ProfilePrediction(
         direction=direction, growth=1.0, label="mean-limit", terminal=terminal
     )
-
-
-def _harmonic_profile(
-    g: Graph, spec: ModelSpec, feats: np.ndarray, norm0: float
-) -> ProfilePrediction:
-    w = spec.weights.W
-    metric = w @ w  # W is symmetric, so this is the Gram matrix of the metric
-    mpair = spectral_decomposition(metric)
-    kernel = mpair.eigenvalues <= 1e-12
-    lap = laplacian_spectrum(g)
-    phi0 = lap.eigenvectors[:, 0]
-    coeff = phi0 @ feats @ mpair.eigenvectors  # frequency-zero channel coefficients
-    phi_inf = mpair.eigenvectors[:, ~kernel] @ coeff[~kernel]
-    terminal = np.outer(phi0, phi_inf)
-    if np.any(kernel):
-        p_ker = mpair.eigenvectors[:, kernel] @ mpair.eigenvectors[:, kernel].T
-        terminal = terminal + feats @ p_ker
-    direction = _checked_direction(terminal.copy(), norm0, "the preserved modes")
-    return ProfilePrediction(
-        direction=direction, growth=1.0, label="harmonic-limit", terminal=terminal
-    )
-
-
-#: The variants with a terminal prediction; ``cli`` reports one for these keys.
-_PROFILES = {
-    "gradient_flow": _gradient_flow_profile,
-    "no_residual": _no_residual_profile,
-    "grand_linear": _grand_profile,
-    "harmonic": _harmonic_profile,
-}

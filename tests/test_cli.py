@@ -69,12 +69,14 @@ def test_run_is_byte_deterministic(workdir):
 
 
 def _gel(args, cwd, optimize):
-    """Run ``python [-O] -m gel.cli <args>`` in a fresh interpreter."""
+    """Run ``python [-O] -m gel.cli <args>`` in a fresh interpreter, with
+    RuntimeWarning an error as in this process (pytest's filter stops here)."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     paths = [src, os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     env.pop("GEL_SEED", None)
-    cmd = [sys.executable, *(["-O"] if optimize else []), "-m", "gel.cli", *args]
+    cmd = [sys.executable, *(["-O"] if optimize else []), "-W", "error::RuntimeWarning",
+           "-m", "gel.cli", *args]
     return subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
 
 
@@ -145,6 +147,41 @@ def test_run_non_bipartite_no_residual_collapses(workdir):
     assert main(["run", cfg]) == 0
     rows = (workdir / "c.csv").read_text().splitlines()
     assert float(rows[-1].split(",")[2]) <= 1e-6
+
+
+def test_run_flow_with_omega_reports_no_w_only_regime(workdir):
+    # W alone says HFD, but the lambda = 0 mode of channel 1 grows 2.15x per
+    # step through Omega, against 1.40x for the top-frequency mode
+    cfg = write(
+        workdir / "om.cfg",
+        "graph = cycle(5)\nvariant = gradient_flow\nW = [[-1.0,0.0],[0.0,0.3]]\n"
+        "Omega = [[0.0,0.0],[0.0,-2.0]]\ntau = 0.5\nsteps = 60\n"
+        "init = random_normal(7)\ncsv = o.csv\nsvg = o.svg\nreport = o.txt\n",
+    )
+    assert main(["run", cfg]) == 0
+    report = (workdir / "o.txt").read_text()
+    assert "regime =" not in report
+    assert "regime classification unavailable" in report and "Omega = 0" in report
+    assert "terminal prediction (LFD):" in report
+    assert float((workdir / "o.csv").read_text().splitlines()[-1].split(",")[2]) < 0.02
+
+
+@pytest.mark.parametrize(
+    "params",
+    ["variant = heat\nd = 2", "variant = pde_gcn_d\nKtK = [[1.0,0.2],[0.2,0.5]]"],
+    ids=["heat", "pde_gcn_d"],
+)
+def test_run_reports_terminal_prediction_for_diffusions(workdir, params):
+    cfg = write(
+        workdir / "diff.cfg",
+        f"graph = erdos_renyi(8, 0.5, 73)\n{params}\ntau = 0.5\nsteps = 400\n"
+        "init = random_normal(7)\ncsv = d.csv\nsvg = d.svg\nreport = d.txt\n",
+    )
+    assert main(["run", cfg]) == 0
+    report = (workdir / "d.txt").read_text()
+    assert "terminal prediction (LFD):" in report
+    deviation = re.search(r"terminal-state deviation \(max abs\) = (\S+)", report)
+    assert deviation and float(deviation[1]) < 1e-8
 
 
 # --- exit codes -------------------------------------------------------------

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gel.dynamics import ModelSpec, run_trajectory
 from gel.energy import WeightSet
 from gel.errors import (
+    ConfigurationError,
     DegenerateInputError,
     HypothesisError,
     RegimeError,
@@ -37,9 +40,8 @@ def test_closed_form_k2_oracle():
     # K_2, W = [[-1]], tau = 0.5, f0 = (1, 0); modes (lam, factor):
     # lam=0 -> 0.5 per step, lam=2 -> 1.5 per step.  After m=2:
     # F = 0.25 * c0 * phi0 + 2.25 * c1 * phi1 with c0 = c1 = 1/sqrt(2)
-    state = closed_form_features(
-        path(2), np.array([[-1.0]]), 0.5, 2, np.array([1.0, 0.0])
-    )
+    spec = ModelSpec("gradient_flow", weights=WeightSet(W=[[-1.0]]), tau=0.5)
+    state = closed_form_features(path(2), spec, 2, np.array([1.0, 0.0]))
     feats = state.direction * np.exp(state.log_scale)
     phi0 = np.array([1.0, 1.0]) / np.sqrt(2.0)
     phi1 = np.array([1.0, -1.0]) / np.sqrt(2.0)
@@ -51,7 +53,8 @@ def test_closed_form_zero_steps_is_identity():
     rng = np.random.default_rng(1)
     g = cycle(5)
     F0 = rng.normal(size=(5, 2))
-    state = closed_form_features(g, sym(rng, [1.0, -0.5]), 0.5, 0, F0)
+    spec = ModelSpec("gradient_flow", weights=WeightSet(W=sym(rng, [1.0, -0.5])), tau=0.5)
+    state = closed_form_features(g, spec, 0, F0)
     feats = state.direction * np.exp(state.log_scale)
     assert np.abs(feats - F0).max() < 1e-12
 
@@ -61,7 +64,8 @@ def test_closed_form_log_scale_overflow_safe():
     # log_scale carries 50*ln(1.5) + ln|c|, direction stays unit
     g = path(2)
     F0 = np.array([1.0, -1.0])
-    state = closed_form_features(g, np.array([[-1.0]]), 0.5, 50, F0)
+    spec = ModelSpec("gradient_flow", weights=WeightSet(W=[[-1.0]]), tau=0.5)
+    state = closed_form_features(g, spec, 50, F0)
     expected = 50.0 * np.log(1.5) + np.log(np.sqrt(2.0))
     assert state.log_scale == pytest.approx(expected, abs=1e-9)
     assert np.linalg.norm(state.direction) == pytest.approx(1.0, abs=1e-12)
@@ -75,9 +79,93 @@ def test_closed_form_matches_trajectory(tau):
     F0 = rng.normal(size=(g.n, 3))
     spec = ModelSpec("gradient_flow", weights=WeightSet(W=wmat), tau=tau)
     traj = run_trajectory(spec, g, F0, 40)
-    exact = closed_form_features(g, wmat, tau, 40, F0)
+    exact = closed_form_features(g, spec, 40, F0)
     assert np.abs(traj.final.direction - exact.direction).max() < 1e-10
     assert abs(traj.final.log_scale - exact.log_scale) < 1e-8
+
+
+def homogeneous_specs(rng, d):
+    """One spec of every homogeneous linear variant the closed form covers,
+    with random symmetric channel factors; gradient_flow twice, with Omega = 0
+    and with an Omega that does not commute with W."""
+    w = sym(rng, rng.uniform(-1.2, 1.2, size=d))
+    omega = sym(rng, rng.uniform(-0.5, 0.5, size=d))
+    k = rng.normal(size=(d, d))
+    return {
+        "gradient_flow": ModelSpec("gradient_flow", weights=WeightSet(W=w), tau=0.5),
+        "gradient_flow_omega": ModelSpec(
+            "gradient_flow", weights=WeightSet(W=w, Omega=omega), tau=0.5
+        ),
+        "no_residual": ModelSpec("no_residual", weights=WeightSet(W=w), tau=0.5),
+        "graff": ModelSpec(
+            "graff",
+            weights=WeightSet(W=w, omega_diag=rng.uniform(-0.5, 0.5, size=d)),
+            tau=0.5,
+        ),
+        "heat": ModelSpec("heat", tau=0.5),
+        "label_propagation": ModelSpec("label_propagation", tau=0.5, mu=0.0),
+        "cgnn": ModelSpec("cgnn", OmegaTilde=omega, tau=0.5, source_free=True),
+        "pde_gcn_d": ModelSpec("pde_gcn_d", KtK=k.T @ k, tau=0.2),
+        "harmonic": ModelSpec("harmonic", weights=WeightSet(W=w), tau=0.2),
+        "laplacian_omega_eq_w": ModelSpec(
+            "laplacian_omega_eq_w", weights=WeightSet(W=w), tau=0.5
+        ),
+    }
+
+
+def assert_closed_form_matches(g, spec, F0, steps):
+    traj = run_trajectory(spec, g, F0, steps)
+    exact = closed_form_features(g, spec, steps, F0)
+    assert np.abs(traj.final.direction - exact.direction).max() < 1e-10
+    assert abs(traj.final.log_scale - exact.log_scale) < 1e-8
+
+
+@pytest.mark.parametrize("name", sorted(homogeneous_specs(np.random.default_rng(0), 3)))
+def test_closed_form_matches_every_linear_variant(name):
+    rng = np.random.default_rng(11)
+    specs = homogeneous_specs(rng, 3)
+    w, omega = specs["gradient_flow_omega"].weights.W, specs["gradient_flow_omega"].weights.Omega
+    assert np.abs(w @ omega - omega @ w).max() > 0.05  # a genuinely non-commuting pair
+    g = erdos_renyi(12, 0.4, 5)
+    assert_closed_form_matches(g, specs[name], rng.normal(size=(g.n, 3)), 120)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(3, 9),
+    d=st.integers(1, 3),
+    steps=st.integers(0, 80),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_closed_form_equals_iteration_property(n, d, steps, seed):
+    rng = np.random.default_rng(seed)
+    # a random spanning tree plus random chords: connected, any shape
+    edges = [(i, int(rng.integers(i))) for i in range(1, n)]
+    edges += [(int(u), int(v)) for u, v in rng.integers(n, size=(n, 2)) if u != v]
+    g = Graph(n, tuple(edges))
+    F0 = rng.normal(size=(n, d))
+    for spec in homogeneous_specs(rng, d).values():
+        assert_closed_form_matches(g, spec, F0, steps)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ModelSpec("gradient_flow", weights=WeightSet(W=[[-1.0]], Wtilde=[[0.3]])),
+        ModelSpec("label_propagation", mu=0.1),
+        ModelSpec("graff", weights=WeightSet(W=[[-1.0]], beta=0.2)),
+        ModelSpec("cgnn", OmegaTilde=[[0.2]]),
+        ModelSpec("gradient_flow_nonlinear", weights=WeightSet(W=[[-1.0]]), sigma="relu"),
+        ModelSpec("grand_linear"),
+        ModelSpec("cgnn", OmegaTilde=[[0.2, 0.5], [0.0, 0.1]], source_free=True),
+    ],
+    ids=["source", "lp-source", "graff-beta", "cgnn-source", "nonlinear", "grand",
+         "asymmetric-omega-tilde"],
+)
+def test_closed_form_refuses_specs_without_mode_form(spec):
+    F0 = np.random.default_rng(2).normal(size=(5, spec.channels or 1))
+    with pytest.raises(ConfigurationError):
+        closed_form_features(cycle(5), spec, 3, F0)
 
 
 # --- regime classification --------------------------------------------------
@@ -240,6 +328,55 @@ def test_grand_profile_means():
     assert prof.terminal is not None
     assert np.abs(prof.terminal - F0.mean(axis=0)[None, :]).max() < 1e-12
     assert prof.growth == pytest.approx(1.0)
+
+
+def test_grand_profile_is_degree_weighted_mean_on_irregular_graph():
+    # D~^-1 A~ conserves the mean weighted by deg + 1, not the plain mean
+    g = path(5)
+    F0 = np.random.default_rng(9).normal(size=(5, 2))
+    spec = ModelSpec("grand_linear", tau=0.3)
+    prof = asymptotic_profile(g, spec, F0)
+    final = run_trajectory(spec, g, F0, 3000).final.features()
+    assert np.abs(final - prof.terminal).max() < 1e-10
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ModelSpec("heat", tau=0.5),
+        ModelSpec("pde_gcn_d", KtK=[[1.0, 0.2], [0.2, 0.5]], tau=0.5),
+        ModelSpec("harmonic", weights=WeightSet(W=[[1.2, 0.3], [0.3, 0.8]]), tau=0.2),
+    ],
+    ids=["heat", "pde_gcn_d", "harmonic"],
+)
+def test_unit_dominant_factor_fills_in_terminal(spec):
+    g = erdos_renyi(8, 0.5, 73)
+    F0 = np.random.default_rng(10).normal(size=(g.n, 2))
+    prof = asymptotic_profile(g, spec, F0)
+    assert prof.label == "LFD" and prof.growth == pytest.approx(1.0, abs=1e-12)
+    final = run_trajectory(spec, g, F0, 2000).final.features()
+    assert np.abs(final - prof.terminal).max() < 1e-8
+
+
+def test_profile_covers_nonzero_omega():
+    # W = diag(-1, 0.3), Omega = diag(0, -2): the lambda = 0 mode of channel 1
+    # grows 2.15x per step against 1.40x at the top frequency, so the flow
+    # smooths although W alone says HFD
+    g = cycle(5)
+    spec = ModelSpec(
+        "gradient_flow",
+        weights=WeightSet(W=np.diag([-1.0, 0.3]), Omega=np.diag([0.0, -2.0])),
+        tau=0.5,
+    )
+    F0 = np.random.default_rng(12).normal(size=(5, 2))
+    prof = asymptotic_profile(g, spec, F0)
+    assert prof.label == "LFD"
+    assert prof.growth == pytest.approx(2.15, abs=1e-12)
+    # the rest shrinks by prof.contraction per step against the dominant mode
+    steps = int(np.ceil(np.log(1e-13) / np.log(prof.contraction)))
+    traj = run_trajectory(spec, g, F0, steps)
+    s = float(np.sign(np.sum(traj.final.direction * prof.direction)))
+    assert np.abs(traj.final.direction - s * prof.direction).max() < 1e-10
 
 
 def test_harmonic_profile_singular_w_keeps_kernel_component():

@@ -187,3 +187,56 @@ def test_full_suite_green():
     for w in verify.default_suite():
         rep = verify.run_check(w)
         assert rep.passed, f"{rep.name}: {rep.max_error} > {rep.tolerance}"
+
+
+#: The step count of every check that runs a trajectory.  Pinned so that a
+#: change in how a horizon is derived cannot change what a check tests.
+SUITE_STEPS = {
+    "closed_form_vs_trajectory_k2": 50,
+    "closed_form_vs_trajectory_er9": 80,
+    "closed_form_vs_trajectory_cycle7": 100,
+    "hfd_realized_er9": 282,
+    "rate_certified_er9": 157,
+    "hfd_realized_k55": 52,
+    "lfd_realized_er8": 70,
+    "lfd_realized_k2": 19,
+    "no_residual_lfd_cycle5": 98,
+    "no_residual_lfd_er8": 47,
+    "heat_dirichlet_monotone": 200,
+    "pde_gcn_dirichlet_monotone": 100,
+    "cgnn_never_hfd": 1106,
+    "grand_mean_limit_cycle6": 1500,
+    "omega_eq_w_conservation": 500,
+    "omega_eq_w_negative_gives_hfd": 1200,
+    "harmonic_limit_full_rank": 2500,
+    "harmonic_limit_singular": 2500,
+    "renormalization_commutes": 30,
+}
+
+
+def test_suite_step_counts_are_pinned(monkeypatch):
+    seen = {}
+    label = None
+
+    def recording(run):
+        def wrapped(spec, g, F0, steps):
+            seen.setdefault(label, []).append(int(steps))
+            return run(spec, g, F0, steps)
+        return wrapped
+
+    monkeypatch.setattr(verify, "run_trajectory", recording(verify.run_trajectory))
+    monkeypatch.setattr(verify, "trajectory_states", recording(verify.trajectory_states))
+    for w in verify.default_suite():
+        label = w.label
+        assert verify.run_check(w).passed, label
+    assert seen == {name: [steps] for name, steps in SUITE_STEPS.items()}
+
+
+def test_grand_mean_check_on_irregular_graph():
+    # path(5) is not regular: the limit is the mean weighted by deg + 1
+    w = verify.Witness(
+        check="grand_mean", label="grand_mean_path5", graph=path(5),
+        matrices={"F0": np.random.default_rng(9).normal(size=(5, 2))},
+        scalars={"tau": 0.3, "steps": 3000},
+    )
+    assert verify.run_check(w).passed
