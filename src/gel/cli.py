@@ -125,7 +125,7 @@ def run_experiment(cfg: ExperimentConfig, seed_override: int | None = None) -> i
     lines = [
         "gel experiment report",
         "=====================",
-        f"graph = {cfg.graph_label}  (n = {cfg.graph.n}, edges = {len(cfg.graph.edges)})",
+        f"graph = {cfg.graph_label}  (n = {cfg.graph.n}, edges = {cfg.graph.num_edges})",
         f"variant = {cfg.spec.variant}",
         f"tau = {_fmt(cfg.spec.tau)}",
         f"steps = {cfg.steps}",

@@ -17,7 +17,6 @@ from .errors import ConfigurationError, NumericError, ValidationError
 from .graphs import (
     Graph,
     degree_vector,
-    edge_array,
     normalized_adjacency,
     normalized_laplacian,
     spectral_decomposition,
@@ -134,8 +133,7 @@ def _edge_rows(g: Graph):
     and at the tail of each edge (one row per edge); looks up the degrees
     and edges of ``g`` once, so a loop can reuse it."""
     sqrt_deg = np.sqrt(degree_vector(g))[:, None]
-    e = edge_array(g)
-    head, tail = np.ascontiguousarray(e[:, 1]), np.ascontiguousarray(e[:, 0])
+    head, tail = np.ascontiguousarray(g.edges[:, 1]), np.ascontiguousarray(g.edges[:, 0])
 
     def rows(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         scaled = F / sqrt_deg

@@ -1,15 +1,17 @@
 """Undirected graphs, their normalized operators, and dense spectra.
 
-A :class:`Graph` canonicalizes its edges once, in bulk, into a sorted int64
-``(m, 2)`` array of ``(lo, hi)`` pairs that it keeps; the generators emit
-such arrays, and everything else here that needs the edges reads that array
-with numpy rather than walking them in Python.  ``graph_checks`` counts
-connected components by label propagation, on the graph and on its bipartite
-double cover.
+A :class:`Graph` is its node count and its edge array: it canonicalizes
+its edges once, in bulk, into ``Graph.edges``, a read-only, sorted int64
+``(m, 2)`` array of ``(lo, hi)`` pairs with ``lo < hi``.  Equality and the
+hash read that array; the generators emit such arrays, and everything else
+here that needs the edges reads it with numpy rather than walking the edges
+in Python.  Edge-list files and the graph blocks of witnesses are read by
+one line parser.  ``graph_checks`` counts connected components by label
+propagation, on the graph and on its bipartite double cover.
 
 The operators are dense and aimed at desk-scale instances (n up to a couple
-of thousand nodes): adjacency matrices are materialized as numpy arrays and
-all eigendecompositions go through ``numpy.linalg.eigh``.
+of thousand nodes): they are materialized as numpy arrays, scattered from the
+edge array, and all eigendecompositions go through ``numpy.linalg.eigh``.
 
 Operators and spectra are cached per graph, so ``Graph`` is immutable and
 hashable (the hash is computed once, so a cache lookup costs O(1), not
@@ -38,7 +40,6 @@ __all__ = [
     "erdos_renyi",
     "adjacency_matrix",
     "degree_vector",
-    "edge_array",
     "normalized_adjacency",
     "normalized_laplacian",
     "spectral_decomposition",
@@ -53,7 +54,7 @@ SYMMETRY_TOL = 1e-12
 SPECTRAL_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """A simple undirected graph on nodes ``0 .. n-1``.
 
@@ -64,12 +65,13 @@ class Graph:
     edges : iterable of (int, int), or an (m, 2) integer array
         Undirected edges.  Node ids must be whole numbers (``1.0`` is node
         1).  Pairs are canonicalized to ``u < v``, duplicates collapse, and
-        self-loops are rejected.  ``edges`` becomes the sorted tuple of
-        ``(u, v)`` int pairs; :func:`edge_array` gives them as an array.
+        self-loops are rejected.  ``edges`` becomes the read-only int64
+        ``(m, 2)`` array of the ``(u, v)`` pairs in sorted order; equality
+        and the hash read ``(n, edges)``.
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
+    edges: np.ndarray
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool):
@@ -82,16 +84,20 @@ class Graph:
         arr = _canonical_edges(n, _pair_rows(n, self.edges))
         arr.setflags(write=False)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(zip(arr[:, 0].tolist(), arr[:, 1].tolist())))
-        object.__setattr__(self, "_edge_array", arr)
-        object.__setattr__(self, "_hash", hash((self.n, self.edges)))
+        object.__setattr__(self, "edges", arr)
+        object.__setattr__(self, "_hash", hash((n, arr.tobytes())))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.edges, other.edges)
 
     def __hash__(self) -> int:
         return self._hash
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return self.edges.shape[0]
 
     def __repr__(self) -> str:  # keep reprs short; edge lists can be long
         return f"Graph(n={self.n}, m={self.num_edges})"
@@ -210,13 +216,21 @@ def from_edge_list(text: str) -> Graph:
     """Parse an edge-list document into a :class:`Graph`.
 
     Format: one ``u v`` pair per line, ``#`` starts a comment, blank lines are
-    skipped, and an optional ``n <count>`` header line fixes the node count
-    (otherwise it is ``max index + 1``).  Errors carry 1-based line numbers.
+    skipped, and an optional ``n <count>`` header line, before all edges,
+    fixes the node count (otherwise it is ``max index + 1``).  A header with
+    no edges gives an edgeless graph; a document with neither is a parse
+    error.  Errors carry 1-based line numbers.
     """
+    return _parse_edge_lines(enumerate(text.splitlines(), start=1))
+
+
+def _parse_edge_lines(numbered_lines) -> Graph:
+    """The graph of an edge-list body given as ``(line number, text)`` pairs
+    (the format of :func:`from_edge_list`); errors name those line numbers."""
     n_declared: int | None = None
     edges: list[tuple[int, int]] = []
     max_node = -1
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in numbered_lines:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -255,10 +269,9 @@ def from_edge_list(text: str) -> Graph:
             )
         edges.append((u, v))
         max_node = max(max_node, u, v)
-    if not edges:
-        raise ParseError("edge list is empty: no 'u v' lines found")
-    n = n_declared if n_declared is not None else max_node + 1
-    return Graph(n=n, edges=tuple(edges))
+    if n_declared is None and not edges:
+        raise ParseError("edge list is empty: no 'n' header and no 'u v' lines found")
+    return Graph(n=max_node + 1 if n_declared is None else n_declared, edges=edges)
 
 
 # ---------------------------------------------------------------------------
@@ -325,27 +338,26 @@ def _require_positive(value: int, name: str) -> None:
 # dense operators
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=512)
 def adjacency_matrix(g: Graph) -> np.ndarray:
-    """Dense 0/1 adjacency matrix of ``g`` (read-only)."""
+    """Dense 0/1 adjacency matrix of ``g`` (a new array on every call)."""
+    return _scatter(g, 1.0)
+
+
+def _scatter(g: Graph, weights) -> np.ndarray:
+    """The symmetric n x n matrix with ``weights`` (one per edge, or one for
+    all) at both ``(u, v)`` and ``(v, u)`` of each edge, zero elsewhere."""
     a = np.zeros((g.n, g.n))
-    e = edge_array(g)
-    a[e[:, 0], e[:, 1]] = 1.0
-    a[e[:, 1], e[:, 0]] = 1.0
-    a.setflags(write=False)
+    u, v = g.edges[:, 0], g.edges[:, 1]
+    a[u, v] = weights
+    a[v, u] = weights
     return a
 
 
 @lru_cache(maxsize=512)
 def degree_vector(g: Graph) -> np.ndarray:
-    d = np.bincount(edge_array(g).ravel(), minlength=g.n).astype(float)
+    d = np.bincount(g.edges.ravel(), minlength=g.n).astype(float)
     d.setflags(write=False)
     return d
-
-
-def edge_array(g: Graph) -> np.ndarray:
-    """Edges as an (m, 2) int64 array, rows sorted, u < v (read-only)."""
-    return g._edge_array
 
 
 @lru_cache(maxsize=512)
@@ -363,7 +375,7 @@ def normalized_adjacency(g: Graph) -> np.ndarray:
             "normalized operators require minimum degree 1"
         )
     inv_sqrt = 1.0 / np.sqrt(d)
-    bar_a = adjacency_matrix(g) * np.outer(inv_sqrt, inv_sqrt)
+    bar_a = _scatter(g, inv_sqrt[g.edges[:, 0]] * inv_sqrt[g.edges[:, 1]])
     bar_a.setflags(write=False)
     return bar_a
 
@@ -465,8 +477,7 @@ def graph_checks(g: Graph) -> GraphChecks:
     a component in two iff that component is bipartite, so ``g`` is
     bipartite iff the cover has twice as many components.
     """
-    e = edge_array(g)
-    u, v = e[:, 0], e[:, 1]
+    u, v = g.edges[:, 0], g.edges[:, 1]
     components = _count_components(g.n, u, v)
     cover = _count_components(
         2 * g.n, np.concatenate((u, u + g.n)), np.concatenate((v + g.n, v))

@@ -40,9 +40,9 @@ from .errors import (
     HypothesisError,
     NumericError,
     RegimeError,
+    ValidationError,
 )
 from .graphs import (
-    SYMMETRY_TOL,
     Graph,
     SpectralPair,
     degree_vector,
@@ -50,6 +50,7 @@ from .graphs import (
     laplacian_spectrum,
     require_connected,
     spectral_decomposition,
+    square_matrix,
 )
 
 __all__ = [
@@ -163,13 +164,15 @@ def _modes(g: Graph, spec: ModelSpec, feats: np.ndarray) -> _Modes:
                 f"variant {spec.variant!r} steps with its own operator, not "
                 "a function of the normalized Laplacian; it has no mode-wise form"
             )
-        m = factor * np.eye(d) if np.ndim(factor) == 0 else np.asarray(factor)
-        if float(np.abs(m - m.T).max()) > SYMMETRY_TOL * max(1.0, float(np.abs(m).max())):
+        try:
+            m = square_matrix(factor * np.eye(d) if np.ndim(factor) == 0 else factor,
+                              "channel factor", symmetric=True)
+        except ValidationError:
             raise ConfigurationError(
                 f"variant {spec.variant!r} has a non-symmetric channel factor; "
                 "the mode-wise form needs symmetric ones"
-            )
-        stack += spec.tau * per_op[op][:, None, None] * (0.5 * (m + m.T))
+            ) from None
+        stack += spec.tau * per_op[op][:, None, None] * m
     factors, vectors = np.linalg.eigh(stack)
     coeff = np.einsum("lk,lkj->lj", lap.eigenvectors.T @ feats, vectors)
     return _Modes(lap, factors, vectors, coeff)

@@ -28,6 +28,7 @@ from .energy import WeightSet, as_features, dirichlet_energy, parametric_energy
 from .errors import NumericError, ParseError, ValidationError
 from .graphs import (
     Graph,
+    _parse_edge_lines,
     degree_vector,
     graph_checks,
     laplacian_spectrum,
@@ -102,7 +103,12 @@ class Witness:
         return default
 
     def count(self, name: str, default: int | None = None) -> int:
-        return int(round(self.scalar(name, default)))
+        value = self.scalar(name, default)
+        if not (math.isfinite(value) and float(value).is_integer()):
+            raise ValidationError(
+                f"check {self.check!r}: scalar {name!r} must be a whole number, got {value!r}"
+            )
+        return int(value)
 
 
 def _report(
@@ -700,7 +706,7 @@ def serialize_witness(w: Witness) -> str:
     if w.graph is not None:
         lines.append("graph")
         lines.append(f"n {w.graph.n}")
-        for u, v in w.graph.edges:
+        for u, v in w.graph.edges.tolist():
             lines.append(f"{u} {v}")
         lines.append("end")
     for name in sorted(w.matrices):
@@ -740,36 +746,13 @@ def parse_witness(text: str) -> Witness:
         elif kind == "label":
             label = line.split(None, 1)[1] if len(tokens) > 1 else ""
         elif kind == "graph":
-            n = None
-            edges = []
-            while i < len(lines):
-                row = lines[i].strip()
-                rowno = i + 1
+            start = i
+            while i < len(lines) and lines[i].strip() != "end":
                 i += 1
-                if row == "end":
-                    break
-                parts = row.split()
-                if parts and parts[0] == "n" and len(parts) == 2:
-                    try:
-                        n = int(parts[1])
-                    except ValueError:
-                        raise ParseError(
-                            f"line {rowno}: node count {parts[1]!r} is not an integer"
-                        ) from None
-                elif len(parts) == 2:
-                    try:
-                        edges.append((int(parts[0]), int(parts[1])))
-                    except ValueError:
-                        raise ParseError(
-                            f"line {rowno}: bad edge line {row!r}"
-                        ) from None
-                else:
-                    raise ParseError(f"line {rowno}: bad graph line {row!r}")
-            else:
+            if i == len(lines):
                 raise ParseError(f"line {lineno}: graph block missing 'end'")
-            if n is None:
-                n = max((max(u, v) for u, v in edges), default=-1) + 1
-            graph = Graph(n=n, edges=tuple(edges))
+            graph = _parse_edge_lines(enumerate(lines[start:i], start=start + 1))
+            i += 1
         elif kind == "matrix":
             if len(tokens) != 4:
                 raise ParseError(f"line {lineno}: bad matrix header {line!r}")

@@ -296,8 +296,9 @@ def test_08_comparison_models():
                       "F0": rng.normal(size=(g.n, d))},
                      {"tau": 0.05})
         )
-    # the mean-limit statement is exact on regular graphs (see ledger):
-    # cycles and balanced complete bipartite graphs are regular and connected
+    # on any connected graph the flow tends to the mean weighted by deg + 1,
+    # the stationary law of the self-loop-augmented random walk; these
+    # graphs are connected (and regular, where that mean is the plain one)
     for i, (g, steps) in enumerate(
         [(cycle(6), 2500), (cycle(9), 6000), (complete_bipartite(4, 4), 800)]
     ):

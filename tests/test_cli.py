@@ -316,6 +316,15 @@ def test_replay_malformed_witness_exit_codes(workdir, capsys, body, code, needle
     assert needle in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("steps", ["inf", "nan", "2.5"])
+def test_replay_rejects_a_step_count_that_is_not_a_whole_number(workdir, capsys, steps):
+    body = _GRAPH_BLOCK + f"matrix F0 3 1\n1\n0\n0\nend\nscalar tau 0.1\nscalar steps {steps}\n"
+    path = write(workdir / "w.txt", "gel-witness 1\ncheck heat_monotone\n" + body)
+    assert main(["replay", path]) == 3
+    err = capsys.readouterr().err
+    assert "'steps'" in err and "whole number" in err and "Traceback" not in err
+
+
 # --- csv formatting ---------------------------------------------------------
 
 def test_trajectory_csv_roundtrips_floats():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from gel.graphs import (
 
 def test_edges_are_canonicalized():
     g = Graph(3, ((2, 0), (1, 0)))
-    assert g.edges == ((0, 1), (0, 2))
+    assert np.array_equal(g.edges, [[0, 1], [0, 2]])
 
 
 def test_self_loop_rejected():
@@ -47,8 +49,8 @@ def test_non_whole_node_id_rejected_naming_the_edge(edges):
 
 def test_whole_node_ids_of_any_numeric_type_accepted():
     g = Graph(3, ((np.int64(2), 1.0), (np.int32(0), 1), [2.0, 0]))
-    assert g.edges == ((0, 1), (0, 2), (1, 2))
-    assert all(type(x) is int for pair in g.edges for x in pair)
+    assert np.array_equal(g.edges, [[0, 1], [0, 2], [1, 2]])
+    assert g.edges.dtype == np.int64 and not g.edges.flags.writeable
 
 
 @pytest.mark.parametrize(
@@ -88,12 +90,33 @@ def test_complete_bipartite_degrees():
 def test_erdos_renyi_deterministic_and_connected():
     g1 = erdos_renyi(12, 0.3, 7)
     g2 = erdos_renyi(12, 0.3, 7)
-    assert g1.edges == g2.edges
+    assert np.array_equal(g1.edges, g2.edges)
     assert graph_checks(g1).connected
 
 
 def test_erdos_renyi_differs_across_seeds():
-    assert erdos_renyi(12, 0.3, 7).edges != erdos_renyi(12, 0.3, 8).edges
+    assert not np.array_equal(erdos_renyi(12, 0.3, 7).edges, erdos_renyi(12, 0.3, 8).edges)
+
+
+def test_graph_holds_only_its_edge_array():
+    complete_bipartite(2, 2)  # warm up imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        g = complete_bipartite(300, 300)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.edges.nbytes == 90_000 * 2 * 8
+    assert held < 3_000_000
+    assert g.edges.dtype == np.int64 and not g.edges.flags.writeable
+
+
+def test_graph_equality_and_hash_read_the_edge_array():
+    g = Graph(4, ((3, 2), (0, 1)))
+    assert g == Graph(4, np.array([[0, 1], [2, 3], [1, 0]]))
+    assert hash(g) == hash(Graph(4, [(0, 1), (2, 3)]))
+    assert g != Graph(5, ((0, 1), (2, 3))) and g != Graph(4, ((0, 1),))
+    assert g.__eq__(((0, 1), (2, 3))) is NotImplemented
 
 
 # --- edge-list parsing ------------------------------------------------------
@@ -116,6 +139,11 @@ def test_from_edge_list_reports_line_numbers():
 def test_from_edge_list_rejects_empty():
     with pytest.raises(ParseError):
         from_edge_list("# nothing here\n")
+
+
+def test_from_edge_list_header_alone_gives_an_edgeless_graph():
+    g = from_edge_list("# no edges yet\nn 4\n")
+    assert g.n == 4 and g.num_edges == 0
 
 
 def test_from_edge_list_header_after_edges_rejected():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from gel.energy import WeightSet
 from gel.errors import (
     ConfigurationError,
     DegenerateInputError,
+    GelError,
     HypothesisError,
     RegimeError,
     ValidationError,
@@ -166,6 +169,27 @@ def test_closed_form_refuses_specs_without_mode_form(spec):
     F0 = np.random.default_rng(2).normal(size=(5, spec.channels or 1))
     with pytest.raises(ConfigurationError):
         closed_form_features(cycle(5), spec, 3, F0)
+
+
+def test_huge_antisymmetric_channel_factor_is_refused_without_overflow():
+    spec = ModelSpec("cgnn", OmegaTilde=[[0.0, 1e308], [-1e308, 0.0]], source_free=True)
+    F0 = np.random.default_rng(2).normal(size=(5, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ConfigurationError, match="non-symmetric channel factor"):
+            closed_form_features(cycle(5), spec, 3, F0)
+
+
+def test_huge_symmetric_channel_factor_gives_a_finite_state_or_a_gel_error():
+    spec = ModelSpec("cgnn", OmegaTilde=[[1e308, 0.0], [0.0, 0.0]], source_free=True)
+    F0 = np.random.default_rng(2).normal(size=(5, 2))
+    for predict in (lambda: closed_form_features(cycle(5), spec, 3, F0).direction,
+                    lambda: asymptotic_profile(cycle(5), spec, F0).direction):
+        try:
+            state = predict()
+        except GelError:
+            continue
+        assert np.all(np.isfinite(state))
 
 
 # --- regime classification --------------------------------------------------

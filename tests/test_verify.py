@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import gel.verify as verify
 from gel.energy import WeightSet
 from gel.errors import NumericError, ParseError, ValidationError
-from gel.graphs import complete_bipartite, cycle, erdos_renyi, path
+from gel.graphs import Graph, complete_bipartite, cycle, erdos_renyi, path
 
 
 # --- oracles ----------------------------------------------------------------
@@ -130,6 +133,61 @@ def test_parse_witness_reports_line_numbers():
     broken = text.replace("matrix W 2 2", "matrix W 2 3", 1)
     with pytest.raises(ParseError, match="line"):
         verify.parse_witness(broken)
+
+
+def test_parse_witness_reports_the_line_of_a_bad_graph_edge():
+    text = verify.serialize_witness(_sample_witness())
+    lines = text.splitlines()
+    bad = lines.index("n 5") + 2  # the first edge line, 1-based
+    lines[bad - 1] = "0 x"
+    with pytest.raises(ParseError, match=f"line {bad}: non-integer node id"):
+        verify.parse_witness("\n".join(lines) + "\n")
+
+
+def test_parse_witness_rejects_an_empty_graph_block():
+    with pytest.raises(ParseError, match="empty"):
+        verify.parse_witness("gel-witness 1\ncheck x\ngraph\nend\n")
+
+
+_names = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,7}", fullmatch=True)
+_words = st.lists(_names, min_size=1, max_size=3).map(" ".join)
+
+
+@st.composite
+def witnesses(draw):
+    """A witness with a random small graph (possibly edgeless, possibly
+    absent), random matrices, scalars and tags."""
+    graph = None
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 8))
+        node = st.integers(0, n - 1)
+        pairs = draw(st.lists(st.tuples(node, node).filter(lambda p: p[0] != p[1]), max_size=12))
+        graph = Graph(n, pairs)
+    value = st.floats(allow_nan=False)
+    matrix = hnp.arrays(float, hnp.array_shapes(min_dims=2, max_dims=2, max_side=3), elements=value)
+    return verify.Witness(
+        check=draw(_names),
+        label=draw(_words),
+        graph=graph,
+        matrices=draw(st.dictionaries(_names, matrix, max_size=3)),
+        scalars=draw(st.dictionaries(_names, value, max_size=3)),
+        tags=draw(st.dictionaries(_names, _words, max_size=3)),
+    )
+
+
+@settings(deadline=None)
+@given(witnesses())
+def test_witness_roundtrip_property(w):
+    back = verify.parse_witness(verify.serialize_witness(w))
+    assert (back.check, back.label) == (w.check, w.label)
+    assert back.graph == w.graph
+    if w.graph is not None:
+        assert hash(back.graph) == hash(w.graph)
+    assert back.matrices.keys() == w.matrices.keys()
+    for k in w.matrices:
+        assert np.array_equal(back.matrices[k], w.matrices[k])
+    assert back.scalars == w.scalars
+    assert back.tags == w.tags
 
 
 def test_parse_witness_rejects_unknown_directive():
