@@ -2,7 +2,8 @@
 verification battery, and witness replay.
 
 Exit codes: 0 success, 1 failed checks/assertions, 2 parse errors,
-3 validation/configuration errors, 4 numeric errors, 5 I/O errors.
+3 validation/configuration errors, 4 numeric errors (an allocation that
+fails for want of memory included), 5 I/O errors.
 Identical config + seed produces byte-identical CSV and report output;
 the environment variable ``GEL_SEED`` overrides the configured seed.
 """
@@ -25,7 +26,7 @@ from .errors import (
     GelIOError,
     ValidationError,
 )
-from .graphs import Graph, complete_bipartite, laplacian_spectrum
+from .graphs import Graph, check_seed, complete_bipartite, extreme_spectrum
 from .spectral import RegimeReport, asymptotic_profile, classify_regime
 from .verify import _fmt
 
@@ -110,7 +111,7 @@ def run_experiment(cfg: ExperimentConfig, seed_override: int | None = None) -> i
     """Run one configured experiment and write CSV, SVG, and report."""
     F0 = cfg.initial_features(seed_override)
     traj = run_trajectory(cfg.spec, cfg.graph, F0, cfg.steps)
-    lam_max = float(laplacian_spectrum(cfg.graph).eigenvalues[-1])
+    lam_max = extreme_spectrum(cfg.graph).lambda_max
 
     _write_text(cfg.csv_path, trajectory_csv(traj))
     svg = plotting.line_plot(
@@ -197,8 +198,8 @@ def preset_bipartite_demo(
     if a < 2 or b < 2:
         raise ValidationError(f"both parts need >= 2 nodes, got ({a}, {b})")
     g = complete_bipartite(a, b)
-    F0 = np.random.default_rng(seed).standard_normal((g.n, 1))
-    lam_max = float(laplacian_spectrum(g).eigenvalues[-1])
+    F0 = np.random.default_rng(check_seed(seed, "seed")).standard_normal((g.n, 1))
+    lam_max = extreme_spectrum(g).lambda_max
 
     spec_gf = ModelSpec("gradient_flow", weights=WeightSet(W=[[w_entry]]), tau=tau)
     spec_heat = ModelSpec("heat", tau=tau)
@@ -405,6 +406,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"gel: i/o error: {exc}", file=sys.stderr)
         return 5
+    except MemoryError as exc:
+        print(f"gel: error: out of memory: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -29,7 +29,15 @@ import numpy as np
 from .dynamics import ModelSpec
 from .energy import WeightSet
 from .errors import ConfigurationError, GelIOError, ParseError, ValidationError
-from .graphs import Graph, complete_bipartite, cycle, erdos_renyi, from_edge_list, path
+from .graphs import (
+    Graph,
+    check_seed,
+    complete_bipartite,
+    cycle,
+    erdos_renyi,
+    from_edge_list,
+    path,
+)
 
 _KEY_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _CALL_RE = re.compile(r"^([a-z_]+)\((.*)\)$")
@@ -75,6 +83,7 @@ class ExperimentConfig:
         n, d = self.graph.n, self.d
         if self.init_kind == "random_normal":
             seed = int(self.init_arg) if seed_override is None else seed_override
+            seed = check_seed(seed, "the random_normal seed")
             return np.random.default_rng(seed).standard_normal((n, d))
         if self.init_kind == "one_hot":
             node = int(self.init_arg)

@@ -70,6 +70,7 @@ from .energy import (
 from .errors import ConfigurationError, NumericError, ValidationError
 from .graphs import (
     Graph,
+    _require_memory,
     adjacency_matrix,
     degree_vector,
     normalized_adjacency,
@@ -497,6 +498,7 @@ def run_trajectory(spec: ModelSpec, g: Graph, F0, steps: int) -> Trajectory:
     states = trajectory_states(spec, g, F0, steps)
     reference = as_features(g, F0)  # source / clamping reference, in raw units
     count = int(steps) + 1
+    _require_memory(4 * 8 * count, f"the CSV columns of {count} states")
     rayleigh, dirichlet, energy, log_scale = (np.empty(count) for _ in range(4))
     energy_of = spec._update.energy
     edge_rows = _edge_rows(g)

@@ -1,4 +1,4 @@
-"""Undirected graphs, their normalized operators, and dense spectra.
+"""Undirected graphs, their normalized operators, and their spectra.
 
 A :class:`Graph` is its node count and its edge array: it canonicalizes
 its edges once, in bulk, into ``Graph.edges``, a read-only, sorted int64
@@ -11,7 +11,14 @@ propagation, on the graph and on its bipartite double cover.
 
 The operators are dense and aimed at desk-scale instances (n up to a couple
 of thousand nodes): they are materialized as numpy arrays, scattered from the
-edge array, and all eigendecompositions go through ``numpy.linalg.eigh``.
+edge array.  ``laplacian_spectrum`` is the full, checked ``numpy.linalg.eigh``
+of the normalized Laplacian.  ``extreme_spectrum`` gives only its two ends,
+the eigenpairs at 0 and at lambda_max and the next eigenvalue inward from
+each, from a Lanczos iteration on an O(m) edge product; residual bounds and
+one dense Cholesky per end certify that no eigenvalue was missed, and a
+failed certificate falls back to the full decomposition.  A dense array
+larger than the machine's physical memory is refused with a ``NumericError``
+before it is allocated.
 
 Operators and spectra are cached per graph, so ``Graph`` is immutable and
 hashable (the hash is computed once, so a cache lookup costs O(1), not
@@ -21,6 +28,7 @@ O(m)); cached arrays are returned read-only.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -32,6 +40,7 @@ from .errors import NumericError, ParseError, ValidationError
 __all__ = [
     "Graph",
     "SpectralPair",
+    "SpectrumEnds",
     "GraphChecks",
     "from_edge_list",
     "complete_bipartite",
@@ -44,6 +53,7 @@ __all__ = [
     "normalized_laplacian",
     "spectral_decomposition",
     "laplacian_spectrum",
+    "extreme_spectrum",
     "graph_checks",
 ]
 
@@ -52,6 +62,9 @@ SYMMETRY_TOL = 1e-12
 
 #: Orthonormality / reconstruction tolerance for eigendecompositions.
 SPECTRAL_TOL = 1e-10
+
+#: Eigenvalues closer than this are treated as tied (degenerate).
+TIE_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,6 +216,38 @@ class SpectralPair:
     eigenvectors: np.ndarray
 
 
+class SpectrumEnds(NamedTuple):
+    """Both ends of a normalized Laplacian's spectrum.
+
+    ``bottom`` holds the eigenvalues within ``TIE_TOL`` of the smallest one
+    (just 0, with eigenvector ``sqrt(deg) / |sqrt(deg)|``, on a connected
+    graph) and an orthonormal basis of their eigenvectors; ``top`` the same
+    at lambda_max.  ``lambda_2`` is the smallest eigenvalue above the bottom
+    cluster and ``below_top`` the largest below the top cluster; when no
+    eigenvalue lies between the clusters, lambda_2 belongs to the top one and
+    below_top to the bottom one.  ``certified`` is False when the ends were
+    read off ``laplacian_spectrum``.
+    """
+
+    bottom: SpectralPair
+    top: SpectralPair
+    lambda_2: float
+    below_top: float
+    certified: bool
+
+    @property
+    def lambda_max(self) -> float:
+        return float(self.top.eigenvalues[-1])
+
+    @property
+    def interior(self) -> np.ndarray:
+        """The ends of the interval holding every eigenvalue between the two
+        clusters, or no values when there is none."""
+        if self.lambda_2 > self.below_top:
+            return np.empty(0)
+        return np.array([self.lambda_2, self.below_top])
+
+
 class GraphChecks(NamedTuple):
     connected: bool
     bipartite: bool
@@ -316,9 +361,13 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
         raise ValidationError(f"erdos_renyi needs n >= 2, got {n!r}")
     if not 0.0 < p <= 1.0:
         raise ValidationError(f"edge probability must be in (0, 1], got {p!r}")
+    seed = check_seed(seed, "erdos_renyi seed")
+    pairs = n * (n - 1) // 2
+    # two int64 indices, one float64 draw and one mask byte per candidate pair
+    _require_memory(25 * pairs, f"the {pairs} candidate pairs of erdos_renyi({n}, ...)")
     iu, ju = np.triu_indices(n, k=1)
     for attempt in range(100):
-        rng = np.random.default_rng(int(seed) + attempt)
+        rng = np.random.default_rng(seed + attempt)
         mask = rng.random(iu.size) < p
         g = Graph(n=int(n), edges=np.stack((iu[mask], ju[mask]), axis=1))
         if graph_checks(g).connected:
@@ -334,6 +383,31 @@ def _require_positive(value: int, name: str) -> None:
         raise ValidationError(f"{name} must be a positive integer, got {value!r}")
 
 
+def check_seed(seed, what: str) -> int:
+    """``seed`` as an int if it is a non-negative whole number, as numpy's
+    generators need; anything else is a ``ValidationError`` naming ``what``."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"{what} must be a non-negative integer, got {seed!r}")
+    return int(seed)
+
+
+def _physical_memory() -> float:
+    try:
+        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, ValueError, OSError):  # no sysconf: nothing to compare with
+        return math.inf
+
+
+def _require_memory(nbytes: int, what: str) -> None:
+    """Raise a ``NumericError`` naming ``what`` when it needs more bytes than
+    the machine's physical memory, before anything is allocated."""
+    if nbytes > _physical_memory():
+        raise NumericError(
+            f"{what} needs {nbytes / 2**30:.3g} GiB, more than the "
+            f"{_physical_memory() / 2**30:.3g} GiB of physical memory"
+        )
+
+
 # ---------------------------------------------------------------------------
 # dense operators
 # ---------------------------------------------------------------------------
@@ -346,6 +420,7 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
 def _scatter(g: Graph, weights) -> np.ndarray:
     """The symmetric n x n matrix with ``weights`` (one per edge, or one for
     all) at both ``(u, v)`` and ``(v, u)`` of each edge, zero elsewhere."""
+    _require_memory(8 * g.n * g.n, f"a dense {g.n} x {g.n} matrix")
     a = np.zeros((g.n, g.n))
     u, v = g.edges[:, 0], g.edges[:, 1]
     a[u, v] = weights
@@ -367,6 +442,14 @@ def normalized_adjacency(g: Graph) -> np.ndarray:
     Raises a validation error naming the first isolated node, since the
     normalization divides by sqrt(degree).
     """
+    bar_a = _scatter(g, _edge_weights(g))
+    bar_a.setflags(write=False)
+    return bar_a
+
+
+def _edge_weights(g: Graph) -> np.ndarray:
+    """The entry ``1 / sqrt(deg_u deg_v)`` of D^{-1/2} A D^{-1/2} for each edge;
+    an isolated node is a validation error."""
     d = degree_vector(g)
     isolated = np.flatnonzero(d == 0)
     if isolated.size:
@@ -375,9 +458,7 @@ def normalized_adjacency(g: Graph) -> np.ndarray:
             "normalized operators require minimum degree 1"
         )
     inv_sqrt = 1.0 / np.sqrt(d)
-    bar_a = _scatter(g, inv_sqrt[g.edges[:, 0]] * inv_sqrt[g.edges[:, 1]])
-    bar_a.setflags(write=False)
-    return bar_a
+    return inv_sqrt[g.edges[:, 0]] * inv_sqrt[g.edges[:, 1]]
 
 
 @lru_cache(maxsize=512)
@@ -464,6 +545,208 @@ def laplacian_spectrum(g: Graph) -> SpectralPair:
     return spectral_decomposition(normalized_laplacian(g))
 
 
+#: Lanczos steps before the iteration gives up and the full decomposition
+#: runs: 400 steps that do not converge on cycle(1001) cost about as much
+#: as its full decomposition.
+_LANCZOS_STEPS = 400
+
+#: Residual norm at which a Ritz pair counts as converged.
+_RESIDUAL_TOL = 1e-12
+
+
+@lru_cache(maxsize=512)
+def extreme_spectrum(g: Graph) -> SpectrumEnds:
+    """Both ends of the normalized Laplacian's spectrum, certified, without
+    a full decomposition (see :class:`SpectrumEnds`).
+
+    On a connected graph the kernel vector ``phi0 = sqrt(deg) / |sqrt(deg)|``
+    is known, and on a connected bipartite one so is lambda_max = 2, whose
+    vector is phi0 with its sign flipped on one colour class.  A Lanczos
+    iteration with full reorthogonalization on the complement of these finds
+    the rest of both ends from a fixed start vector.  It stops once their
+    residual estimates fall below ``_RESIDUAL_TOL`` or the Krylov space is
+    invariant.  Each end is then certified in two steps:
+
+    - The pairs of the end's cluster and of the next eigenvalue inward have
+      residuals R.  As many eigenvalues lie within ``rho = sqrt(2) |R|_F``
+      of their values (Kahan's theorem; Parlett, *The Symmetric Eigenvalue
+      Problem*, 11.5).
+    - A dense Cholesky factorization of ``sigma I - L + c V V^T`` (top end;
+      ``L - sigma I + c V V^T`` at the bottom), with V the cluster's vectors
+      and sigma just past the next eigenvalue, proves by Weyl's interlacing
+      that at most ``rank V`` eigenvalues lie beyond sigma.  sigma is shifted
+      by a bound on the factorization's rounding error.
+
+    Together the two steps show that each cluster is complete and that no
+    eigenvalue lies between it and the next one.  A disconnected graph, an
+    iteration that does not converge in ``_LANCZOS_STEPS`` steps or a
+    failed certificate gives the ends of ``laplacian_spectrum`` instead.
+    A multiple lambda_max on a non-bipartite graph always fails: a single
+    start vector sees one copy.
+    """
+    _require_memory(8 * g.n * g.n, f"a dense {g.n} x {g.n} matrix")
+    checks = graph_checks(g)
+    if checks.connected:
+        ends = _certified_ends(g, checks.bipartite)
+        if ends is not None:
+            return ends
+    return _ends_of(laplacian_spectrum(g))
+
+
+def _ends_of(pair: SpectralPair) -> SpectrumEnds:
+    """The ends of a full decomposition, with the clusters of ``SpectrumEnds``."""
+    lam, vectors = pair.eigenvalues, pair.eigenvectors
+    low = lam <= lam[0] + TIE_TOL
+    high = lam >= lam[-1] - TIE_TOL
+    return SpectrumEnds(
+        bottom=_frozen_pair(lam[low], vectors[:, low]),
+        top=_frozen_pair(lam[high], vectors[:, high]),
+        lambda_2=float(lam[~low][0]),
+        below_top=float(lam[~high][-1]),
+        certified=False,
+    )
+
+
+def _frozen_pair(values: np.ndarray, vectors: np.ndarray) -> SpectralPair:
+    values.setflags(write=False)
+    vectors.setflags(write=False)
+    return SpectralPair(eigenvalues=values, eigenvectors=vectors)
+
+
+def _certified_ends(g: Graph, bipartite: bool) -> SpectrumEnds | None:
+    n = g.n
+    weights = _edge_weights(g)
+    u, v = g.edges[:, 0], g.edges[:, 1]
+
+    def lap(x: np.ndarray) -> np.ndarray:
+        """L x = x - A_hat x, as two sums over the edges: O(n + m)."""
+        return (x - np.bincount(u, weights * x[v], minlength=n)
+                - np.bincount(v, weights * x[u], minlength=n))
+
+    sqrt_deg = np.sqrt(degree_vector(g))
+    phi0 = sqrt_deg / np.linalg.norm(sqrt_deg)
+    known_values, known = [0.0], [phi0]
+    if bipartite:
+        # nodes whose cover label is 0 share node 0's colour class
+        known_values.append(2.0)
+        known.append(np.where(_cover_labels(g)[:n] == 0, phi0, -phi0))
+    found = _lanczos(lap, np.array(known_values), np.array(known))
+    if found is None:
+        return None
+    bottom = _certified_end(g, weights, lap, *found[0], side=-1)
+    top = _certified_end(g, weights, lap, *found[1], side=1)
+    if bottom is None or top is None:
+        return None
+    return SpectrumEnds(
+        bottom=bottom[0], top=top[0], lambda_2=bottom[1], below_top=top[1], certified=True
+    )
+
+
+def _lanczos(lap, known_values: np.ndarray, known: np.ndarray):
+    """Lanczos on L restricted to the complement of the rows of ``known``
+    (exact eigenvectors with eigenvalues ``known_values``), with full
+    reorthogonalization.
+
+    Returns, for the bottom and then the top end, the ascending values and
+    the ``(n, p)`` vectors of the end's cluster plus the next eigenvalue
+    inward, merged from the known pairs and the Ritz pairs; or None when
+    those Ritz pairs have not converged within ``_LANCZOS_STEPS`` steps.
+    """
+    n = known.shape[1]
+    steps = min(n - known.shape[0], _LANCZOS_STEPS)
+    basis = np.empty((steps, n))
+    diag, off = np.empty(steps), np.empty(steps)
+    q = np.random.default_rng(0).standard_normal(n)
+    check = 10
+    for j in range(steps + 1):
+        for _ in range(2):  # Gram-Schmidt twice keeps the basis orthonormal
+            q -= (basis[:j] @ q) @ basis[:j]
+            q -= (known @ q) @ known
+        beta = float(np.linalg.norm(q))
+        if j > 0:
+            off[j - 1] = beta
+        # a beta this small means the Krylov space is (numerically) invariant
+        last = j == steps or beta <= _RESIDUAL_TOL
+        if last or j == check:
+            check += max(10, j // 5)  # each check is a dense j x j eigh
+            ends = _converged_ends(known_values, diag[:j], off[: j - 1], beta)
+            if ends is not None:
+                values, ritz, picks = ends
+                vectors = np.concatenate((known, ritz.T @ basis[:j]))
+                return [(values[idx], vectors[idx].T) for idx in picks]
+            if last:
+                return None
+        q /= beta
+        basis[j] = q
+        q = lap(q)
+        diag[j] = float(basis[j] @ q)
+    return None
+
+
+def _converged_ends(known_values, diag, off, beta):
+    """The merged known and Ritz values, the Ritz vectors of the tridiagonal
+    matrix, and the indices of the two ends (each cluster plus the next value
+    inward, ascending), if every pair in the ends has a residual estimate
+    ``|beta s_last|`` within ``_RESIDUAL_TOL``; else None."""
+    tri = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    theta, ritz = np.linalg.eigh(tri)
+    values = np.concatenate((known_values, theta))
+    estimates = np.abs(beta * ritz[-1]) if theta.size else theta
+    residuals = np.concatenate((np.zeros(known_values.size), estimates))
+    order = np.argsort(values, kind="stable")
+    low = int(np.count_nonzero(values <= values[order[0]] + TIE_TOL))
+    high = int(np.count_nonzero(values >= values[order[-1]] - TIE_TOL))
+    if low == values.size:  # one cluster: nothing is known beyond it yet
+        return None
+    picks = (order[: low + 1], order[values.size - high - 1:])
+    if any(float(residuals[idx].max()) > _RESIDUAL_TOL for idx in picks):
+        return None
+    return values, ritz, picks
+
+
+def _certified_end(g: Graph, weights, lap, values, vectors, side: int):
+    """Certify one end from its ascending ``values`` and their ``vectors``:
+    at the top (``side = 1``) the first is the next eigenvalue below the
+    cluster, at the bottom (``side = -1``) the last is the next one above.
+    Returns the cluster's pairs, signs fixed, and that next value; or None
+    when the residuals, the cluster's shape or the inertia count do not
+    certify them.
+
+    The inertia count factors ``M = side (sigma I - L) + c V V^T``, V the
+    cluster's vectors: if M is positive definite, subtracting the rank-k
+    term ``c V V^T`` leaves at most k eigenvalues of ``side (sigma I - L)``
+    at or below 0 (Weyl), so at most k eigenvalues of L lie beyond sigma.
+    The factorization runs at sigma moved inward by ``delta = 2 (n + 2) eps
+    trace(M)``, above the bound ``gamma_{n+1} trace(M)`` on its rounding
+    error (Demmel), so that its success in floating point proves the count
+    at sigma.  sigma sits ``2 (delta + rho)`` past the edge value, whose own
+    eigenvalue (within rho of it) therefore stays on the near side.
+    """
+    n, p = vectors.shape
+    residual = np.column_stack([lap(x) for x in vectors.T]) - vectors * values
+    gram = vectors.T @ vectors - np.eye(p)
+    rho = math.sqrt(2.0) * float(np.linalg.norm(residual)) + 4.0 * float(np.linalg.norm(gram))
+    edge, cluster = (values[0], values[1:]) if side > 0 else (values[-1], values[:-1])
+    v = vectors[:, 1:] if side > 0 else vectors[:, :-1]
+    c = 4.0  # above |sigma - lambda| for every lambda in [0, 2]
+    delta = 2.0 * (n + 2) * np.finfo(float).eps * (n * abs(edge - 1.0) + c * v.shape[1])
+    gap = side * float((cluster.min() if side > 0 else cluster.max()) - edge)
+    if (rho > SPECTRAL_TOL
+            or float(cluster.max() - cluster.min()) > TIE_TOL - 2.0 * rho
+            or gap <= max(TIE_TOL, 2.0 * delta + rho) + 2.0 * rho):
+        return None
+    m = (c * v) @ v.T
+    u, w = g.edges[:, 0], g.edges[:, 1]
+    m[u, w] += side * weights
+    m[w, u] += side * weights
+    m.flat[:: n + 1] += side * (edge + side * (2.0 * rho + delta) - 1.0)
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return None
+    return _frozen_pair(cluster, _fix_eigenvector_signs(v)), float(edge)
+
+
 # ---------------------------------------------------------------------------
 # structure checks
 # ---------------------------------------------------------------------------
@@ -477,16 +760,26 @@ def graph_checks(g: Graph) -> GraphChecks:
     a component in two iff that component is bipartite, so ``g`` is
     bipartite iff the cover has twice as many components.
     """
-    u, v = g.edges[:, 0], g.edges[:, 1]
-    components = _count_components(g.n, u, v)
-    cover = _count_components(
-        2 * g.n, np.concatenate((u, u + g.n)), np.concatenate((v + g.n, v))
-    )
+    components = _count_components(_component_labels(g.n, g.edges[:, 0], g.edges[:, 1]))
+    cover = _count_components(_cover_labels(g))
     return GraphChecks(connected=(components == 1), bipartite=(cover == 2 * components))
 
 
-def _count_components(n: int, u: np.ndarray, v: np.ndarray) -> int:
-    """Connected components of the graph on ``0 .. n-1`` with edges ``(u, v)``.
+def _cover_labels(g: Graph) -> np.ndarray:
+    """Component labels of the bipartite double cover of ``g``."""
+    u, v = g.edges[:, 0], g.edges[:, 1]
+    return _component_labels(
+        2 * g.n, np.concatenate((u, u + g.n)), np.concatenate((v + g.n, v))
+    )
+
+
+def _count_components(label: np.ndarray) -> int:
+    return int(np.count_nonzero(label == np.arange(label.size)))
+
+
+def _component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The smallest node of each node's connected component, in the graph on
+    ``0 .. n-1`` with edges ``(u, v)``.
 
     Min-label hooking and pointer jumping, in the style of Shiloach and
     Vishkin (1982): every label is a node of its own component and no larger
@@ -499,7 +792,7 @@ def _count_components(n: int, u: np.ndarray, v: np.ndarray) -> int:
         lu, lv = label[u], label[v]
         split = lu != lv
         if not split.any():
-            return int(np.count_nonzero(label == np.arange(n)))
+            return label
         lu, lv = lu[split], lv[split]
         np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
         while True:

@@ -23,6 +23,14 @@ against the most positive one at frequency zero, which ``classify_regime``
 decides from the spectra of L and W alone and certifies with rates.
 This module computes exact closed-form states, classifies the regime,
 certifies convergence rates, and predicts terminal directions.
+
+The closed form needs every mode and reads the full ``laplacian_spectrum``.
+The regime, the rates and the terminal profile need only the two ends of
+the spectrum and read ``extreme_spectrum``: the eigenpairs at 0 and at
+lambda_max and the next eigenvalue inward from each.  The profile may do
+so because ``|S(lambda)|_2`` is convex in lambda (S is affine in lambda
+and symmetric), so over the eigenvalues between the two ends it peaks at
+lambda_2 or at the one below lambda_max.
 """
 
 from __future__ import annotations
@@ -43,9 +51,10 @@ from .errors import (
     ValidationError,
 )
 from .graphs import (
+    TIE_TOL,
     Graph,
-    SpectralPair,
     degree_vector,
+    extreme_spectrum,
     graph_checks,
     laplacian_spectrum,
     require_connected,
@@ -64,9 +73,6 @@ __all__ = [
     "TIE_TOL",
     "BOUNDARY_TOL",
 ]
-
-#: Eigenvalues closer than this are treated as tied (degenerate).
-TIE_TOL = 1e-9
 
 #: Half-width of the band around rho_minus = mu_top flagged as Boundary.
 BOUNDARY_TOL = 1e-9
@@ -128,33 +134,31 @@ class ProfilePrediction:
 # ---------------------------------------------------------------------------
 
 class _Modes(NamedTuple):
-    """One homogeneous linear step, mode by mode: ``factors[l]`` and the
-    columns of ``vectors[l]`` are the eigenpairs of S(lambda_l), and
-    ``coeff[l, j]`` is the component of F0 on mode (l, j)."""
+    """One homogeneous linear step, mode by mode, at the Laplacian
+    eigenvalues ``lam`` with eigenvectors the columns of ``basis``:
+    ``factors[l]`` and the columns of ``vectors[l]`` are the eigenpairs of
+    S(lam[l]), and ``coeff[l, j]`` is the component of F0 on mode (l, j)."""
 
-    lap: SpectralPair
-    factors: np.ndarray  # (n, d)
-    vectors: np.ndarray  # (n, d, d)
-    coeff: np.ndarray  # (n, d)
+    lam: np.ndarray  # (k,)
+    basis: np.ndarray  # (n, k)
+    factors: np.ndarray  # (k, d)
+    vectors: np.ndarray  # (k, d, d)
+    coeff: np.ndarray  # (k, d)
 
     def synthesize(self, amplitudes: np.ndarray) -> np.ndarray:
         """The n x d features with the given amplitude on each mode."""
         rows = np.einsum("lj,lkj->lk", amplitudes, self.vectors)
-        return self.lap.eigenvectors @ rows
+        return self.basis @ rows
 
 
-def _modes(g: Graph, spec: ModelSpec, feats: np.ndarray) -> _Modes:
-    """Build ``S(lambda) = r I + tau sum_k p_k(lambda) M_k`` from the spec's
-    update terms at every Laplacian eigenvalue and diagonalize the stack."""
+def _step_matrices(spec: ModelSpec, d: int, lam: np.ndarray) -> np.ndarray:
+    """``S(lambda) = r I + tau sum_k p_k(lambda) M_k`` from the spec's update
+    terms at each lambda in ``lam``, as a (len(lam), d, d) stack."""
     if not spec.is_homogeneous:
         raise ConfigurationError(
             f"variant {spec.variant!r} is not homogeneous linear here (it has "
             "a source or an activation); it has no mode-wise form"
         )
-    _check_channels(spec.channels, feats, "model parameters")
-    lap = laplacian_spectrum(g)
-    lam = lap.eigenvalues
-    d = feats.shape[1]
     per_op = {"I": np.ones_like(lam), "A": 1.0 - lam, "L": lam}
     update = spec._update
     stack = np.tile(float(update.residual) * np.eye(d), (lam.size, 1, 1))
@@ -173,9 +177,16 @@ def _modes(g: Graph, spec: ModelSpec, feats: np.ndarray) -> _Modes:
                 "the mode-wise form needs symmetric ones"
             ) from None
         stack += spec.tau * per_op[op][:, None, None] * m
-    factors, vectors = np.linalg.eigh(stack)
-    coeff = np.einsum("lk,lkj->lj", lap.eigenvectors.T @ feats, vectors)
-    return _Modes(lap, factors, vectors, coeff)
+    return stack
+
+
+def _modes(spec: ModelSpec, feats: np.ndarray, lam: np.ndarray, basis: np.ndarray) -> _Modes:
+    """Diagonalize S at the eigenvalues ``lam`` (eigenvectors ``basis``) and
+    expand F0 over the modes."""
+    _check_channels(spec.channels, feats, "model parameters")
+    factors, vectors = np.linalg.eigh(_step_matrices(spec, feats.shape[1], lam))
+    coeff = np.einsum("lk,lkj->lj", basis.T @ feats, vectors)
+    return _Modes(lam, basis, factors, vectors, coeff)
 
 
 def closed_form_features(g: Graph, spec: ModelSpec, m: int, F0) -> FeatureState:
@@ -193,7 +204,8 @@ def closed_form_features(g: Graph, spec: ModelSpec, m: int, F0) -> FeatureState:
     norm0 = float(np.linalg.norm(feats))
     if norm0 == 0.0:
         raise DegenerateInputError("initial features must be nonzero")
-    modes = _modes(g, spec, feats)
+    lap = laplacian_spectrum(g)
+    modes = _modes(spec, feats, lap.eigenvalues, lap.eigenvectors)
     if m == 0:
         return FeatureState(direction=feats / norm0, log_scale=float(np.log(norm0)))
 
@@ -232,8 +244,8 @@ def classify_regime(g: Graph, W, tau: float) -> RegimeReport:
     tau = float(tau)
     if not np.isfinite(tau) or tau <= 0:
         raise ConfigurationError(f"step size tau must be positive, got {tau!r}")
-    lam = laplacian_spectrum(g).eigenvalues
-    lambda_max = float(lam[-1])
+    ends = extreme_spectrum(g)
+    lambda_max = ends.lambda_max
     wvals = spectral_decomposition(np.asarray(W, dtype=float)).eigenvalues
     mu_bottom = float(wvals[0])
     mu_top = float(wvals[-1])
@@ -256,7 +268,7 @@ def classify_regime(g: Graph, W, tau: float) -> RegimeReport:
 
     delta = epsilon = ratio = None
     if regime == "HFD":
-        rates = _hfd_rates(lam, wvals, tau, rho_minus)
+        rates = _hfd_rates(lambda_max, ends.below_top, wvals, tau, rho_minus)
         delta, epsilon, ratio = rates.delta, rates.epsilon, rates.ratio
     return RegimeReport(
         regime=regime,
@@ -278,18 +290,18 @@ def _positive_gap(values: np.ndarray) -> float | None:
     return float(positive.min()) if positive.size else None
 
 
-def _hfd_rates(lam: np.ndarray, wvals: np.ndarray, tau: float, rho_minus: float) -> HfdRates:
-    lambda_max = float(lam[-1])
+def _hfd_rates(
+    lambda_max: float, below_top: float, wvals: np.ndarray, tau: float, rho_minus: float
+) -> HfdRates:
+    """The rates from the top frequency gap ``lambda_max - below_top``, the
+    smallest positive eigenvalue of ``lambda_max I - L``."""
     mu_bottom = float(wvals[0])
     mu_top = float(wvals[-1])
-    gap_freq = _positive_gap(lambda_max - lam)  # spectrum of lambda_max*I - Laplacian
+    gap_freq = lambda_max - below_top
     gap_w = _positive_gap(abs(mu_bottom) + wvals)  # spectrum of |mu_bottom|*I + W
 
-    delta_terms = [mu_top, abs(mu_bottom) - 2.0 / tau]
-    eps_terms = [rho_minus - mu_top]
-    if gap_freq is not None:
-        delta_terms.append(rho_minus - abs(mu_bottom) * gap_freq)
-        eps_terms.append(abs(mu_bottom) * gap_freq)
+    delta_terms = [mu_top, abs(mu_bottom) - 2.0 / tau, rho_minus - abs(mu_bottom) * gap_freq]
+    eps_terms = [rho_minus - mu_top, abs(mu_bottom) * gap_freq]
     if gap_w is not None:
         delta_terms.append(rho_minus - (lambda_max - 1.0) * gap_w)
         eps_terms.append(gap_w * (lambda_max - 1.0))
@@ -324,7 +336,11 @@ def asymptotic_profile(g: Graph, spec: ModelSpec, F0) -> ProfilePrediction:
     F0 weighted by ``deg + 1``.  The dominant modes are those with the
     largest ``|s|``, within ``TIE_TOL * max(1, |s|)``; their projection of
     F0 is the terminal direction, ``|s|`` the growth, and ``contraction``
-    the largest other ``|s|`` over it.  Tie rules, in order:
+    the largest other ``|s|`` over it.  The modes are those of
+    ``extreme_spectrum``, and ``|s|`` between its two ends is read at the
+    interval's ends (see the module docstring); when that ties the
+    dominant ``|s|``, the full ``laplacian_spectrum`` gives every mode.
+    Tie rules, in order:
 
     - ``|s|`` vanishes everywhere: ``DegenerateInputError``.
     - dominant factors of both signs alternate without a limit:
@@ -344,12 +360,26 @@ def asymptotic_profile(g: Graph, spec: ModelSpec, F0) -> ProfilePrediction:
         raise DegenerateInputError("initial features must be nonzero")
     if spec.variant == "grand_linear":
         return _grand_profile(g, feats, norm0)
-    modes = _modes(g, spec, feats)
+    ends = extreme_spectrum(g)
+    modes = _modes(
+        spec,
+        feats,
+        np.concatenate((ends.bottom.eigenvalues, ends.top.eigenvalues)),
+        np.hstack((ends.bottom.eigenvectors, ends.top.eigenvectors)),
+    )
     mags = np.abs(modes.factors)
-    top = float(mags.max())
+    # |s| at the ends of the interior interval bounds it at every eigenvalue inside
+    inner = np.abs(np.linalg.eigvalsh(_step_matrices(spec, feats.shape[1], ends.interior)))
+    top = max(float(mags.max()), float(inner.max(initial=0.0)))
     if top <= 1e-12:
         raise DegenerateInputError("the update vanishes; every mode is annihilated")
-    dominant = mags >= top - TIE_TOL * max(top, 1.0)
+    tie = top - TIE_TOL * max(top, 1.0)
+    if inner.size and float(inner.max()) >= tie:
+        # an eigenvalue between the ends may be dominant: read every mode
+        lap = laplacian_spectrum(g)
+        modes = _modes(spec, feats, lap.eigenvalues, lap.eigenvectors)
+        mags, inner = np.abs(modes.factors), inner[:0]
+    dominant = mags >= tie
     dominant_factors = modes.factors[dominant]
     if dominant_factors.min() < 0.0 < dominant_factors.max():
         if graph_checks(g).bipartite:
@@ -361,7 +391,7 @@ def asymptotic_profile(g: Graph, spec: ModelSpec, F0) -> ProfilePrediction:
             "the dominant factors tie across both signs; the direction "
             "alternates and has no single limit"
         )
-    lam = modes.lap.eigenvalues
+    lam = modes.lam
     dominant_lam = lam[dominant.any(axis=1)]
     fixed = bool(np.all(np.abs(dominant_factors - 1.0) <= TIE_TOL))
     if np.all(dominant_lam <= lam[0] + TIE_TOL):
@@ -377,7 +407,7 @@ def asymptotic_profile(g: Graph, spec: ModelSpec, F0) -> ProfilePrediction:
         )
     block = modes.synthesize(np.where(dominant, modes.coeff, 0.0))
     direction = _checked_direction(block, norm0, "the dominant modes")
-    rest = mags[~dominant]
+    rest = np.concatenate((mags[~dominant], inner.ravel()))
     return ProfilePrediction(
         direction=direction,
         growth=top,

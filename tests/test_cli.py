@@ -6,12 +6,14 @@ import sys
 import numpy as np
 import pytest
 
+import gel.cli
 import gel.energy
+import gel.spectral
 import gel.verify as verify
-from gel.cli import CSV_HEADER, main, trajectory_csv
+from gel.cli import CSV_HEADER, main, preset_bipartite_demo, trajectory_csv
 from gel.dynamics import ModelSpec, run_trajectory
 from gel.energy import WeightSet
-from gel.graphs import complete_bipartite
+from gel.graphs import _ends_of, complete_bipartite, extreme_spectrum, laplacian_spectrum
 
 HFD_CFG = """\
 graph = complete_bipartite(5,5)
@@ -122,6 +124,110 @@ def test_bad_gel_seed_is_config_error(workdir, monkeypatch, capsys):
     monkeypatch.setenv("GEL_SEED", "many")
     assert main(["run", cfg]) == 3
     assert "GEL_SEED" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("init = random_normal(7)", "init = random_normal(-1)"),
+        ("graph = complete_bipartite(5,5)", "graph = erdos_renyi(20, 0.5, -1)"),
+    ],
+)
+def test_negative_config_seed_is_a_validation_error(workdir, capsys, old, new):
+    cfg = write(workdir / "run.cfg", HFD_CFG.replace(old, new))
+    assert main(["run", cfg]) == 3
+    assert "must be a non-negative integer, got -1" in capsys.readouterr().err
+
+
+def test_negative_gel_seed_is_a_validation_error(workdir, monkeypatch, capsys):
+    cfg = write(workdir / "run.cfg", HFD_CFG)
+    monkeypatch.setenv("GEL_SEED", "-3")
+    assert main(["run", cfg]) == 3
+    assert "got -3" in capsys.readouterr().err
+
+
+def test_run_with_steps_beyond_physical_memory_exits_4(workdir, capsys):
+    cfg = write(workdir / "run.cfg", HFD_CFG.replace("steps = 60", "steps = 99999999999999999999"))
+    assert main(["run", cfg]) == 4
+    assert "physical memory" in capsys.readouterr().err
+
+
+def test_stray_memory_error_exits_4(workdir, monkeypatch, capsys):
+    def exhausted(witness_dir):
+        raise MemoryError("Unable to allocate 8 TiB")
+
+    monkeypatch.setattr(gel.cli, "run_suite", exhausted)
+    assert main(["suite"]) == 4
+    assert "out of memory" in capsys.readouterr().err
+
+
+# --- the run path reads the certified ends ---------------------------------
+
+ER_HFD_CFG = """\
+graph = erdos_renyi(400, 0.02, 7)
+variant = gradient_flow
+W = [[-1,0,0,0,0,0,0,0],[0,-0.5,0,0,0,0,0,0],[0,0,-0.2,0,0,0,0,0],[0,0,0,0,0,0,0,0],\
+[0,0,0,0,0.05,0,0,0],[0,0,0,0,0,0.1,0,0],[0,0,0,0,0,0,0.2,0],[0,0,0,0,0,0,0,0.3]]
+tau = 0.5
+steps = 150
+init = random_normal(7)
+csv = run.csv
+svg = run.svg
+report = run.txt
+"""
+
+_REPORT_NUMBER = re.compile(r"^ *(.+?) = (-?[0-9.e+-]+|inf)$", re.M)
+
+
+def _report_numbers(path):
+    return [(key, float(value)) for key, value in _REPORT_NUMBER.findall(path.read_text())]
+
+
+def _with_full_spectrum_ends(monkeypatch):
+    """Make the run path read its ends off the full decomposition."""
+    for module in (gel.cli, gel.spectral):
+        monkeypatch.setattr(module, "extreme_spectrum", lambda g: _ends_of(laplacian_spectrum(g)))
+
+
+def _assert_same_numbers(first, second, scale):
+    assert [key for key, _ in first] == [key for key, _ in second]
+    for (key, got), (_, want) in zip(first, second):
+        assert got == want or abs(got - want) <= 1e-12 * scale(want), (key, got, want)
+
+
+def test_run_reads_lambda_max_and_rates_without_a_full_decomposition(workdir, monkeypatch):
+    cfg = write(workdir / "run.cfg", ER_HFD_CFG)
+    extreme_spectrum.cache_clear()
+    laplacian_spectrum.cache_clear()
+    assert main(["run", cfg]) == 0
+    assert laplacian_spectrum.cache_info().misses == 0
+    certified, csv = _report_numbers(workdir / "run.txt"), (workdir / "run.csv").read_bytes()
+    assert "regime = HFD" in (workdir / "run.txt").read_text()
+    keys = {key for key, _ in certified}
+    assert {"lambda_max", "rho_minus", "delta_hfd", "epsilon_hfd", "rate_ratio",
+            "predicted per-step growth", "direction deviation (sign-aligned, max abs)"} <= keys
+
+    _with_full_spectrum_ends(monkeypatch)
+    assert main(["run", cfg]) == 0
+    assert (workdir / "run.csv").read_bytes() == csv
+    _assert_same_numbers(certified, _report_numbers(workdir / "run.txt"), abs)
+
+
+def test_bipartite_demo_reads_the_exact_top_without_a_full_decomposition(workdir, monkeypatch):
+    extreme_spectrum.cache_clear()
+    laplacian_spectrum.cache_clear()
+    assert preset_bipartite_demo(30, 40, seed=3) == 0
+    assert laplacian_spectrum.cache_info().misses == 0
+    certified = _report_numbers(workdir / "gel_bipartite.txt")
+    assert ("lambda_max", 2.0) in certified
+
+    _with_full_spectrum_ends(monkeypatch)
+    assert preset_bipartite_demo(30, 40, seed=3) == 0
+    # eigh's lambda_max misses 2 by roundoff, so delta_hfd = 0 here is a few
+    # 1e-15 there: compare on the scale of the rates, not relatively
+    _assert_same_numbers(
+        certified, _report_numbers(workdir / "gel_bipartite.txt"), lambda x: max(abs(x), 1.0)
+    )
 
 
 def test_run_bipartite_no_residual_notes_hypothesis(workdir):
@@ -253,6 +359,11 @@ def test_bipartite_non_hfd_weight_skips_assertions(workdir):
 
 def test_bipartite_rejects_tiny_parts(workdir):
     assert main(["bipartite", "1", "5"]) == 3
+
+
+def test_bipartite_negative_seed_is_a_validation_error(workdir, capsys):
+    assert main(["bipartite", "3", "3", "--seed", "-2"]) == 3
+    assert "seed must be a non-negative integer, got -2" in capsys.readouterr().err
 
 
 def test_bipartite_seed_changes_curves(workdir):

@@ -408,6 +408,12 @@ def test_trajectory_memory_does_not_grow_with_steps():
     assert peak < 8e6
 
 
+def test_trajectory_beyond_physical_memory_is_refused_before_allocating():
+    F0 = np.ones((5, 1))
+    with pytest.raises(NumericError, match="CSV columns of 100000000000000000001 states"):
+        run_trajectory(ModelSpec("heat", tau=0.1), cycle(5), F0, 10**20)
+
+
 def test_trajectory_renormalized_matches_raw_iteration():
     rng = np.random.default_rng(5)
     g = erdos_renyi(8, 0.4, 21)

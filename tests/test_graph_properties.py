@@ -21,8 +21,10 @@ from gel.graphs import (
     cycle,
     degree_vector,
     erdos_renyi,
+    extreme_spectrum,
     graph_checks,
     laplacian_spectrum,
+    normalized_laplacian,
     path,
 )
 
@@ -138,6 +140,23 @@ def test_lambda_max_two_iff_bipartite(case):
     assert (lam_max >= 2.0 - 1e-9) == graph_checks(g).bipartite
 
 
+@settings(deadline=None)
+@given(connected_edge_lists())
+def test_extreme_spectrum_matches_the_full_decomposition(case):
+    g = Graph(*case)
+    ends = extreme_spectrum(g)
+    lam, vectors = np.linalg.eigh(normalized_laplacian(g))
+    top = lam >= lam[-1] - 1e-9
+    bottom = lam <= lam[0] + 1e-9
+    assert abs(ends.lambda_max - lam[-1]) <= 1e-12
+    assert abs(ends.below_top - lam[~top][-1]) <= 1e-12
+    assert abs(ends.lambda_2 - lam[~bottom][0]) <= 1e-12
+    for pair, block in ((ends.top, vectors[:, top]), (ends.bottom, vectors[:, bottom])):
+        assert pair.eigenvectors.shape == block.shape
+        projector = pair.eigenvectors @ pair.eigenvectors.T
+        assert np.abs(projector - block @ block.T).max() <= 1e-10
+
+
 @pytest.mark.parametrize(
     "n, p, seed",
     [(1000, 0.008, 1), (1000, 0.008, 7), (1000, 0.008, 31), (2000, 0.004, 7), (2000, 0.004, 32)],
@@ -167,7 +186,20 @@ def test_generators_match_the_reference(g, pairs, checks):
     assert tuple(graph_checks(g)) == oracle_checks(g.n, edges) == checks
 
 
-def test_graph_core_does_not_import_numpy_ma():
+def _python(code, cwd=None):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    env.pop("GEL_SEED", None)
+    result = subprocess.run(
+        [sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip().splitlines()[-1]
+
+
+def test_graph_core_does_not_import_numpy_ma(tmp_path):
     # np.unique's first call imports numpy.ma, tens of ms of start-up
     code = (
         "import sys\n"
@@ -176,11 +208,18 @@ def test_graph_core_does_not_import_numpy_ma():
         "    graph_checks(g)\n"
         "print('numpy.ma' in sys.modules)\n"
     )
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    paths = [src, os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    assert _python(code) == "False"
+    # nor does a whole `gel run`, which stays on numpy alone
+    (tmp_path / "run.cfg").write_text(
+        "graph = erdos_renyi(40, 0.2, 3)\nvariant = gradient_flow\n"
+        "W = [[-1.0, 0.0], [0.0, 0.3]]\ntau = 0.5\nsteps = 30\n"
+        "init = random_normal(7)\ncsv = run.csv\nsvg = run.svg\nreport = run.txt\n"
     )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    code = (
+        "import sys\n"
+        "from gel.cli import main\n"
+        "code = main(['run', 'run.cfg'])\n"
+        "print(code, 'scipy' in sys.modules, 'numpy.ma' in sys.modules)\n"
+    )
+    assert _python(code, cwd=tmp_path) == "0 False False"
+    assert "regime = HFD" in (tmp_path / "run.txt").read_text()

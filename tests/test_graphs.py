@@ -11,6 +11,7 @@ from gel.graphs import (
     cycle,
     degree_vector,
     erdos_renyi,
+    extreme_spectrum,
     from_edge_list,
     graph_checks,
     laplacian_spectrum,
@@ -255,3 +256,109 @@ def test_equal_distinct_graph_hits_operator_cache():
     assert second is not first
     assert normalized_adjacency(second) is normalized_adjacency(first)
     assert normalized_adjacency.cache_info().hits >= hits + 2
+
+
+# --- the certified ends of the spectrum -------------------------------------
+
+def _fresh_ends(g):
+    """``extreme_spectrum(g)`` with both spectrum caches emptied first, and
+    the number of full decompositions it ran."""
+    extreme_spectrum.cache_clear()
+    laplacian_spectrum.cache_clear()
+    ends = extreme_spectrum(g)
+    return ends, laplacian_spectrum.cache_info().misses
+
+
+def _projector(vectors):
+    return vectors @ vectors.T
+
+
+def test_complete_bipartite_ends_are_exact_without_iteration_breaking_down():
+    # A_hat has rank 2 on K_{300,300}: the Krylov space is invariant at once
+    ends, full = _fresh_ends(complete_bipartite(300, 300))
+    assert ends.certified and full == 0
+    assert ends.lambda_max == 2.0 and ends.top.eigenvalues.tolist() == [2.0]
+    assert ends.bottom.eigenvalues.tolist() == [0.0]
+    assert abs(ends.below_top - 1.0) <= 1e-12 and abs(ends.lambda_2 - 1.0) <= 1e-12
+    for pair in (ends.top, ends.bottom):
+        assert np.all(np.isfinite(pair.eigenvectors))
+    sign = np.sign(ends.top.eigenvectors[:, 0])
+    assert np.all(sign[:300] == sign[0]) and np.all(sign[300:] == -sign[0])
+
+
+@pytest.mark.parametrize(
+    "g, top, multiplicity",
+    [
+        (Graph(7, [(i, j) for i in range(7) for j in range(i + 1, 7)]), 7 / 6, 6),
+        # the Petersen graph: outer 5-cycle, inner pentagram, spokes
+        (Graph(10, [(i, (i + 1) % 5) for i in range(5)]
+               + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+               + [(i, i + 5) for i in range(5)]), 5 / 3, 4),
+    ],
+)
+def test_multiple_lambda_max_gives_its_whole_eigenspace(g, top, multiplicity):
+    ends, full = _fresh_ends(g)
+    # one start vector sees a single copy, so the certificate must fail
+    assert not ends.certified and full == 1
+    assert ends.top.eigenvectors.shape == (g.n, multiplicity)
+    assert np.abs(ends.top.eigenvalues - top).max() <= 1e-12
+    phi0 = np.sqrt(degree_vector(g) / degree_vector(g).sum())
+    lap = normalized_laplacian(g)
+    expected = _projector(np.linalg.eigh(lap)[1][:, -multiplicity:])
+    assert np.abs(_projector(ends.top.eigenvectors) - expected).max() <= 1e-10
+    assert np.abs(np.abs(ends.bottom.eigenvectors[:, 0]) - phi0).max() <= 1e-12
+
+
+def test_odd_cycle_top_gap_takes_the_full_decomposition():
+    # lambda_max of an odd cycle is double, and its gaps are O(1/n^2)
+    g = cycle(1001)
+    ends, full = _fresh_ends(g)
+    assert not ends.certified and full == 1
+    lam = np.linalg.eigvalsh(normalized_laplacian(g))
+    assert abs(ends.lambda_max - lam[-1]) <= 1e-12
+    assert ends.top.eigenvectors.shape[1] == 2
+    assert abs(ends.below_top - lam[-3]) <= 1e-12 and abs(ends.lambda_2 - lam[1]) <= 1e-12
+
+
+def test_disconnected_graph_ends_come_from_the_full_decomposition():
+    # K_2 plus a triangle: spectrum {0, 2} and {0, 1.5, 1.5}
+    g = Graph(5, [(0, 1), (2, 3), (3, 4), (2, 4)])
+    ends, full = _fresh_ends(g)
+    assert not ends.certified and full == 1
+    assert abs(ends.lambda_max - 2.0) <= 1e-12
+    assert ends.bottom.eigenvectors.shape == (5, 2)
+    assert abs(ends.lambda_2 - 1.5) <= 1e-12 and abs(ends.below_top - 1.5) <= 1e-12
+    assert ends.interior.tolist() == [ends.lambda_2, ends.below_top]
+
+
+def test_ends_without_an_interior():
+    ends, _ = _fresh_ends(path(2))
+    assert ends.certified
+    assert (ends.lambda_2, ends.below_top) == (2.0, 0.0)
+    assert ends.interior.size == 0
+
+
+def test_extreme_spectrum_rejects_an_isolated_node():
+    with pytest.raises(ValidationError, match="node 0"):
+        extreme_spectrum(Graph(1, []))
+
+
+# --- sizes beyond the machine -----------------------------------------------
+
+def test_dense_operator_beyond_physical_memory_is_refused_before_allocating():
+    g = path(10**6)  # the 8 TB adjacency is refused; the edge array is 16 MB
+    with pytest.raises(NumericError, match="1000000 x 1000000"):
+        normalized_adjacency(g)
+    with pytest.raises(NumericError, match="1000000 x 1000000"):
+        extreme_spectrum(g)
+
+
+def test_erdos_renyi_beyond_physical_memory_is_refused_before_allocating():
+    with pytest.raises(NumericError, match="candidate pairs"):
+        erdos_renyi(3_000_000, 1e-6, 1)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_erdos_renyi_rejects_a_seed_numpy_cannot_take(seed):
+    with pytest.raises(ValidationError, match="seed"):
+        erdos_renyi(20, 0.5, seed)
