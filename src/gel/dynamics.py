@@ -35,10 +35,14 @@ overflow-safe bookkeeping and yields each state as it is reached, keeping
 none; ``run_trajectory`` records the CSV columns of each, so a run's memory is
 O(n d + steps), not O(steps n d).
 
-Cost model: each step does one dense operator product, ``AF = A_hat F``,
-which its A and L terms share (I -> F, A -> AF, L -> F - AF); grand_linear
-does its own ``Lrw F`` instead.  The CSV columns of each recorded state
-need no dense product: they come from one gather of the degree-normalized
+Cost model: each step does one operator product, ``AF = A_hat F``, which
+its A and L terms share (I -> F, A -> AF, L -> F - AF); grand_linear does
+its own ``Lrw F = F - (A F + F) / (deg + 1)`` instead, with
+``A F = sqrt(deg) A_hat (sqrt(deg) F)``.  The product is
+``graphs._adjacency_product``: an O(m d) sum over the edges on a sparse
+graph (``2 m d < n^2 / 8``) and one dense O(n^2 d) product otherwise, so a
+sparse run never builds an n x n matrix.  The CSV columns of each recorded
+state need no product: they come from one gather of the degree-normalized
 rows at both ends of every edge, in O(m d).  The Dirichlet energy is the sum
 of the squared per-edge differences, the Rayleigh quotient that value over
 |F|^2, the parametric energy's mixing term ``trace(F^T A_hat F W)`` twice the
@@ -52,7 +56,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -70,10 +73,9 @@ from .energy import (
 from .errors import ConfigurationError, NumericError, ValidationError
 from .graphs import (
     Graph,
+    _adjacency_product,
     _require_memory,
-    adjacency_matrix,
     degree_vector,
-    normalized_adjacency,
     spectral_decomposition,
     square_matrix,
 )
@@ -91,7 +93,6 @@ __all__ = [
     "run_trajectory",
     "trajectory_states",
     "spectral_filter_step",
-    "random_walk_laplacian",
 ]
 
 
@@ -112,11 +113,13 @@ class _State(NamedTuple):
 class _Update(NamedTuple):
     """One row of the module docstring's table.  A term's operator is "I",
     "A" (A_hat) or "L" (I - A_hat), the last two read off one product
-    ``A_hat F``, or a ``Graph -> matrix`` function (GRAND's Lrw) that
-    multiplies F itself; ``reads_af`` says whether a term needs that product
-    and is set by ``ModelSpec``.  ``energy`` defaults to the Dirichlet energy."""
+    ``A_hat F``, or a function ``(g, F) -> P F`` (GRAND's Lrw) that forms
+    its own product; ``reads_af`` says whether a term needs ``A_hat F`` and
+    is set by ``ModelSpec``.  ``energy`` defaults to the Dirichlet energy."""
 
-    terms: tuple[tuple[str | Callable[[Graph], np.ndarray], np.ndarray | float], ...]
+    terms: tuple[
+        tuple[str | Callable[[Graph, np.ndarray], np.ndarray], np.ndarray | float], ...
+    ]
     source: np.ndarray | float | None = None
     residual: bool = True
     energy: Callable[[_State], float] = lambda s: s.dirichlet
@@ -209,7 +212,7 @@ _TABLE: dict[str, _Entry] = {
     "heat": _Entry(None, lambda s: _Update((("L", -1.0),))),
     "label_propagation": _Entry(None, _label_propagation),
     "cgnn": _Entry("OmegaTilde", _cgnn),
-    "grand_linear": _Entry(None, lambda s: _Update(((random_walk_laplacian, -1.0),))),
+    "grand_linear": _Entry(None, lambda s: _Update(((_random_walk_laplacian, -1.0),))),
     "pde_gcn_d": _Entry("KtK", _pde_gcn_d),
     "harmonic": _Entry(
         "weights",
@@ -397,14 +400,12 @@ class Trajectory:
     final: FeatureState
 
 
-@lru_cache(maxsize=512)
-def random_walk_laplacian(g: Graph) -> np.ndarray:
-    """Random-walk Laplacian I - D^{-1} A of the self-loop-augmented graph."""
-    a = adjacency_matrix(g) + np.eye(g.n)
-    d = degree_vector(g) + 1.0
-    lap = np.eye(g.n) - a / d[:, None]
-    lap.setflags(write=False)
-    return lap
+def _random_walk_laplacian(g: Graph, F: np.ndarray) -> np.ndarray:
+    """``Lrw F`` for the random-walk Laplacian ``I - (D + I)^-1 (A + I)`` of
+    the self-loop-augmented graph, with ``A F = sqrt(deg) A_hat (sqrt(deg) F)``."""
+    deg = degree_vector(g)[:, None]
+    sqrt_deg = np.sqrt(deg)
+    return F - (sqrt_deg * _adjacency_product(g, sqrt_deg * F) + F) / (deg + 1.0)
 
 
 # overflow is reported as the NumericError below, not as a numpy warning
@@ -415,12 +416,13 @@ def step_model(spec: ModelSpec, g: Graph, F, F0=None) -> np.ndarray:
     Sums the variant's ``P_k F M_k`` terms and its source ``F0 S``, applies
     sigma (the identity for the linear family), and returns
     ``F + tau * sigma(Z)``, or ``tau * Z`` for the discarding variant.  The
-    A and L terms share one product ``A_hat F``.
+    A and L terms share one product ``A_hat F``, an edge sum on a sparse
+    graph (see ``graphs._adjacency_product``).
     """
     feats = as_features(g, F)
     _check_channels(spec.channels, feats, "model parameters")
     update = spec._update
-    af = normalized_adjacency(g) @ feats if update.reads_af else None
+    af = _adjacency_product(g, feats) if update.reads_af else None
     z = 0
     for op, m in update.terms:
         if op == "I":
@@ -430,7 +432,7 @@ def step_model(spec: ModelSpec, g: Graph, F, F0=None) -> np.ndarray:
         elif op == "L":
             product = feats - af
         else:
-            product = op(g) @ feats
+            product = op(g, feats)
         # np.dot multiplies by a scalar factor and matrix-multiplies by a d x d one
         z = z + np.dot(product, m)
     if update.source is not None:
@@ -492,8 +494,8 @@ def _states(spec, g, reference, norm, steps) -> Iterator[FeatureState]:
 
 def run_trajectory(spec: ModelSpec, g: Graph, F0, steps: int) -> Trajectory:
     """The CSV columns of every state ``trajectory_states`` yields, and the
-    last state.  The columns of a state are edge sums in O(m d); the step's
-    ``A_hat`` product is the only dense one.
+    last state.  The columns of a state are edge sums in O(m d), as is the
+    step's ``A_hat`` product on a sparse graph.
     """
     states = trajectory_states(spec, g, F0, steps)
     reference = as_features(g, F0)  # source / clamping reference, in raw units
@@ -537,5 +539,5 @@ def spectral_filter_step(g: Graph, W, tau: float, F) -> np.ndarray:
     feats = as_features(g, F)
     pair = spectral_decomposition(square_matrix(W, "W", feats.shape[1]))
     z = feats @ pair.eigenvectors
-    z = z + float(tau) * (normalized_adjacency(g) @ z) * pair.eigenvalues[None, :]
+    z = z + float(tau) * _adjacency_product(g, z) * pair.eigenvalues[None, :]
     return z @ pair.eigenvectors.T

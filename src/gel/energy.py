@@ -16,9 +16,8 @@ import numpy as np
 from .errors import ConfigurationError, NumericError, ValidationError
 from .graphs import (
     Graph,
+    _adjacency_product,
     degree_vector,
-    normalized_adjacency,
-    normalized_laplacian,
     spectral_decomposition,
     square_matrix,
 )
@@ -157,14 +156,16 @@ def dirichlet_energy(g: Graph, F) -> float:
     Half the sum over ordered adjacent pairs of
     ``|f_j / sqrt(d_j) - f_i / sqrt(d_i)|^2``; zero exactly on multiples of
     the square-root-degree profile.  The edge-difference form is used; in
-    debug runs it is cross-checked against the Laplacian trace form.
+    debug runs it is cross-checked against the Laplacian trace form
+    ``|F|^2 - trace(F^T A_hat F)``.
     """
     feats = as_features(g, F)
     head, tail = _edge_rows(g)(feats)
     diffs = head - tail
     value = float(np.sum(diffs * diffs))
     if __debug__:
-        _check_trace_form(value, float(np.sum(feats * (normalized_laplacian(g) @ feats))))
+        mixing = float(np.sum(feats * _adjacency_product(g, feats)))
+        _check_trace_form(value, float(np.sum(feats * feats)) - mixing)
     return value
 
 
@@ -187,7 +188,7 @@ def parametric_energy(g: Graph, F, weights: WeightSet, F0=None) -> float:
     feats = as_features(g, F)
     _check_channels(weights.d, feats)
     source = _require_source(g, F0, weights.d) if weights.has_source else None
-    mixing = float(np.sum((normalized_adjacency(g) @ feats @ weights.W) * feats))
+    mixing = float(np.sum((_adjacency_product(g, feats) @ weights.W) * feats))
     return _parametric_value(feats, mixing, weights, source)
 
 
@@ -224,7 +225,7 @@ def energy_gradient(g: Graph, F, weights: WeightSet, F0=None) -> np.ndarray:
     # pairing silently breaks if an asymmetric matrix sneaks in sideways
     square_matrix(weights.W, "W", symmetric=True)
     square_matrix(weights.Omega, "Omega", symmetric=True)
-    grad = -feats @ weights.Omega + normalized_adjacency(g) @ feats @ weights.W
+    grad = -feats @ weights.Omega + _adjacency_product(g, feats) @ weights.W
     if weights.has_source:
         grad = grad - _require_source(g, F0, weights.d) @ weights.Wtilde
     return grad

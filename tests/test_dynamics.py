@@ -301,14 +301,20 @@ def _variant_oracles(g, source, rng):
     }
 
 
+#: A graph the A_hat product keeps dense at d = 2, and one it sends to the
+#: edge sum (m = 370: 2 m d < n^2 / 8).
+_PARITY_GRAPHS = {"": (7, 0.5, 13), "-sparse": (120, 0.05, 13)}
+
+
 @pytest.mark.parametrize(
-    "variant, source",
-    _VARIANT_CASES,
-    ids=[f"{v}-{'source' if s else 'plain'}" for v, s in _VARIANT_CASES],
+    "variant, source, graph",
+    [(v, s, g) for g in _PARITY_GRAPHS.values() for v, s in _VARIANT_CASES],
+    ids=[f"{v}-{'source' if s else 'plain'}{suffix}"
+         for suffix in _PARITY_GRAPHS for v, s in _VARIANT_CASES],
 )
-def test_every_variant_matches_its_formula(variant, source):
+def test_every_variant_matches_its_formula(variant, source, graph):
     rng = np.random.default_rng(31)
-    g = erdos_renyi(7, 0.5, 13)
+    g = erdos_renyi(*graph)
     spec, step, energy = _variant_oracles(g, source, rng)[variant]
     F = rng.normal(size=(g.n, 2))
     F0 = rng.normal(size=(g.n, 2))
@@ -406,6 +412,21 @@ def test_trajectory_memory_does_not_grow_with_steps():
         tracemalloc.stop()
     # keeping every state would take 5001 * 200 * 8 floats = 64 MB
     assert peak < 8e6
+
+
+def test_sparse_runs_build_no_dense_operator():
+    # with asserts on, dirichlet_energy also runs its trace-form cross-check
+    g = cycle(5000)  # one 5000 x 5000 matrix is 200 MB
+    F0 = np.random.default_rng(3).normal(size=(g.n, 2))
+    spec = gf(np.array([[-1.0, 0.2], [0.2, 0.5]]), tau=0.5)
+    for run in (lambda: run_trajectory(spec, g, F0, 20), lambda: dirichlet_energy(g, F0)):
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
 
 
 def test_trajectory_beyond_physical_memory_is_refused_before_allocating():

@@ -14,8 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gel.graphs
 from gel.graphs import (
     Graph,
+    _adjacency_product,
     adjacency_matrix,
     complete_bipartite,
     cycle,
@@ -24,9 +26,11 @@ from gel.graphs import (
     extreme_spectrum,
     graph_checks,
     laplacian_spectrum,
+    normalized_adjacency,
     normalized_laplacian,
     path,
 )
+from gel.verify import default_suite
 
 # --- the reference ----------------------------------------------------------
 
@@ -105,9 +109,10 @@ def edge_lists(draw):
 
 
 @st.composite
-def connected_edge_lists(draw):
-    """A random spanning tree on 2..30 nodes, relabelled, plus extra edges."""
-    n = draw(st.integers(2, 30))
+def connected_edge_lists(draw, max_nodes=30):
+    """A random spanning tree on 2..max_nodes nodes, relabelled, plus extra
+    edges."""
+    n = draw(st.integers(2, max_nodes))
     labels = draw(st.permutations(range(n)))
     pairs = [(labels[i], labels[draw(st.integers(0, i - 1))]) for i in range(1, n)]
     node = st.integers(0, n - 1)
@@ -155,6 +160,43 @@ def test_extreme_spectrum_matches_the_full_decomposition(case):
         assert pair.eigenvectors.shape == block.shape
         projector = pair.eigenvectors @ pair.eigenvectors.T
         assert np.abs(projector - block @ block.T).max() <= 1e-10
+
+
+@settings(deadline=None)
+@given(connected_edge_lists(80), st.sampled_from([None, 1, 2, 3]), st.integers(0, 2**32 - 1))
+def test_adjacency_product_matches_the_dense_operator(case, width, seed):
+    # small or dense graphs fall on the dense side of the rule
+    # 2 m d < n^2 / 8, sparse ones on more than about 20 nodes on the edge side
+    g = Graph(*case)
+    shape = (g.n,) if width is None else (g.n, width)
+    F = np.random.default_rng(seed).normal(size=shape)
+    want = normalized_adjacency(g) @ F
+    got = _adjacency_product(g, F)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-14 * max(1.0, float(np.abs(want).max()))
+
+
+def _reads_dense_operator(monkeypatch, g, width) -> bool:
+    """Whether the A_hat product of ``g`` at this width reads the dense matrix."""
+    calls = []
+
+    def recorded(graph):
+        calls.append(graph)
+        return normalized_adjacency(graph)
+
+    monkeypatch.setattr(gel.graphs, "normalized_adjacency", recorded)
+    shape = (g.n,) if width == 1 else (g.n, width)
+    _adjacency_product(g, np.ones(shape))
+    monkeypatch.undo()
+    return bool(calls)
+
+
+def test_adjacency_product_rule_picks_the_pinned_side(monkeypatch):
+    for g in (erdos_renyi(2000, 0.004, 7), erdos_renyi(1000, 0.008, 7)):
+        assert not _reads_dense_operator(monkeypatch, g, 8), g
+    # dense at d = 1 means dense at every width
+    for g in [complete_bipartite(300, 300)] + [w.graph for w in default_suite()]:
+        assert _reads_dense_operator(monkeypatch, g, 1), g
 
 
 @pytest.mark.parametrize(
@@ -209,9 +251,10 @@ def test_graph_core_does_not_import_numpy_ma(tmp_path):
         "print('numpy.ma' in sys.modules)\n"
     )
     assert _python(code) == "False"
-    # nor does a whole `gel run`, which stays on numpy alone
+    # nor does a whole `gel run` whose steps take the edge-sum A_hat product
+    # (2 m d < n^2 / 8), which stays on numpy alone
     (tmp_path / "run.cfg").write_text(
-        "graph = erdos_renyi(40, 0.2, 3)\nvariant = gradient_flow\n"
+        "graph = cycle(64)\nvariant = gradient_flow\n"
         "W = [[-1.0, 0.0], [0.0, 0.3]]\ntau = 0.5\nsteps = 30\n"
         "init = random_normal(7)\ncsv = run.csv\nsvg = run.svg\nreport = run.txt\n"
     )
