@@ -197,6 +197,9 @@ def preset_bipartite_demo(
     """
     if a < 2 or b < 2:
         raise ValidationError(f"both parts need >= 2 nodes, got ({a}, {b})")
+    if steps < 1:
+        # the plot and the assertions read at least two states
+        raise ValidationError(f"--steps must be a positive integer, got {steps}")
     g = complete_bipartite(a, b)
     F0 = np.random.default_rng(check_seed(seed, "seed")).standard_normal((g.n, 1))
     lam_max = extreme_spectrum(g).lambda_max

@@ -337,8 +337,9 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ValidationError(f"d must be >= 1, got {d}")
 
     steps = integer("steps", None)
-    if steps is None or steps < 0:
-        raise ValidationError(f"steps must be a nonnegative integer, got {raw['steps']!r}")
+    if steps is None or steps < 1:
+        # the plot and the report read at least two states
+        raise ValidationError(f"steps must be a positive integer, got {raw['steps']!r}")
 
     return ExperimentConfig(
         graph=graph,

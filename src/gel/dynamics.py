@@ -41,15 +41,29 @@ its own ``Lrw F = F - (A F + F) / (deg + 1)`` instead, with
 ``A F = sqrt(deg) A_hat (sqrt(deg) F)``.  The product is
 ``graphs._adjacency_product``: an O(m d) sum over the edges on a sparse
 graph (``2 m d < n^2 / 8``) and one dense O(n^2 d) product otherwise, so a
-sparse run never builds an n x n matrix.  The CSV columns of each recorded
-state need no product: they come from one gather of the degree-normalized
-rows at both ends of every edge, in O(m d).  The Dirichlet energy is the sum
-of the squared per-edge differences, the Rayleigh quotient that value over
-|F|^2, the parametric energy's mixing term ``trace(F^T A_hat F W)`` twice the
-per-edge sum of ``<head_e W, tail_e>``, the LP energy the Dirichlet value plus
-``mu |F - F0|^2``.  In debug runs (asserts on) each state's Dirichlet value
-is cross-checked against the trace form ``|F|^2 - trace(F^T A_hat F)``, its
-second part summed over the same edges, also in O(m d).
+sparse run never builds an n x n matrix.
+
+The CSV columns of a state x between the first and the last are read off
+the product ``A x`` that the next step forms, in O(n d) (``_product_state``):
+the Dirichlet energy is ``D = <x', x - A x>`` with x deflated of the kernel
+vector ``phi0 = sqrt(deg) / |sqrt(deg)|``, ``x' = x - phi0 (phi0^T x)``
+(equal to ``<x', L x'>`` as ``A phi0 = phi0``), the Rayleigh quotient
+``D / |x|^2``, the parametric energy's mixing term ``trace(x^T A_hat x W)``
+the dot ``<A x, x W>``, the LP energy ``D + mu |x - F0|^2``.  The first and
+the last state, and every state of a run that falls back, take the edge
+form instead (``_edge_state``): one gather of the degree-normalized rows at
+both ends of every edge, in O(m d), D the sum of the squared per-edge
+differences and the mixing term twice the per-edge sum of
+``<head_e W, tail_e>``.  A run falls back on a disconnected graph, on an
+update that forms no ``A x`` (grand_linear) and on an energy read off the
+per-edge differences (harmonic, laplacian_omega_eq_w); a state falls back
+when its deflated value is not above ``_DEFLATED_FLOOR |x'|^2``, so no
+Dirichlet entry is ever negative.  In debug runs (asserts on) each state's
+Dirichlet value is cross-checked at 1e-9 against the trace form
+``|x|^2 - trace(x^T A_hat x)``: the product form reads it off ``A x``
+undeflated, which differs from D by ``(phi0^T x) <phi0 - A phi0, x>``, the
+edge form sums its A_hat part over the same edges; either check fails when
+the degrees disagree with the edges.
 """
 
 from __future__ import annotations
@@ -76,6 +90,7 @@ from .graphs import (
     _adjacency_product,
     _require_memory,
     degree_vector,
+    graph_checks,
     spectral_decomposition,
     square_matrix,
 )
@@ -97,17 +112,34 @@ __all__ = [
 
 
 class _State(NamedTuple):
-    """A recorded unit direction ``x`` and what its diagnostics share: the
-    rows of ``x / sqrt(deg)`` at the ``head`` and ``tail`` of each edge,
-    their differences ``diffs``, ``dirichlet`` the sum of squares of those
-    and ``ref`` the run's reference features F0."""
+    """A recorded unit direction ``x`` and what its diagnostics share: its
+    Dirichlet value ``dirichlet``, ``sq = |x|^2``, the run's reference
+    features ``ref`` (F0), and either ``ax = A_hat x`` (the product form) or
+    the rows of ``x / sqrt(deg)`` at the ``head`` and ``tail`` of each edge
+    and their differences ``diffs`` (the edge form)."""
 
     x: np.ndarray
-    head: np.ndarray
-    tail: np.ndarray
-    diffs: np.ndarray
     dirichlet: float
+    sq: float
     ref: np.ndarray
+    ax: np.ndarray | None = None
+    head: np.ndarray | None = None
+    tail: np.ndarray | None = None
+    diffs: np.ndarray | None = None
+
+
+#: A state's columns are read off ``A x`` only when its deflated Dirichlet
+#: value ``D = <x', x - A x>`` exceeds this fraction of ``|x'|^2``.  The
+#: rounding of ``A x``, about eps |x| per entry, puts an error of about
+#: ``eps |x| |x'|`` on D, a relative one of ``eps |x| / (q |x'|)`` with
+#: ``q = D / |x'|^2``; the edge form's differences carry the same rounding,
+#: squared, for ``2 eps |x| / (sqrt(q) |x'|)``.  ``q > 1e-3`` bounds the
+#: first by ``eps / q = 2.2e-13`` when ``|x'|`` is near ``|x|``, under a
+#: fourth of the 1e-12 the columns are tested to, and by
+#: ``1 / (2 sqrt(q)) < 16`` times the edge form's otherwise.  States at the
+#: rounding floor next to the kernel, where D is noise of either sign, and
+#: smooth states of graphs with a tiny lambda_2 fall below it.
+_DEFLATED_FLOOR = 1e-3
 
 
 class _Update(NamedTuple):
@@ -115,7 +147,8 @@ class _Update(NamedTuple):
     "A" (A_hat) or "L" (I - A_hat), the last two read off one product
     ``A_hat F``, or a function ``(g, F) -> P F`` (GRAND's Lrw) that forms
     its own product; ``reads_af`` says whether a term needs ``A_hat F`` and
-    is set by ``ModelSpec``.  ``energy`` defaults to the Dirichlet energy."""
+    is set by ``ModelSpec``.  ``energy`` defaults to the Dirichlet energy;
+    ``edge_energy`` marks one that reads the per-edge differences."""
 
     terms: tuple[
         tuple[str | Callable[[Graph, np.ndarray], np.ndarray], np.ndarray | float], ...
@@ -125,17 +158,30 @@ class _Update(NamedTuple):
     energy: Callable[[_State], float] = lambda s: s.dirichlet
     activation: Callable[[np.ndarray], np.ndarray] | None = None
     reads_af: bool = False
+    edge_energy: bool = False
+
+
+def _mixing(s: _State, W: np.ndarray) -> float:
+    """``trace(x^T A_hat x W)`` for symmetric W: ``<A x, x W>`` on the
+    product form, twice the per-edge sum of ``<head_e W, tail_e>`` on the
+    edge form."""
+    if s.ax is not None:
+        return float(s.ax.ravel() @ (s.x @ W).ravel())
+    return 2.0 * float(np.sum((s.head @ W) * s.tail))
 
 
 def _parametric(w: WeightSet):
     has_source = w.has_source
 
     def energy(s: _State) -> float:
-        # trace(x^T A_hat x W) = 2 sum_e <head_e W, tail_e> for symmetric W
-        mixing = 2.0 * float(np.sum((s.head @ w.W) * s.tail))
-        return _parametric_value(s.x, mixing, w, s.ref if has_source else None)
+        return _parametric_value(s.x, _mixing(s, w.W), w, s.ref if has_source else None)
 
     return energy
+
+
+def _squared_distance(a: np.ndarray, b: np.ndarray) -> float:
+    r = (a - b).ravel()
+    return float(r @ r)
 
 
 def _flow(w: WeightSet, residual: bool = True) -> _Update:
@@ -165,7 +211,7 @@ def _label_propagation(spec: ModelSpec) -> _Update:
     return _Update(
         terms=(("L", -1.0), ("I", -mu)),
         source=mu if mu > 0.0 else None,
-        energy=lambda s: s.dirichlet + mu * float(np.sum((s.x - s.ref) ** 2)),
+        energy=lambda s: s.dirichlet + mu * _squared_distance(s.x, s.ref),
     )
 
 
@@ -219,6 +265,7 @@ _TABLE: dict[str, _Entry] = {
         lambda s: _Update(
             (("L", -(s.weights.W @ s.weights.W)),),
             energy=lambda st: float(np.sum((st.diffs @ s.weights.W) ** 2)),
+            edge_energy=True,
         ),
     ),
     "laplacian_omega_eq_w": _Entry(
@@ -226,6 +273,7 @@ _TABLE: dict[str, _Entry] = {
         lambda s: _Update(
             (("L", -s.weights.W),),
             energy=lambda st: float(np.sum((st.diffs @ s.weights.W) * st.diffs)),
+            edge_energy=True,
         ),
     ),
     "diag_nonlinear": _Entry("weights", _diag_nonlinear, True),
@@ -410,19 +458,22 @@ def _random_walk_laplacian(g: Graph, F: np.ndarray) -> np.ndarray:
 
 # overflow is reported as the NumericError below, not as a numpy warning
 @np.errstate(over="ignore", invalid="ignore")
-def step_model(spec: ModelSpec, g: Graph, F, F0=None) -> np.ndarray:
+def step_model(spec: ModelSpec, g: Graph, F, F0=None, *, _af=None) -> np.ndarray:
     """One explicit-Euler step of the chosen variant.
 
     Sums the variant's ``P_k F M_k`` terms and its source ``F0 S``, applies
     sigma (the identity for the linear family), and returns
     ``F + tau * sigma(Z)``, or ``tau * Z`` for the discarding variant.  The
     A and L terms share one product ``A_hat F``, an edge sum on a sparse
-    graph (see ``graphs._adjacency_product``).
+    graph (see ``graphs._adjacency_product``); a list passed as ``_af``
+    receives that product, so ``run_trajectory`` reads F's columns off it.
     """
     feats = as_features(g, F)
     _check_channels(spec.channels, feats, "model parameters")
     update = spec._update
     af = _adjacency_product(g, feats) if update.reads_af else None
+    if _af is not None and af is not None:
+        _af.append(af)
     z = 0
     for op, m in update.terms:
         if op == "I":
@@ -459,6 +510,11 @@ def trajectory_states(spec: ModelSpec, g: Graph, F0, steps: int) -> Iterator[Fea
     source-coupled and nonlinear runs iterate the raw state, whose norm gives
     ``log_scale``.  Overflow or collapse raises a numeric error naming the step.
     """
+    return _states(spec, g, *_start(spec, g, F0, steps))
+
+
+def _start(spec: ModelSpec, g: Graph, F0, steps) -> tuple[np.ndarray, float, int]:
+    """The checked reference features, their norm and the step count."""
     if not isinstance(steps, (int, np.integer)) or steps < 0:
         raise ValidationError(f"steps must be a nonnegative integer, got {steps!r}")
     feats = as_features(g, F0)
@@ -466,20 +522,25 @@ def trajectory_states(spec: ModelSpec, g: Graph, F0, steps: int) -> Iterator[Fea
     norm = float(np.linalg.norm(feats))
     if norm == 0.0:
         raise ValidationError("initial features must be nonzero")
-    return _states(spec, g, feats, norm, int(steps))
+    return feats, norm, int(steps)
 
 
-def _states(spec, g, reference, norm, steps) -> Iterator[FeatureState]:
+def _states(spec, g, reference, norm, steps, products=None) -> Iterator[FeatureState]:
+    """The states of a checked run.  A list passed as ``products`` receives,
+    at each step that forms one, ``A_hat`` of the direction the step read."""
     renormalize = spec.is_homogeneous
     direction, log_scale = reference / norm, float(np.log(norm))
     yield FeatureState(direction, log_scale)
     state = direction if renormalize else reference
     for k in range(1, steps + 1):
         try:
-            state = step_model(spec, g, state, F0=reference)
+            state = step_model(spec, g, state, F0=reference, _af=products)
         except NumericError:  # the step overflowed; step_model checks that
             norm = np.inf
         else:
+            if products and not renormalize:
+                # the step read the raw state, of norm ``norm``
+                products[-1] /= norm
             with np.errstate(over="ignore", invalid="ignore"):
                 norm = float(np.linalg.norm(state))
         if not np.isfinite(norm) or norm == 0.0:
@@ -492,32 +553,74 @@ def _states(spec, g, reference, norm, steps) -> Iterator[FeatureState]:
         yield FeatureState(direction, log_scale)
 
 
+def _edge_state(x: np.ndarray, edge_rows, ref: np.ndarray) -> _State:
+    """The edge form of x's diagnostics, in O(m d)."""
+    head, tail = edge_rows(x)
+    diffs = head - tail
+    value = float(np.sum(diffs * diffs))
+    sq = float(np.sum(x * x))
+    if __debug__:
+        # trace form |x|^2 - trace(x^T A_hat x), with the A_hat part summed
+        # over the edges: it holds only if the degrees match the edge list
+        _check_trace_form(value, sq - 2.0 * float(np.sum(head * tail)))
+    return _State(x, value, sq, ref, head=head, tail=tail, diffs=diffs)
+
+
+def _product_state(
+    x: np.ndarray, ax: np.ndarray, phi0: np.ndarray, ref: np.ndarray
+) -> _State | None:
+    """The product form of x's diagnostics given ``ax = A_hat x``, in
+    O(n d), or None when the deflated value is not above
+    ``_DEFLATED_FLOOR |x'|^2``."""
+    deflated = (x - np.outer(phi0, phi0 @ x)).ravel()
+    value = float(deflated @ (x - ax).ravel())
+    if not value > _DEFLATED_FLOOR * float(deflated @ deflated):
+        return None
+    flat = x.ravel()
+    sq = float(flat @ flat)
+    if __debug__:
+        # the undeflated trace form: off by (phi0^T x) <phi0 - A phi0, x>,
+        # nonzero when the degrees disagree with the operator's edges
+        _check_trace_form(value, sq - float(flat @ ax.ravel()))
+    return _State(x, value, sq, ref, ax=ax)
+
+
 def run_trajectory(spec: ModelSpec, g: Graph, F0, steps: int) -> Trajectory:
     """The CSV columns of every state ``trajectory_states`` yields, and the
-    last state.  The columns of a state are edge sums in O(m d), as is the
-    step's ``A_hat`` product on a sparse graph.
+    last state.  State k is recorded once step k + 1 has run, from the
+    product ``A_hat x`` that step formed, in O(n d); the first and the last
+    state, and the fallbacks the module docstring lists, take the O(m d)
+    edge form.
     """
-    states = trajectory_states(spec, g, F0, steps)
-    reference = as_features(g, F0)  # source / clamping reference, in raw units
-    count = int(steps) + 1
+    reference, norm, steps = _start(spec, g, F0, steps)
+    count = steps + 1
     _require_memory(4 * 8 * count, f"the CSV columns of {count} states")
     rayleigh, dirichlet, energy, log_scale = (np.empty(count) for _ in range(4))
-    energy_of = spec._update.energy
+    update = spec._update
     edge_rows = _edge_rows(g)
-    for k, state in enumerate(states):
+    products = phi0 = None
+    if not update.edge_energy and graph_checks(g).connected:
+        products = []
+        sqrt_deg = np.sqrt(degree_vector(g))
+        phi0 = sqrt_deg / np.linalg.norm(sqrt_deg)
+
+    def record(k: int, state: FeatureState, ax: np.ndarray | None) -> None:
         x = state.direction
-        head, tail = edge_rows(x)
-        diffs = head - tail
-        value = float(np.sum(diffs * diffs))
-        sq = float(np.sum(x * x))
-        if __debug__:
-            # trace form |x|^2 - trace(x^T A_hat x), with the A_hat part summed
-            # over the edges: it holds only if the degrees match the edge list
-            _check_trace_form(value, sq - 2.0 * float(np.sum(head * tail)))
-        rayleigh[k] = value / sq
-        dirichlet[k] = value
-        energy[k] = energy_of(_State(x, head, tail, diffs, value, reference))
+        s = _product_state(x, ax, phi0, reference) if k and ax is not None else None
+        if s is None:
+            s = _edge_state(x, edge_rows, reference)
+        rayleigh[k] = s.dirichlet / s.sq
+        dirichlet[k] = s.dirichlet
+        energy[k] = update.energy(s)
         log_scale[k] = state.log_scale
+
+    previous = None
+    for k, state in enumerate(_states(spec, g, reference, norm, steps, products)):
+        if previous is not None:
+            # step k has read state k - 1 and left its product
+            record(k - 1, previous, products.pop() if products else None)
+        previous = state
+    record(steps, previous, None)
     return Trajectory(
         steps=np.arange(count),
         times=np.arange(count) * spec.tau,
@@ -525,7 +628,7 @@ def run_trajectory(spec: ModelSpec, g: Graph, F0, steps: int) -> Trajectory:
         dirichlet=dirichlet,
         energy=energy,
         log_scale=log_scale,
-        final=state,
+        final=previous,
     )
 
 

@@ -142,10 +142,10 @@ def _edge_rows(g: Graph):
 
 
 def _check_trace_form(value: float, trace_form: float) -> None:
-    """Debug cross-check of an edge-form Dirichlet energy against its
-    Laplacian trace form ``tr(F^T L F)``."""
+    """Debug cross-check of a Dirichlet energy, summed over the edges or read
+    off a deflated product, against its Laplacian trace form ``tr(F^T L F)``."""
     assert abs(value - trace_form) <= 1e-9 * max(1.0, abs(value)), (
-        f"edge-sum and trace forms of the Dirichlet energy disagree: "
+        f"the Dirichlet energy disagrees with its trace form: "
         f"{value!r} vs {trace_form!r}"
     )
 

@@ -832,12 +832,17 @@ def graph_checks(g: Graph) -> GraphChecks:
     return GraphChecks(connected=(components == 1), bipartite=(cover == 2 * components))
 
 
+@lru_cache(maxsize=512)
 def _cover_labels(g: Graph) -> np.ndarray:
-    """Component labels of the bipartite double cover of ``g``."""
+    """Component labels of the bipartite double cover of ``g`` (read-only);
+    cached, as ``graph_checks`` and ``extreme_spectrum``'s colour classes
+    both read them."""
     u, v = g.edges[:, 0], g.edges[:, 1]
-    return _component_labels(
+    label = _component_labels(
         2 * g.n, np.concatenate((u, u + g.n)), np.concatenate((v + g.n, v))
     )
+    label.setflags(write=False)
+    return label
 
 
 def _count_components(label: np.ndarray) -> int:

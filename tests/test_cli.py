@@ -8,9 +8,11 @@ import pytest
 
 import gel.cli
 import gel.energy
+import gel.graphs
 import gel.spectral
 import gel.verify as verify
 from gel.cli import CSV_HEADER, main, preset_bipartite_demo, trajectory_csv
+from gel.config import parse_config
 from gel.dynamics import ModelSpec, run_trajectory
 from gel.energy import WeightSet
 from gel.graphs import _ends_of, complete_bipartite, extreme_spectrum, laplacian_spectrum
@@ -107,6 +109,35 @@ def test_run_csv_is_identical_with_asserts_off(tmp_path, config):
         assert done.returncode == 0, done.stderr
         csvs.append((tmp_path / "run.csv").read_bytes())
     assert csvs[0] == csvs[1]
+
+
+#: Heat on K_{5,5}: its inner modes halve each step, so the first ~50 states
+#: are read off the step's product and the states at the rounding floor
+#: next to the kernel fall back to the edge form.
+BOTH_FORMS_CFG = HFD_CFG.replace("variant = gradient_flow", "variant = heat").replace(
+    "W = [[-1.0]]", "d = 2"
+)
+
+
+def test_run_csv_with_both_column_forms_is_identical_with_asserts_off(tmp_path, product_forms):
+    cfg = parse_config(BOTH_FORMS_CFG)
+    run_trajectory(cfg.spec, cfg.graph, cfg.initial_features(), cfg.steps)
+    assert any(product_forms) and not all(product_forms)
+    csvs = []
+    for optimize in (False, True):
+        (tmp_path / "run.cfg").write_text(BOTH_FORMS_CFG)
+        done = _gel(["run", "run.cfg"], tmp_path, optimize)
+        assert done.returncode == 0, done.stderr
+        csvs.append((tmp_path / "run.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+
+
+@pytest.mark.parametrize("steps", ["0", "-1"])
+def test_run_rejects_fewer_than_one_step_before_writing(workdir, capsys, steps):
+    cfg = write(workdir / "run.cfg", HFD_CFG.replace("steps = 60", f"steps = {steps}"))
+    assert main(["run", cfg]) == 3
+    assert "steps must be a positive integer" in capsys.readouterr().err
+    assert sorted(p.name for p in workdir.iterdir()) == ["run.cfg"]
 
 
 def test_run_gel_seed_override(workdir, monkeypatch):
@@ -359,6 +390,30 @@ def test_bipartite_non_hfd_weight_skips_assertions(workdir):
 
 def test_bipartite_rejects_tiny_parts(workdir):
     assert main(["bipartite", "1", "5"]) == 3
+
+
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_bipartite_rejects_fewer_than_one_step_before_writing(workdir, capsys, steps):
+    assert main(["bipartite", "3", "3", "--steps", steps]) == 3
+    assert "--steps must be a positive integer" in capsys.readouterr().err
+    assert list(workdir.iterdir()) == []
+
+
+def test_bipartite_labels_the_double_cover_once(workdir, monkeypatch):
+    # graph_checks and extreme_spectrum's colour classes share one labelling
+    g = complete_bipartite(6, 11)
+    for cached in (gel.graphs.graph_checks, gel.graphs.extreme_spectrum, gel.graphs._cover_labels):
+        cached.cache_clear()
+    sizes = []
+    component_labels = gel.graphs._component_labels
+
+    def recorded(n, u, v):
+        sizes.append(n)
+        return component_labels(n, u, v)
+
+    monkeypatch.setattr(gel.graphs, "_component_labels", recorded)
+    assert main(["bipartite", "6", "11"]) == 0
+    assert sizes.count(2 * g.n) == 1
 
 
 def test_bipartite_negative_seed_is_a_validation_error(workdir, capsys):

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import gel.dynamics
 from gel.dynamics import (
     ModelSpec,
     normalize_variant,
@@ -14,9 +15,11 @@ from gel.dynamics import (
 from gel.energy import WeightSet, dirichlet_energy, lp_energy, parametric_energy
 from gel.errors import ConfigurationError, NumericError, ValidationError
 from gel.graphs import (
+    Graph,
     adjacency_matrix,
     complete_bipartite,
     cycle,
+    degree_vector,
     erdos_renyi,
     normalized_adjacency,
     normalized_laplacian,
@@ -471,6 +474,91 @@ def test_omega_eq_w_energy_column_is_nonnegative_for_psd_w():
     assert traj.energy.min() >= 0.0
     assert traj.energy[-1] <= traj.dirichlet[-1]
     assert traj.energy[-1] >= 0.5 * traj.dirichlet[-1]
+
+
+# --- columns off the step's product -----------------------------------------
+
+@pytest.mark.parametrize(
+    "spec",
+    [gf(np.array([[-1.0, 0.2], [0.2, 0.5]])), ModelSpec("label_propagation", mu=0.3)],
+    ids=["renormalized", "raw"],
+)
+def test_run_trajectory_steps_through_the_public_step_model(monkeypatch, spec):
+    # an outside tracer that rebinds dynamics.step_model sees every step, and
+    # forwarding the keyword arguments changes no column
+    g = erdos_renyi(120, 0.05, 13)
+    F0 = np.random.default_rng(8).normal(size=(g.n, 2))
+    plain = run_trajectory(spec, g, F0, 25)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return step_model(*args, **kwargs)
+
+    monkeypatch.setattr(gel.dynamics, "step_model", counted)
+    wrapped = run_trajectory(spec, g, F0, 25)
+    assert len(calls) == 25 and all(graph is g for graph in calls)
+    for name in ("rayleigh", "dirichlet", "energy", "log_scale"):
+        assert np.array_equal(getattr(wrapped, name), getattr(plain, name)), name
+    assert np.array_equal(wrapped.final.direction, plain.final.direction)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ModelSpec("heat"),
+        ModelSpec("label_propagation", mu=0.2),
+        gf(np.array([[-1.0, 0.2], [0.2, 0.5]])),
+    ],
+    ids=["heat", "label_propagation", "gradient_flow"],
+)
+def test_sparse_random_graph_reads_every_inner_state_off_the_product(product_forms, spec):
+    g = erdos_renyi(120, 0.05, 13)
+    run_trajectory(spec, g, np.random.default_rng(5).normal(size=(g.n, 2)), 40)
+    # the first and the last state always take the edge form
+    assert product_forms == [True] * 39
+
+
+def test_heat_at_the_rounding_floor_falls_back_and_stays_nonnegative(product_forms):
+    # K_{30,30}'s heat step halves the inner modes: after ~50 steps the state
+    # is phi0 plus rounding, where the deflated value is noise of either sign
+    g = complete_bipartite(30, 30)
+    traj = run_trajectory(ModelSpec("heat"), g, np.random.default_rng(1).normal(size=(g.n, 1)), 200)
+    assert product_forms[:40] == [True] * 40
+    assert not all(product_forms[40:])
+    assert traj.dirichlet.min() >= 0.0 and traj.rayleigh.min() >= 0.0
+
+
+def test_smooth_states_of_a_long_path_fall_back(product_forms):
+    # the ramp's deflated quotient is about 6 / n^2, far below the floor
+    g = path(400)
+    traj = run_trajectory(ModelSpec("heat"), g, np.linspace(-1.0, 1.0, g.n), 30)
+    assert product_forms == [False] * 29
+    assert traj.dirichlet.min() > 0.0
+
+
+@pytest.mark.parametrize(
+    "spec, g",
+    [
+        (ModelSpec("grand_linear"), erdos_renyi(30, 0.3, 2)),
+        (ModelSpec("harmonic", weights=WeightSet(W=np.eye(2))), erdos_renyi(30, 0.3, 2)),
+        (ModelSpec("heat"), Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])),
+    ],
+    ids=["no-product", "edge-energy", "disconnected"],
+)
+def test_fallback_runs_never_offer_the_product_form(product_forms, spec, g):
+    run_trajectory(spec, g, np.random.default_rng(4).normal(size=(g.n, 2)), 10)
+    assert product_forms == []
+
+
+@pytest.mark.skipif(not __debug__, reason="the cross-check is an assert")
+def test_product_form_check_catches_degrees_off_the_edges(monkeypatch):
+    g = erdos_renyi(40, 0.3, 3)
+    wrong = degree_vector(g) + np.arange(g.n) % 2
+    monkeypatch.setattr(gel.dynamics, "degree_vector", lambda graph: wrong)
+    F0 = np.random.default_rng(6).normal(size=(g.n, 1))
+    with pytest.raises(AssertionError, match="trace form"):
+        run_trajectory(ModelSpec("heat"), g, F0, 3)
 
 
 def test_label_propagation_converges_to_clamped_solution():

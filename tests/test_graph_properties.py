@@ -1,4 +1,5 @@
-"""Property tests of the graph core against a pure-Python reference.
+"""Property tests of the graph core against a pure-Python reference, and of
+the trajectory columns against their edge form.
 
 The reference walks the edges one at a time: a set of ``(min, max)`` pairs
 for canonicalization and a breadth-first 2-colouring for connectivity and
@@ -15,6 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gel.graphs
+from gel.dynamics import ModelSpec, run_trajectory, trajectory_states
+from gel.energy import WeightSet
 from gel.graphs import (
     Graph,
     _adjacency_product,
@@ -160,6 +163,60 @@ def test_extreme_spectrum_matches_the_full_decomposition(case):
         assert pair.eigenvectors.shape == block.shape
         projector = pair.eigenvectors @ pair.eigenvectors.T
         assert np.abs(projector - block @ block.T).max() <= 1e-10
+
+
+def edge_form_columns(g, spec, x, F0):
+    """Rayleigh quotient, Dirichlet energy and energy column of the state x,
+    summed over the edges of ``g``."""
+    y = x / np.sqrt(degree_vector(g))[:, None]
+    head, tail = y[g.edges[:, 1]], y[g.edges[:, 0]]
+    dirichlet = float(np.sum((head - tail) ** 2))
+    if spec.variant == "heat":
+        energy = dirichlet
+    elif spec.variant == "label_propagation":
+        energy = dirichlet + spec.mu * float(np.sum((x - F0) ** 2))
+    else:
+        w = spec.weights
+        energy = (
+            float(np.sum((x @ w.Omega) * x))
+            - 2.0 * float(np.sum((head @ w.W) * tail))
+            + 2.0 * float(np.sum(x * (F0 @ w.Wtilde)))
+        )
+    return dirichlet / float(np.sum(x * x)), dirichlet, energy
+
+
+@st.composite
+def column_specs(draw, d):
+    variant = draw(st.sampled_from(["gradient_flow", "heat", "label_propagation"]))
+    tau = draw(st.floats(0.1, 1.0))
+    if variant == "heat":
+        return ModelSpec(variant, tau=tau)
+    if variant == "label_propagation":
+        return ModelSpec(variant, tau=tau, mu=draw(st.floats(0.0, 1.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w, omega = rng.normal(size=(2, d, d))
+    weights = WeightSet(
+        W=(w + w.T) / 2,
+        Omega=(omega + omega.T) / 4 if draw(st.booleans()) else None,
+        Wtilde=rng.normal(size=(d, d)) if draw(st.booleans()) else None,
+    )
+    return ModelSpec(variant, weights=weights, tau=tau / 2)
+
+
+@settings(deadline=None)
+@given(connected_edge_lists(), st.integers(1, 3), st.data())
+def test_trajectory_columns_match_their_edge_form(case, d, data):
+    g = Graph(*case)
+    spec = data.draw(column_specs(d))
+    steps = data.draw(st.integers(1, 30))
+    F0 = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(size=(g.n, d))
+    traj = run_trajectory(spec, g, F0, steps)
+    assert traj.dirichlet.min() >= 0.0
+    for k, state in enumerate(trajectory_states(spec, g, F0, steps)):
+        want = edge_form_columns(g, spec, state.direction, F0)
+        got = (traj.rayleigh[k], traj.dirichlet[k], traj.energy[k])
+        for name, a, b in zip(("rayleigh", "dirichlet", "energy"), got, want):
+            assert abs(a - b) <= max(1e-12 * abs(b), 1e-15), (k, name, a, b)
 
 
 @settings(deadline=None)
