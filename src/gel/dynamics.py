@@ -79,6 +79,7 @@ from .energy import (
     _check_channels,
     _check_trace_form,
     _edge_rows,
+    _frobenius_norm,
     _parametric_value,
     _require_source,
     as_features,
@@ -519,7 +520,7 @@ def _start(spec: ModelSpec, g: Graph, F0, steps) -> tuple[np.ndarray, float, int
         raise ValidationError(f"steps must be a nonnegative integer, got {steps!r}")
     feats = as_features(g, F0)
     _check_channels(spec.channels, feats, "model parameters")
-    norm = float(np.linalg.norm(feats))
+    norm = _frobenius_norm(feats)
     if norm == 0.0:
         raise ValidationError("initial features must be nonzero")
     return feats, norm, int(steps)

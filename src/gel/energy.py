@@ -127,6 +127,20 @@ def as_features(g: Graph, F, name: str = "F") -> np.ndarray:
     return arr
 
 
+def _frobenius_norm(x: np.ndarray) -> float:
+    """|x|_F of a finite x.  Only when the plain sum of squares overflows is
+    x rescaled by max |x| first, so every other value is numpy's own."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(x))
+    if np.isfinite(norm):
+        return norm
+    peak = float(np.abs(x).max())
+    norm = peak * float(np.linalg.norm(x / peak))
+    if not np.isfinite(norm):
+        raise NumericError("the features' norm exceeds the floating range")
+    return norm
+
+
 def _edge_rows(g: Graph):
     """The map from features F to the rows of ``F / sqrt(deg)`` at the head
     and at the tail of each edge (one row per edge); looks up the degrees

@@ -401,6 +401,11 @@ def _physical_memory() -> float:
         return math.inf
 
 
+def _require_dense(n: int, arrays: int, what: str) -> None:
+    """``_require_memory`` for ``arrays`` dense n x n float arrays at once."""
+    _require_memory(arrays * 8 * n * n, f"{what}'s {arrays} dense {n} x {n} matrices")
+
+
 def _require_memory(nbytes: int, what: str) -> None:
     """Raise a ``NumericError`` naming ``what`` when it needs more bytes than
     the machine's physical memory, before anything is allocated."""
@@ -608,9 +613,18 @@ def _fix_eigenvector_signs(vectors: np.ndarray) -> np.ndarray:
     return fixed
 
 
+#: n x n arrays alive at once at the peak of each dense spectrum site: the
+#: certificate's matrix, LAPACK's copy of it and the Cholesky factor; and the
+#: full decomposition's operators, eigenvectors and checks (cycle(4000)
+#: peaked at 912 MB, about 7 * 8 n^2 bytes).
+_CERTIFICATE_ARRAYS = 3
+_DECOMPOSITION_ARRAYS = 7
+
+
 @lru_cache(maxsize=512)
 def laplacian_spectrum(g: Graph) -> SpectralPair:
     """Cached spectral decomposition of the normalized Laplacian of ``g``."""
+    _require_dense(g.n, _DECOMPOSITION_ARRAYS, "the full decomposition")
     return spectral_decomposition(normalized_laplacian(g))
 
 
@@ -653,9 +667,10 @@ def extreme_spectrum(g: Graph) -> SpectrumEnds:
     A multiple lambda_max on a non-bipartite graph always fails: a single
     start vector sees one copy.
     """
-    _require_memory(8 * g.n * g.n, f"a dense {g.n} x {g.n} matrix")
     checks = graph_checks(g)
     if checks.connected:
+        # before the Lanczos, which is wasted if the certificate cannot run
+        _require_dense(g.n, _CERTIFICATE_ARRAYS, "the certificate")
         ends = _certified_ends(g, checks.bipartite)
         if ends is not None:
             return ends

@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import FeatureState, ModelSpec
-from .energy import _check_channels, as_features
+from .energy import _check_channels, _frobenius_norm, as_features
 from .errors import (
     ConfigurationError,
     DegenerateInputError,
@@ -201,7 +201,7 @@ def closed_form_features(g: Graph, spec: ModelSpec, m: int, F0) -> FeatureState:
     if not isinstance(m, (int, np.integer)) or m < 0:
         raise ConfigurationError(f"step count m must be a nonnegative integer, got {m!r}")
     feats = as_features(g, F0)
-    norm0 = float(np.linalg.norm(feats))
+    norm0 = _frobenius_norm(feats)
     if norm0 == 0.0:
         raise DegenerateInputError("initial features must be nonzero")
     lap = laplacian_spectrum(g)
@@ -355,7 +355,7 @@ def asymptotic_profile(g: Graph, spec: ModelSpec, F0) -> ProfilePrediction:
     """
     require_connected(g, "asymptotic prediction")
     feats = as_features(g, F0)
-    norm0 = float(np.linalg.norm(feats))
+    norm0 = _frobenius_norm(feats)
     if norm0 == 0.0:
         raise DegenerateInputError("initial features must be nonzero")
     if spec.variant == "grand_linear":
@@ -418,7 +418,7 @@ def asymptotic_profile(g: Graph, spec: ModelSpec, F0) -> ProfilePrediction:
 
 
 def _checked_direction(block: np.ndarray, norm0: float, what: str) -> np.ndarray:
-    norm = float(np.linalg.norm(block))
+    norm = _frobenius_norm(block)
     if norm < 1e-10 * norm0:
         raise DegenerateInputError(
             f"initial features have (numerically) no component on {what}; "

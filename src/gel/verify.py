@@ -5,7 +5,13 @@ Kronecker assemblies, central finite differences, long trajectories — and
 compares against the closed-form implementation.  Checks are described by
 :class:`Witness` objects (graph + matrices + scalars + tags), so a failing
 check serializes to a self-contained text document that ``gel replay`` can
-re-run verbatim.
+re-run verbatim.  A witness names its model's fields as a config does.  The
+diagonal weights are ``omega_diag``, a config's ``omega``.
+
+The checks that run a model and compare the run with a prediction are rows
+of ``PREDICTIONS``: the variant, each compared quantity at its tolerance,
+the frequency the final Rayleigh quotient must reach, and a default step
+count or horizon rule.  One runner serves them all; a new prediction is one row.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import islice
+from typing import Callable
 
 import numpy as np
 
@@ -24,16 +31,17 @@ from .dynamics import (
     step_model,
     trajectory_states,
 )
-from .energy import WeightSet, as_features, dirichlet_energy, parametric_energy
-from .errors import NumericError, ParseError, ValidationError
+from .energy import WeightSet, as_features, parametric_energy
+from .energy import dirichlet_energy  # noqa: F401  (perfbench traces gel.verify.dirichlet_energy)
+from .errors import HypothesisError, NumericError, ParseError, ValidationError
 from .graphs import (
     Graph,
     _parse_edge_lines,
     degree_vector,
+    extreme_spectrum,
     graph_checks,
     laplacian_spectrum,
     normalized_adjacency,
-    normalized_laplacian,
     spectral_decomposition,
 )
 from .spectral import (
@@ -110,6 +118,33 @@ class Witness:
             )
         return int(value)
 
+    def tag(self, name: str, default: str | None = None) -> str:
+        if name in self.tags:
+            return self.tags[name]
+        if default is None:
+            raise ValidationError(f"check {self.check!r} needs tag {name!r}")
+        return default
+
+
+def _weights(w: Witness) -> WeightSet:
+    """The witness's W, Omega, Wtilde and omega_diag; W defaults to zeros
+    of omega_diag's width, the others to zeros."""
+    diag = w.matrices.get("omega_diag")
+    wmat = w.matrix("W") if diag is None or "W" in w.matrices else np.zeros((diag.size,) * 2)
+    return WeightSet(W=wmat, Omega=w.matrices.get("Omega"),
+                     Wtilde=w.matrices.get("Wtilde"), omega_diag=diag)
+
+
+def _spec(w: Witness, variant: str, **given) -> ModelSpec:
+    """The ``variant`` model of the witness's fields, named as in a config
+    (the weights, KtK, OmegaTilde and tau); ``given`` fields win."""
+    fields = {"KtK": w.matrices.get("KtK"), "OmegaTilde": w.matrices.get("OmegaTilde")}
+    if "W" in w.matrices or "omega_diag" in w.matrices:
+        fields["weights"] = _weights(w)
+    if "tau" not in given:
+        fields["tau"] = w.scalar("tau")
+    return ModelSpec(variant=variant, **{**fields, **given})
+
 
 def _report(
     name: str, max_error: float, tolerance: float, witness: Witness
@@ -182,8 +217,7 @@ def _run_gradient_fd(w: Witness) -> CheckReport:
         raise ValidationError(f"finite-difference step h must be in [1e-7, 1e-3], got {h!r}")
     g = w.graph
     feats = as_features(g, w.matrix("F"))
-    weights = WeightSet(W=w.matrix("W"), Omega=w.matrices.get("Omega"),
-                        Wtilde=w.matrices.get("Wtilde"))
+    weights = _weights(w)
     F0 = w.matrices.get("F0")
     # module lookup keeps the check honest against a patched/buggy gradient
     analytic = -2.0 * energy_mod.energy_gradient(g, feats, weights, F0=F0)
@@ -261,21 +295,17 @@ def monotonicity_check(
 
 def _run_monotonicity(w: Witness) -> CheckReport:
     g = w.graph
-    weights = WeightSet(W=w.matrix("W"), Omega=w.matrices.get("Omega"))
+    weights = _weights(w)
     feats = as_features(g, w.matrix("F0"))
-    sigma = w.tags.get("sigma", "relu")
+    sigma = w.tag("sigma", "relu")
     steps = w.count("steps", 50)
     tau_proxy = w.scalar("tau_proxy", 1e-3)
     tau_discrete = w.scalar("tau_discrete", 0.3)
     if tau_proxy > 1e-3:
-        raise ValidationError(
-            f"the descent proxy needs tau <= 1e-3, got {tau_proxy!r}"
-        )
+        raise ValidationError(f"the descent proxy needs tau <= 1e-3, got {tau_proxy!r}")
 
     def energies(tau: float) -> tuple[np.ndarray, list[np.ndarray]]:
-        spec = ModelSpec(
-            variant="gradient_flow_nonlinear", weights=weights, tau=tau, sigma=sigma
-        )
+        spec = _spec(w, "gradient_flow_nonlinear", tau=tau, sigma=sigma)
         states = [feats]
         for _ in range(steps):
             states.append(step_model(spec, g, states[-1]))
@@ -316,12 +346,10 @@ def filter_equivalence_check(g: Graph, W, tau: float, F) -> CheckReport:
 
 def _run_filter_equivalence(w: Witness) -> CheckReport:
     g = w.graph
-    wmat = w.matrix("W")
-    tau = w.scalar("tau")
     feats = w.matrix("F")
-    spec = ModelSpec(variant="gradient_flow", weights=WeightSet(W=wmat), tau=tau)
+    spec = _spec(w, "gradient_flow")
     direct = step_model(spec, g, feats)
-    filtered = spectral_filter_step(g, wmat, tau, feats)
+    filtered = spectral_filter_step(g, w.matrix("W"), spec.tau, feats)
     return _report(w.label, float(np.abs(direct - filtered).max()), 1e-12, w)
 
 
@@ -331,8 +359,7 @@ def _run_filter_equivalence(w: Witness) -> CheckReport:
 
 def _run_kronecker_energy(w: Witness) -> CheckReport:
     g = w.graph
-    weights = WeightSet(W=w.matrix("W"), Omega=w.matrices.get("Omega"),
-                        Wtilde=w.matrices.get("Wtilde"))
+    weights = _weights(w)
     feats = w.matrix("F")
     F0 = w.matrices.get("F0")
     fast = parametric_energy(g, feats, weights, F0=F0)
@@ -354,29 +381,9 @@ def _run_curl_asymmetry(w: Witness) -> CheckReport:
     return _report(w.label, max(0.0, 1e-6 - defect), 0.0, w)
 
 
-def _run_closed_form_vs_trajectory(w: Witness) -> CheckReport:
-    g = w.graph
-    wmat = w.matrix("W")
-    tau = w.scalar("tau")
-    steps = w.count("steps")
-    F0 = w.matrix("F0")
-    spec = ModelSpec(variant="gradient_flow", weights=WeightSet(W=wmat), tau=tau)
-    traj = run_trajectory(spec, g, F0, steps)
-    exact = closed_form_features(g, spec, steps, F0)
-    dir_err = float(np.abs(traj.final.direction - exact.direction).max())
-    log_err = abs(traj.final.log_scale - exact.log_scale)
-    max_error = max(dir_err / 1e-10, log_err / 1e-8)
-    return _report(w.label, max_error, 1.0, w)
-
-
 def _direction_mismatch(direction: np.ndarray, predicted: np.ndarray) -> float:
     """Entrywise distance to the prediction, up to a global sign flip."""
-    return float(
-        min(
-            np.abs(direction - predicted).max(),
-            np.abs(direction + predicted).max(),
-        )
-    )
+    return float(min(np.abs(direction - predicted).max(), np.abs(direction + predicted).max()))
 
 
 def _horizon(ratio: float, target: float, cap: int = 20000) -> int:
@@ -387,51 +394,103 @@ def _horizon(ratio: float, target: float, cap: int = 20000) -> int:
     return min(cap, max(1, math.ceil(math.log(target) / math.log(ratio))))
 
 
-def _run_regime_realization(w: Witness) -> CheckReport:
-    g = w.graph
-    wmat = w.matrix("W")
-    tau = w.scalar("tau")
-    F0 = w.matrix("F0")
-    expected = w.tags["expected"]
-    report = classify_regime(g, wmat, tau)
-    if report.regime != expected:
-        return _report(w.label, np.inf, 1.0, w)
-    spec = ModelSpec(variant="gradient_flow", weights=WeightSet(W=wmat), tau=tau)
-    profile = asymptotic_profile(g, spec, F0)
-    steps = _horizon(profile.contraction, 1e-9)
-    traj = run_trajectory(spec, g, F0, steps)
-    target_rq = report.lambda_max if expected == "HFD" else 0.0
-    rq_err = abs(traj.rayleigh[-1] - target_rq)
-    dir_err = _direction_mismatch(traj.final.direction, profile.direction)
-    growth_err = abs(
-        (traj.log_scale[-1] - traj.log_scale[-2]) - math.log(profile.growth)
-    )
-    max_error = max(rq_err / 1e-6, dir_err / 1e-5, growth_err / 1e-6)
-    return _report(w.label, max_error, 1.0, w)
+def _contracted(w: Witness, spec: ModelSpec, profile) -> int:
+    """Steps until the profile's contraction has shrunk the rest by 1e-9."""
+    return _horizon(profile.contraction, 1e-9)
 
 
-def _run_no_residual_lfd(w: Witness) -> CheckReport:
-    g = w.graph
-    wmat = w.matrix("W")
-    tau = w.scalar("tau")
-    F0 = w.matrix("F0")
-    spec = ModelSpec(variant="no_residual", weights=WeightSet(W=wmat), tau=tau)
-    profile = asymptotic_profile(g, spec, F0)
-    steps = _horizon(profile.contraction, 1e-9)
+def _cgnn_horizon(w: Witness, spec: ModelSpec, profile) -> int:
+    """Steps until lambda_2's factor over the top factor reaches 1e-8; the
+    top eigenvalue of OmegaTilde's symmetric part bounds its spectrum."""
+    lam = laplacian_spectrum(w.graph).eigenvalues
+    mixer = spec.OmegaTilde
+    tilde_top = float(np.linalg.eigvalsh(0.5 * (mixer + mixer.T))[-1])
+    ratio = (1.0 + spec.tau * (tilde_top - float(lam[1]))) / (1.0 + spec.tau * tilde_top)
+    return _horizon(max(ratio, 0.0), 1e-8)
+
+
+@dataclass(frozen=True)
+class _Prediction:
+    """A check that runs ``variant`` and compares the run with a prediction.
+
+    ``tolerances`` maps each compared quantity to its tolerance:
+    ``direction`` and ``log_scale`` of the final state against
+    ``closed_form_features``; ``rayleigh``, the final Rayleigh quotient,
+    against ``frequency``; ``sign_free``, the final direction up to sign,
+    ``growth``, the last step's log-growth, and ``terminal``, the final
+    features, against ``asymptotic_profile``.  ``frequency`` is "LFD" (0),
+    "HFD" (lambda_max), or "expected": the witness's ``expected`` tag,
+    which ``classify_regime`` must confirm.  ``steps`` is the default step
+    count (None: the witness must give one) or a horizon rule.
+    """
+
+    variant: str
+    tolerances: dict[str, float]
+    frequency: str | None = None
+    steps: int | Callable[[Witness, ModelSpec, object], int] | None = 2000
+    source_free: bool = False
+
+
+PREDICTIONS = {
+    "closed_form_vs_trajectory": _Prediction(
+        "gradient_flow", {"direction": 1e-10, "log_scale": 1e-8}, steps=None),
+    "regime_realization": _Prediction(
+        "gradient_flow", {"rayleigh": 1e-6, "sign_free": 1e-5, "growth": 1e-6},
+        "expected", _contracted),
+    "no_residual_lfd": _Prediction(
+        "no_residual", {"rayleigh": 1e-6, "sign_free": 1e-5}, "LFD", _contracted),
+    "omega_eq_w_hfd": _Prediction("laplacian_omega_eq_w", {"rayleigh": 1e-6}, "HFD"),
+    "harmonic_limit": _Prediction("harmonic", {"terminal": 1e-6}),
+    "grand_mean": _Prediction("grand_linear", {"terminal": 1e-8}),
+    "cgnn_decay": _Prediction(
+        "cgnn", {"rayleigh": 1e-6}, "LFD", _cgnn_horizon, source_free=True),
+}
+
+
+def _run_prediction(w: Witness) -> CheckReport:
+    """Run the witness's model and compare it with its row of PREDICTIONS.
+
+    One quantity reports its own error and tolerance; several report the
+    worst error in units of its tolerance, against 1.
+    """
+    row = PREDICTIONS[w.check]
+    g, F0, tolerances = w.graph, w.matrix("F0"), row.tolerances
+    spec = _spec(w, row.variant, source_free=row.source_free)
+    frequency = row.frequency
+    if frequency == "expected":
+        frequency = w.tag("expected")
+        if classify_regime(g, spec.weights.W, spec.tau).regime != frequency:
+            return _report(w.label, np.inf, 1.0, w)
+    profile = None
+    if tolerances.keys() & {"sign_free", "growth", "terminal"}:
+        profile = asymptotic_profile(g, spec, F0)
+        if "terminal" in tolerances and profile.terminal is None:
+            raise HypothesisError(f"the {profile.label} profile has no terminal state")
+    steps = row.steps(w, spec, profile) if callable(row.steps) else w.count("steps", row.steps)
     traj = run_trajectory(spec, g, F0, steps)
-    rq_err = traj.rayleigh[-1]
-    dir_err = _direction_mismatch(traj.final.direction, profile.direction)
-    max_error = max(rq_err / 1e-6, dir_err / 1e-5)
-    return _report(w.label, max_error, 1.0, w)
+    closed = tolerances.keys() & {"direction", "log_scale"}
+    exact = closed_form_features(g, spec, steps, F0) if closed else None
+    target = extreme_spectrum(g).lambda_max if frequency == "HFD" else 0.0
+    measure = {
+        "direction": lambda: np.abs(traj.final.direction - exact.direction).max(),
+        "log_scale": lambda: abs(traj.final.log_scale - exact.log_scale),
+        "rayleigh": lambda: abs(traj.rayleigh[-1] - target),
+        "sign_free": lambda: _direction_mismatch(traj.final.direction, profile.direction),
+        "growth": lambda: abs(traj.log_scale[-1] - traj.log_scale[-2] - math.log(profile.growth)),
+        "terminal": lambda: np.abs(traj.final.features() - profile.terminal).max(),
+    }
+    errors = {quantity: float(measure[quantity]()) for quantity in tolerances}
+    if len(errors) == 1:
+        ((quantity, error),) = errors.items()
+        return _report(w.label, error, tolerances[quantity], w)
+    return _report(w.label, max(errors[q] / tolerances[q] for q in errors), 1.0, w)
 
 
 def _run_rate_certification(w: Witness) -> CheckReport:
     g = w.graph
-    wmat = w.matrix("W")
-    tau = w.scalar("tau")
     F0 = w.matrix("F0")
-    rates = convergence_rates(g, wmat, tau)
-    spec = ModelSpec(variant="gradient_flow", weights=WeightSet(W=wmat), tau=tau)
+    spec = _spec(w, "gradient_flow")
+    rates = convergence_rates(g, spec.weights.W, spec.tau)
     profile = asymptotic_profile(g, spec, F0)
     # Certify over the window where the quotient is numerically well posed.
     # Each step injects ~1e-16 of fresh roundoff into the direction, so once
@@ -441,10 +500,9 @@ def _run_rate_certification(w: Witness) -> CheckReport:
     worst = 0.0
     prev = None
     for state in trajectory_states(spec, g, F0, steps):
-        direction = state.direction
-        block = profile.direction * float(np.sum(profile.direction * direction))
-        residual = float(np.linalg.norm(direction - block))
-        dominant = float(np.abs(np.sum(profile.direction * direction)))
+        overlap = float(np.sum(profile.direction * state.direction))
+        residual = float(np.linalg.norm(state.direction - profile.direction * overlap))
+        dominant = abs(overlap)
         if prev is not None and prev > 1e-12 and residual > 1e-13:
             worst = max(worst, (residual / dominant) / prev)
         prev = (residual / dominant) if dominant > 0 else None
@@ -454,15 +512,11 @@ def _run_rate_certification(w: Witness) -> CheckReport:
 
 def _run_conservation(w: Witness) -> CheckReport:
     g = w.graph
-    wmat = w.matrix("W")
-    tau = w.scalar("tau")
     steps = w.count("steps", 500)
     F0 = w.matrix("F0")
-    spec = ModelSpec(
-        variant="laplacian_omega_eq_w", weights=WeightSet(W=wmat), tau=tau
-    )
+    spec = _spec(w, "laplacian_omega_eq_w")
     phi0 = laplacian_spectrum(g).eigenvectors[:, 0]
-    psi = spectral_decomposition(np.asarray(wmat, dtype=float)).eigenvectors
+    psi = spectral_decomposition(spec.weights.W).eigenvectors
     coeffs = np.array(
         [
             math.exp(state.log_scale) * (phi0 @ state.direction @ psi)
@@ -473,73 +527,15 @@ def _run_conservation(w: Witness) -> CheckReport:
     return _report(w.label, drift, 1e-9, w)
 
 
-def _run_omega_eq_w_hfd(w: Witness) -> CheckReport:
-    g = w.graph
-    wmat = w.matrix("W")
-    tau = w.scalar("tau")
-    steps = w.count("steps", 2000)
-    F0 = w.matrix("F0")
-    spec = ModelSpec(
-        variant="laplacian_omega_eq_w", weights=WeightSet(W=wmat), tau=tau
-    )
-    traj = run_trajectory(spec, g, F0, steps)
-    lambda_max = float(laplacian_spectrum(g).eigenvalues[-1])
-    return _report(w.label, abs(traj.rayleigh[-1] - lambda_max), 1e-6, w)
-
-
-def _run_harmonic_limit(w: Witness) -> CheckReport:
-    g = w.graph
-    wmat = w.matrix("W")
-    tau = w.scalar("tau")
-    steps = w.count("steps", 2000)
-    F0 = w.matrix("F0")
-    spec = ModelSpec(variant="harmonic", weights=WeightSet(W=wmat), tau=tau)
-    profile = asymptotic_profile(g, spec, F0)
-    traj = run_trajectory(spec, g, F0, steps)
-    terminal = traj.final.features()
-    return _report(
-        w.label, float(np.abs(terminal - profile.terminal).max()), 1e-6, w
-    )
-
-
-def _run_grand_mean(w: Witness) -> CheckReport:
-    g = w.graph
-    tau = w.scalar("tau")
-    steps = w.count("steps", 2000)
-    F0 = w.matrix("F0")
-    spec = ModelSpec(variant="grand_linear", tau=tau)
-    traj = run_trajectory(spec, g, F0, steps)
-    terminal = traj.final.features()
-    # D~^-1 A~ conserves the mean weighted by its stationary law, deg + 1
-    weights = degree_vector(g) + 1.0
-    means = (weights @ as_features(g, F0)) / float(weights.sum())
-    return _report(
-        w.label, float(np.abs(terminal - means[None, :]).max()), 1e-8, w
-    )
-
-
-def _run_cgnn_decay(w: Witness) -> CheckReport:
-    g = w.graph
-    omega_tilde = w.matrix("OmegaTilde")
-    tau = w.scalar("tau")
-    F0 = w.matrix("F0")
-    spec = ModelSpec(
-        variant="cgnn", OmegaTilde=omega_tilde, tau=tau, source_free=True
-    )
-    lam = laplacian_spectrum(g).eigenvalues
-    tilde_top = float(np.linalg.eigvalsh(0.5 * (omega_tilde + omega_tilde.T))[-1])
-    ratio = (1.0 + tau * (tilde_top - float(lam[1]))) / (1.0 + tau * tilde_top)
-    steps = _horizon(max(ratio, 0.0), 1e-8)
-    traj = run_trajectory(spec, g, F0, steps)
-    return _report(w.label, float(traj.rayleigh[-1]), 1e-6, w)
-
-
-def _dirichlet_monotone(w: Witness, spec: ModelSpec, steps: int) -> CheckReport:
-    """The raw Dirichlet energy is nonincreasing along the run, within 1e-9."""
+def _dirichlet_monotone(
+    w: Witness, spec: ModelSpec, steps: int, sign: float = 1.0
+) -> CheckReport:
+    """The raw Dirichlet energy times ``sign`` is nonincreasing along the
+    run, within 1e-9: smoothing for ``sign = 1``, sharpening for -1."""
     traj = run_trajectory(spec, w.graph, w.matrix("F0"), steps)
     raw_dirichlet = np.exp(2.0 * traj.log_scale) * traj.dirichlet
     housing = np.maximum(1.0, np.abs(raw_dirichlet[:-1]))
-    violation = float(np.max(np.diff(raw_dirichlet) / housing))
+    violation = float(np.max(sign * np.diff(raw_dirichlet) / housing))
     return _report(w.label, violation, 1e-9, w)
 
 
@@ -550,46 +546,27 @@ def _run_heat_monotone(w: Witness) -> CheckReport:
         raise ValidationError(
             f"heat smoothing needs tau <= 1/lambda_max = {1.0 / lambda_max:.6g}"
         )
-    return _dirichlet_monotone(w, ModelSpec(variant="heat", tau=tau), w.count("steps", 200))
+    return _dirichlet_monotone(w, _spec(w, "heat"), w.count("steps", 200))
 
 
 def _run_pde_gcn_monotone(w: Witness) -> CheckReport:
-    tau = w.scalar("tau")
-    if tau > 1e-3:
+    if w.scalar("tau") > 1e-3:
         raise ValidationError("the diffusion-with-metric proxy needs tau <= 1e-3")
-    spec = ModelSpec(variant="pde_gcn_d", KtK=w.matrix("KtK"), tau=tau)
-    return _dirichlet_monotone(w, spec, w.count("steps", 100))
+    return _dirichlet_monotone(w, _spec(w, "pde_gcn_d"), w.count("steps", 100))
 
 
 def _run_diag_sharpening(w: Witness) -> CheckReport:
-    g = w.graph
-    omega_diag = w.matrix("omega_diag").ravel()
-    tau = w.scalar("tau")
-    steps = w.count("steps", 200)
-    F0 = w.matrix("F0")
-    sigma = w.tags.get("sigma", "relu")
-    weights = WeightSet(W=np.zeros((omega_diag.size, omega_diag.size)),
-                        omega_diag=omega_diag)
-    spec = ModelSpec(variant="diag_nonlinear", weights=weights, tau=tau, sigma=sigma)
-    state = as_features(g, F0)
-    values = [dirichlet_energy(g, state)]
-    for _ in range(steps):
-        state = step_model(spec, g, state)
-        values.append(dirichlet_energy(g, state))
-    arr = np.array(values)
-    violation = float(np.max(-np.diff(arr) / np.maximum(1.0, np.abs(arr[:-1]))))
-    return _report(w.label, violation, 1e-9, w)
+    spec = _spec(w, "diag_nonlinear", sigma=w.tag("sigma", "relu"))
+    return _dirichlet_monotone(w, spec, w.count("steps", 200), sign=-1.0)
 
 
 def _run_decomposition(w: Witness) -> CheckReport:
     g = w.graph
-    weights = WeightSet(W=w.matrix("W"), Omega=w.matrices.get("Omega"))
+    weights = _weights(w)
     feats = w.matrix("F")
     breakdown = energy_mod.energy_decomposition(g, feats, weights)
     total = parametric_energy(g, feats, weights)
-    recomposed = (
-        breakdown.graph_independent + breakdown.attraction - breakdown.repulsion
-    )
+    recomposed = breakdown.graph_independent + breakdown.attraction - breakdown.repulsion
     err = abs(breakdown.total - recomposed) + abs(breakdown.total - total)
     neg = max(0.0, -breakdown.attraction) + max(0.0, -breakdown.repulsion)
     max_error = err / max(1.0, abs(total)) + neg
@@ -599,31 +576,19 @@ def _run_decomposition(w: Witness) -> CheckReport:
 def _run_special_cases(w: Witness) -> CheckReport:
     g = w.graph
     F = w.matrix("F")
-    tau = w.scalar("tau")
-    d = F.shape[1]
-    eye = np.eye(d)
-    heat = step_model(ModelSpec(variant="heat", tau=tau), g, F)
-    as_flow = step_model(
-        ModelSpec(
-            variant="gradient_flow", weights=WeightSet(W=eye, Omega=eye), tau=tau
-        ),
-        g,
-        F,
-    )
-    lp = step_model(ModelSpec(variant="label_propagation", tau=tau, mu=0.0), g, F)
-    max_error = max(
-        float(np.abs(heat - as_flow).max()), float(np.abs(heat - lp).max())
-    )
+    eye = np.eye(F.shape[1])
+    heat = step_model(_spec(w, "heat"), g, F)
+    as_flow = step_model(_spec(w, "gradient_flow", weights=WeightSet(W=eye, Omega=eye)), g, F)
+    lp = step_model(_spec(w, "label_propagation"), g, F)
+    max_error = max(float(np.abs(heat - as_flow).max()), float(np.abs(heat - lp).max()))
     return _report(w.label, max_error, 1e-12, w)
 
 
 def _run_scale_commutation(w: Witness) -> CheckReport:
     g = w.graph
-    wmat = w.matrix("W")
-    tau = w.scalar("tau")
     steps = w.count("steps", 30)
     F0 = w.matrix("F0")
-    spec = ModelSpec(variant="gradient_flow", weights=WeightSet(W=wmat), tau=tau)
+    spec = _spec(w, "gradient_flow")
     raw = as_features(g, F0)
     worst = 0.0
     for state in islice(trajectory_states(spec, g, F0, steps), 1, None):
@@ -660,15 +625,9 @@ CHECK_RUNNERS = {
     "curl_asymmetry": _run_curl_asymmetry,
     "filter_equivalence": _run_filter_equivalence,
     "monotonicity": _run_monotonicity,
-    "closed_form_vs_trajectory": _run_closed_form_vs_trajectory,
-    "regime_realization": _run_regime_realization,
-    "no_residual_lfd": _run_no_residual_lfd,
+    **dict.fromkeys(PREDICTIONS, _run_prediction),
     "rate_certification": _run_rate_certification,
     "conservation": _run_conservation,
-    "omega_eq_w_hfd": _run_omega_eq_w_hfd,
-    "harmonic_limit": _run_harmonic_limit,
-    "grand_mean": _run_grand_mean,
-    "cgnn_decay": _run_cgnn_decay,
     "heat_monotone": _run_heat_monotone,
     "pde_gcn_monotone": _run_pde_gcn_monotone,
     "diag_sharpening": _run_diag_sharpening,

@@ -183,6 +183,20 @@ def test_run_with_steps_beyond_physical_memory_exits_4(workdir, capsys):
     assert "physical memory" in capsys.readouterr().err
 
 
+def test_run_beyond_the_certificates_memory_exits_4_before_factoring(workdir, monkeypatch, capsys):
+    # one dense n x n matrix fits, the certificate's three do not
+    n = 200
+    cfg = write(workdir / "run.cfg", HFD_CFG.replace("complete_bipartite(5,5)", f"cycle({n})")
+                .replace("steps = 60", "steps = 5"))
+    factored = []
+    monkeypatch.setattr(gel.graphs, "_physical_memory", lambda: 2 * 8 * n * n)
+    monkeypatch.setattr(np.linalg, "cholesky", lambda *args: factored.append(args))
+    extreme_spectrum.cache_clear()
+    assert main(["run", cfg]) == 4
+    assert "the certificate's 3 dense 200 x 200 matrices" in capsys.readouterr().err
+    assert factored == []
+
+
 def test_stray_memory_error_exits_4(workdir, monkeypatch, capsys):
     def exhausted(witness_dir):
         raise MemoryError("Unable to allocate 8 TiB")
@@ -457,6 +471,15 @@ def test_suite_failure_writes_witness(workdir, monkeypatch, capsys):
 
 def test_replay_missing_file(workdir):
     assert main(["replay", "nope.txt"]) == 5
+
+
+def test_replay_of_a_witness_without_its_expected_tag_exits_3(workdir, capsys):
+    w = next(w for w in verify.default_suite() if w.check == "regime_realization")
+    del w.tags["expected"]
+    path = write(workdir / "w.txt", verify.serialize_witness(w))
+    assert main(["replay", path]) == 3
+    err = capsys.readouterr().err
+    assert "needs tag 'expected'" in err and "Traceback" not in err
 
 
 def test_replay_corrupt_file(workdir):

@@ -654,3 +654,24 @@ def test_spectral_filter_matches_dense_step():
         filtered = spectral_filter_step(g, wmat, 0.5, F)
         dense = F + 0.5 * normalized_adjacency(g) @ F @ wmat
         assert np.abs(filtered - dense).max() < 1e-12
+
+
+# --- a start near the top of the floating range -------------------------------
+
+_HUGE_START = np.array([[1e300, 0.0], [0.0, 2.0], [1.0, 1.0], [0.0, 0.0], [3.0, 0.0]])
+
+
+def test_a_huge_but_finite_start_runs_like_its_rescaled_copy():
+    # |F0|^2 overflows although |F0| does not
+    spec = ModelSpec("gradient_flow", weights=WeightSet(W=np.diag([-1.0, 0.5])), tau=0.3)
+    big = run_trajectory(spec, cycle(5), _HUGE_START, 20)
+    small = run_trajectory(spec, cycle(5), _HUGE_START / 1e300, 20)
+    np.testing.assert_allclose(big.final.direction, small.final.direction, atol=1e-12)
+    np.testing.assert_allclose(big.log_scale - small.log_scale, np.log(1e300), rtol=1e-12)
+    np.testing.assert_allclose(big.rayleigh, small.rayleigh, rtol=1e-12)
+
+
+def test_a_start_whose_norm_exceeds_the_floating_range_is_a_numeric_error():
+    spec = ModelSpec("heat", tau=0.3)
+    with pytest.raises(NumericError, match="floating range"):
+        run_trajectory(spec, cycle(5), np.full((5, 2), 1e308), 3)

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import gel.graphs
 from gel.errors import NumericError, ParseError, ValidationError
 from gel.graphs import (
     Graph,
@@ -351,6 +352,18 @@ def test_dense_operator_beyond_physical_memory_is_refused_before_allocating():
         normalized_adjacency(g)
     with pytest.raises(NumericError, match="1000000 x 1000000"):
         extreme_spectrum(g)
+
+
+def test_each_dense_spectrum_site_guards_its_own_peak(monkeypatch):
+    # room for the certificate's 3 dense n x n arrays, not for the 7 of a
+    # full decomposition
+    g = erdos_renyi(150, 0.1, 5)
+    monkeypatch.setattr(gel.graphs, "_physical_memory", lambda: 5 * 8 * g.n**2)
+    extreme_spectrum.cache_clear()
+    laplacian_spectrum.cache_clear()
+    assert extreme_spectrum(g).certified
+    with pytest.raises(NumericError, match="the full decomposition's 7 dense 150 x 150"):
+        laplacian_spectrum(g)
 
 
 def test_erdos_renyi_beyond_physical_memory_is_refused_before_allocating():

@@ -415,3 +415,18 @@ def test_harmonic_profile_singular_w_keeps_kernel_component():
     assert np.abs(final - prof.terminal).max() < 1e-6
     # the kernel channel never moves
     assert np.abs(prof.terminal[:, 1] - F0[:, 1]).max() < 1e-12
+
+
+def test_profile_and_closed_form_of_a_huge_but_finite_start():
+    # |F0|^2 overflows although |F0| does not
+    huge = np.array([[1e300, 0.0], [0.0, 2.0], [1.0, 1.0], [0.0, 0.0], [3.0, 0.0]])
+    small = huge / 1e300
+    g = cycle(5)
+    spec = ModelSpec("gradient_flow", weights=WeightSet(W=np.diag([-1.0, 0.5])), tau=0.3)
+    profile = asymptotic_profile(g, spec, huge)
+    np.testing.assert_allclose(profile.direction, asymptotic_profile(g, spec, small).direction,
+                               atol=1e-12)
+    assert abs(np.linalg.norm(profile.direction) - 1.0) <= 1e-12
+    start = closed_form_features(g, spec, 0, huge)
+    np.testing.assert_allclose(start.direction, small / np.linalg.norm(small), atol=1e-15)
+    assert start.log_scale == pytest.approx(np.log(np.linalg.norm(small)) + np.log(1e300))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 import gel.verify as verify
 from gel.energy import WeightSet
-from gel.errors import NumericError, ParseError, ValidationError
+from gel.errors import GelError, NumericError, ParseError, ValidationError
 from gel.graphs import Graph, complete_bipartite, cycle, erdos_renyi, path
 
 
@@ -264,11 +266,45 @@ SUITE_STEPS = {
     "pde_gcn_dirichlet_monotone": 100,
     "cgnn_never_hfd": 1106,
     "grand_mean_limit_cycle6": 1500,
+    "diag_nonlinear_sharpening": 100,
     "omega_eq_w_conservation": 500,
     "omega_eq_w_negative_gives_hfd": 1200,
     "harmonic_limit_full_rank": 2500,
     "harmonic_limit_singular": 2500,
     "renormalization_commutes": 30,
+}
+
+
+#: The tolerance every check reports: its own, or 1 for a check that reports
+#: the worst of several errors in units of their tolerances.
+SUITE_TOLERANCES = {
+    **{f"kronecker_energy_{g}": 1e-10 for g in ("k2", "cycle5", "k34", "er8", "er10")},
+    **{f"gradient_fd_{g}": 1e-5 for g in ("k2", "cycle4", "er7", "k23", "er9")},
+    "curl_symmetric": 1e-8,
+    "curl_detects_asymmetry": 0.0,
+    **{f"filter_equivalence_{g}": 1e-12 for g in ("cycle6", "er8", "k33")},
+    **{f"closed_form_vs_trajectory_{g}": 1.0 for g in ("k2", "er9", "cycle7")},
+    **{f"monotonicity_{s}": 1e-9 for s in ("relu", "tanh", "identity")},
+    "hfd_realized_er9": 1.0,
+    "rate_certified_er9": 1e-9,
+    "hfd_realized_k55": 1.0,
+    "lfd_realized_er8": 1.0,
+    "lfd_realized_k2": 1.0,
+    "no_residual_lfd_cycle5": 1.0,
+    "no_residual_lfd_er8": 1.0,
+    "heat_dirichlet_monotone": 1e-9,
+    "pde_gcn_dirichlet_monotone": 1e-9,
+    "cgnn_never_hfd": 1e-6,
+    "grand_mean_limit_cycle6": 1e-8,
+    "diag_nonlinear_sharpening": 1e-9,
+    "omega_eq_w_conservation": 1e-9,
+    "omega_eq_w_negative_gives_hfd": 1e-6,
+    "harmonic_limit_full_rank": 1e-6,
+    "harmonic_limit_singular": 1e-6,
+    "heat_equals_identity_weights": 1e-12,
+    "renormalization_commutes": 1e-9,
+    "attraction_repulsion_split": 1e-9,
+    **{f"spectral_sanity_{g}": 1.0 for g in ("er10", "cycle6", "cycle5", "k34", "path6")},
 }
 
 
@@ -288,6 +324,69 @@ def test_suite_step_counts_are_pinned(monkeypatch):
         label = w.label
         assert verify.run_check(w).passed, label
     assert seen == {name: [steps] for name, steps in SUITE_STEPS.items()}
+
+
+def test_suite_tolerances_are_pinned():
+    reports = [verify.run_check(w) for w in verify.default_suite()]
+    assert {r.name: r.tolerance for r in reports} == SUITE_TOLERANCES
+
+
+def test_every_prediction_kind_runs_through_the_one_runner():
+    for kind in verify.PREDICTIONS:
+        assert verify.CHECK_RUNNERS[kind] is verify._run_prediction
+
+
+def test_regime_realization_needs_the_certificate_to_agree_with_its_tag():
+    w = next(w for w in verify.default_suite() if w.label == "hfd_realized_k55")
+    w.tags["expected"] = "LFD"
+    rep = verify.run_check(w)
+    assert not rep.passed and rep.max_error == np.inf
+
+
+def test_the_rayleigh_target_comes_from_the_row_not_the_profile(monkeypatch):
+    w = next(w for w in verify.default_suite() if w.check == "no_residual_lfd")
+    honest = verify.run_check(w)
+    profile = verify.asymptotic_profile
+    monkeypatch.setattr(verify, "asymptotic_profile",
+                        lambda *a: dataclasses.replace(profile(*a), label="HFD"))
+    assert verify.run_check(w) == honest
+
+
+def test_omega_eq_w_hfd_fails_a_run_that_smooths():
+    w = next(w for w in verify.default_suite() if w.check == "omega_eq_w_hfd")
+    w.matrices["W"] = np.diag([1.0, 0.3])
+    rep = verify.run_check(w)
+    assert not rep.passed and abs(rep.max_error - 2.0) < 1e-6
+
+
+def _damaged(w: verify.Witness):
+    """Every copy of ``w`` with one matrix, scalar or tag dropped."""
+    for kind in ("matrices", "scalars", "tags"):
+        for name in getattr(w, kind):
+            copy = verify.Witness(w.check, w.label, w.graph, dict(w.matrices),
+                                  dict(w.scalars), dict(w.tags))
+            del getattr(copy, kind)[name]
+            yield f"{w.label} without {name}", copy
+
+
+def test_a_damaged_suite_witness_fails_only_as_a_gel_error():
+    escaped = []
+    for w in verify.default_suite():
+        for what, damaged in _damaged(w):
+            try:
+                assert isinstance(verify.run_check(damaged), verify.CheckReport)
+            except GelError:
+                pass
+            except Exception as exc:  # noqa: BLE001 - the property under test
+                escaped.append(f"{what}: {type(exc).__name__}: {exc}")
+    assert escaped == []
+
+
+def test_a_missing_tag_is_a_validation_error():
+    w = verify.Witness(check="regime_realization", label="x")
+    assert w.tag("sigma", "relu") == "relu"
+    with pytest.raises(ValidationError, match="needs tag 'expected'"):
+        w.tag("expected")
 
 
 def test_grand_mean_check_on_irregular_graph():
