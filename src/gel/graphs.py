@@ -19,13 +19,15 @@ full, checked ``numpy.linalg.eigh`` of the normalized Laplacian.
 ``extreme_spectrum`` gives only its two ends, the eigenpairs at 0 and at
 lambda_max and the next eigenvalue inward from each, from a Lanczos
 iteration on the same edge sum; residual bounds and one dense Cholesky per
-end certify that no eigenvalue was missed, and a failed certificate falls
-back to the full decomposition.  A dense array larger than the machine's
+end, factored in place in one n x n buffer, certify that no eigenvalue was
+missed, and a failed certificate falls back to the full decomposition.  A
+dense site, or a generated edge set, that would not fit in the machine's
 physical memory is refused with a ``NumericError`` before it is allocated.
 
 Operators and spectra are cached per graph, so ``Graph`` is immutable and
 hashable (the hash is computed once, so a cache lookup costs O(1), not
-O(m)); cached arrays are returned read-only.
+O(m)); cached arrays are returned read-only, and each cache of n x n
+results keeps only the last few graphs.
 """
 
 from __future__ import annotations
@@ -330,6 +332,7 @@ def complete_bipartite(a: int, b: int) -> Graph:
     """Complete bipartite graph K_{a,b}: part A = 0..a-1, part B = a..a+b-1."""
     _require_positive(a, "a")
     _require_positive(b, "b")
+    _require_edges(a * b, f"complete_bipartite({a}, {b})")
     lo = np.repeat(np.arange(a), b)
     hi = np.tile(np.arange(a, a + b), a)
     return Graph(n=a + b, edges=np.stack((lo, hi), axis=1))
@@ -339,6 +342,7 @@ def cycle(n: int) -> Graph:
     """Cycle graph C_n (requires n >= 3)."""
     if not isinstance(n, (int, np.integer)) or n < 3:
         raise ValidationError(f"cycle needs n >= 3, got {n!r}")
+    _require_edges(n, f"cycle({n})")
     # the path's edges with (0, n-1) second, which keeps the rows sorted
     lo = np.concatenate(([0], np.arange(n - 1)))
     hi = np.concatenate(([1, n - 1], np.arange(2, n)))
@@ -349,16 +353,34 @@ def path(n: int) -> Graph:
     """Path graph P_n (requires n >= 2)."""
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ValidationError(f"path needs n >= 2, got {n!r}")
+    _require_edges(n - 1, f"path({n})")
     lo = np.arange(n - 1)
     return Graph(n=int(n), edges=np.stack((lo, lo + 1), axis=1))
+
+
+#: Candidate pairs ``erdos_renyi`` draws at a time: 512 KB of draws.  Median
+#: ms over 10 seeds by chunk size, on a 2-vCPU Xeon (numpy 2.4.6), against
+#: 25 ms for one draw of every pair at n = 2000:
+#:
+#: ======================  =====  =====  =====  =====  =====
+#: chunk                   2^12   2^14   2^16   2^18   2^20
+#: ======================  =====  =====  =====  =====  =====
+#: ER n=2000, p=0.004      13.8   11.6   11.4   12.1   11.8
+#: ER n=6000, p=0.0015     126    105    100    103    98
+#: ======================  =====  =====  =====  =====  =====
+_PAIR_CHUNK = 1 << 16
 
 
 def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     """Connected Erdos-Renyi graph G(n, p).
 
     Samples each of the n(n-1)/2 possible edges independently with
-    probability ``p``.  If the draw is disconnected the seed is incremented
-    and the draw repeated, up to 100 attempts.
+    probability ``p``: the pairs ``(i, j)``, ``i < j``, in row-major order
+    take the draws of ``numpy.random.default_rng(seed).random`` in turn, and
+    a draw below ``p`` keeps its pair.  The draws are taken ``_PAIR_CHUNK``
+    at a time, which gives the same stream as one draw of every pair, so
+    memory is O(n + m) beyond the chunk.  If the draw is disconnected the
+    seed is incremented and the draw repeated, up to 100 attempts.
     """
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ValidationError(f"erdos_renyi needs n >= 2, got {n!r}")
@@ -366,13 +388,19 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
         raise ValidationError(f"edge probability must be in (0, 1], got {p!r}")
     seed = check_seed(seed, "erdos_renyi seed")
     pairs = n * (n - 1) // 2
-    # two int64 indices, one float64 draw and one mask byte per candidate pair
+    # 25 bytes a pair is what one draw of every pair held; the chunked draw
+    # holds O(n + m), but its time still grows with the n^2 / 2 pairs
     _require_memory(25 * pairs, f"the {pairs} candidate pairs of erdos_renyi({n}, ...)")
-    iu, ju = np.triu_indices(n, k=1)
+    rows = np.arange(n - 1)
+    starts = rows * (2 * n - rows - 1) // 2  # flat position of pair (i, i + 1)
     for attempt in range(100):
         rng = np.random.default_rng(seed + attempt)
-        mask = rng.random(iu.size) < p
-        g = Graph(n=int(n), edges=np.stack((iu[mask], ju[mask]), axis=1))
+        hits = np.concatenate([
+            np.flatnonzero(rng.random(min(_PAIR_CHUNK, pairs - first)) < p) + first
+            for first in range(0, pairs, _PAIR_CHUNK)
+        ])
+        i = np.searchsorted(starts, hits, side="right") - 1
+        g = Graph(n=int(n), edges=np.stack((i, hits - starts[i] + i + 1), axis=1))
         if graph_checks(g).connected:
             return g
     raise ValidationError(
@@ -401,9 +429,21 @@ def _physical_memory() -> float:
         return math.inf
 
 
+#: Bytes per edge at the peak of building a generated graph: the generator's
+#: index arrays and ``Graph``'s canonical copy (tracemalloc at m = 10^6:
+#: cycle 72, path 64, K_{1000,1000} 72).
+_EDGE_BYTES = 72
+
+
+def _require_edges(m: int, what: str) -> None:
+    """``_require_memory`` for a generator that builds ``m`` edges."""
+    _require_memory(_EDGE_BYTES * m, f"the {m} edges of {what}")
+
+
 def _require_dense(n: int, arrays: int, what: str) -> None:
     """``_require_memory`` for ``arrays`` dense n x n float arrays at once."""
-    _require_memory(arrays * 8 * n * n, f"{what}'s {arrays} dense {n} x {n} matrices")
+    matrices = "matrix" if arrays == 1 else "matrices"
+    _require_memory(arrays * 8 * n * n, f"{what}'s {arrays} dense {n} x {n} {matrices}")
 
 
 def _require_memory(nbytes: int, what: str) -> None:
@@ -425,15 +465,19 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     return _scatter(g, 1.0)
 
 
-def _scatter(g: Graph, weights) -> np.ndarray:
+def _scatter(g: Graph, weights, out: np.ndarray | None = None) -> np.ndarray:
     """The symmetric n x n matrix with ``weights`` (one per edge, or one for
-    all) at both ``(u, v)`` and ``(v, u)`` of each edge, zero elsewhere."""
-    _require_memory(8 * g.n * g.n, f"a dense {g.n} x {g.n} matrix")
-    a = np.zeros((g.n, g.n))
+    all) at both ``(u, v)`` and ``(v, u)`` of each edge, zero elsewhere;
+    written over ``out`` when it is given."""
+    if out is None:
+        _require_memory(8 * g.n * g.n, f"a dense {g.n} x {g.n} matrix")
+        out = np.zeros((g.n, g.n))
+    else:
+        out.fill(0.0)
     u, v = g.edges[:, 0], g.edges[:, 1]
-    a[u, v] = weights
-    a[v, u] = weights
-    return a
+    out[u, v] = weights
+    out[v, u] = weights
+    return out
 
 
 @lru_cache(maxsize=512)
@@ -443,7 +487,15 @@ def degree_vector(g: Graph) -> np.ndarray:
     return d
 
 
-@lru_cache(maxsize=512)
+#: Entries kept by each cache of dense n x n results (``normalized_adjacency``,
+#: ``normalized_laplacian``, ``laplacian_spectrum``): a session that loops
+#: over many graphs holds at most this many of each.  The suite's 45 checks,
+#: on 32 graphs of at most 12 nodes, miss 11 more times in all than with 512
+#: entries, each miss a matrix or decomposition of at most 12 nodes.
+_DENSE_CACHE = 4
+
+
+@lru_cache(maxsize=_DENSE_CACHE)
 def normalized_adjacency(g: Graph) -> np.ndarray:
     """Degree-normalized adjacency D^{-1/2} A D^{-1/2} (read-only).
 
@@ -535,11 +587,19 @@ def _edge_product(g: Graph) -> Callable[[np.ndarray], np.ndarray]:
     return product
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=_DENSE_CACHE)
 def normalized_laplacian(g: Graph) -> np.ndarray:
     """Normalized Laplacian I - D^{-1/2} A D^{-1/2} (read-only)."""
-    lap = np.eye(g.n) - normalized_adjacency(g)
+    lap = _laplacian(g)
     lap.setflags(write=False)
+    return lap
+
+
+def _laplacian(g: Graph) -> np.ndarray:
+    """A new array holding the normalized Laplacian, exactly symmetric, the
+    same bits as ``I - normalized_adjacency(g)``."""
+    lap = _scatter(g, -_edge_weights(g))
+    lap.flat[:: g.n + 1] = 1.0
     return lap
 
 
@@ -581,22 +641,56 @@ def spectral_decomposition(matrix: np.ndarray) -> SpectralPair:
     returned eigenvector signs follow the largest-magnitude-entry-positive
     convention, ties broken by lowest index.
     """
-    sym = square_matrix(matrix, "matrix", symmetric=True)
-    values, vectors = np.linalg.eigh(sym)
-    vectors = _fix_eigenvector_signs(vectors)
+    return _checked_eigh(square_matrix(matrix, "matrix", symmetric=True))
 
-    ident = vectors.T @ vectors - np.eye(sym.shape[0])
-    if float(np.abs(ident).max()) > SPECTRAL_TOL:
+
+#: Rows (or columns) per block of the dense passes over n x n arrays: the
+#: blocked Cholesky of ``_cholesky_in_place`` and the checks of
+#: ``_checked_eigh`` hold O(n * _BLOCK) temporaries beside their n x n
+#: arrays.  128 is the smallest block whose factorization keeps up with
+#: LAPACK's own.  Median ms of 21 factorizations of a random SPD matrix, the
+#: range over two runs, on a 2-vCPU Xeon (numpy 2.4.6 with OpenBLAS, 2
+#: threads):
+#:
+#: ======  ===================  =======  =======  =======  =======
+#: n       np.linalg.cholesky   128      160      192      256
+#: ======  ===================  =======  =======  =======  =======
+#: 600     8                    8        8-9      9-10     9-10
+#: 1000    23-25                26       23-45    24-34    24-26
+#: 2000    126-139              125-153  124-126  111-121  121-132
+#: ======  ===================  =======  =======  =======  =======
+_BLOCK = 128
+
+
+def _checked_eigh(sym: np.ndarray) -> SpectralPair:
+    """``numpy.linalg.eigh`` of the exactly symmetric ``sym``, signs fixed,
+    after an orthonormality check of the eigenvectors and a reconstruction
+    check against ``sym``.  Both checks run in row blocks of ``_BLOCK``, so
+    beside ``sym`` and the eigenvectors they hold O(n * _BLOCK)."""
+    n = sym.shape[0]
+    values, vectors = np.linalg.eigh(sym)
+    _fix_eigenvector_signs(vectors)
+
+    worst = 0.0
+    for first in range(0, n, _BLOCK):
+        ident = vectors[:, first:first + _BLOCK].T @ vectors  # rows of V^T V
+        diag = np.arange(ident.shape[0])
+        ident[diag, first + diag] -= 1.0
+        worst = max(worst, float(np.abs(ident).max()))
+    if worst > SPECTRAL_TOL:
         raise NumericError("eigenvector matrix failed the orthonormality check")
     if not np.all(np.isfinite(values)):
         raise NumericError("an eigenvalue exceeds the floating range")
     # |V diag(values) V^T - sym| vs |sym| = |values|, over max |sym| to stay finite
-    scale = float(np.abs(sym).max()) or 1.0
-    residual = (vectors * values) @ vectors.T
-    residual -= sym
-    residual /= scale
+    scale = max(float(sym.max()), -float(sym.min())) or 1.0
+    squares = 0.0
+    for first in range(0, n, _BLOCK):
+        residual = (vectors[first:first + _BLOCK] * values) @ vectors.T
+        residual -= sym[first:first + _BLOCK]
+        residual /= scale
+        squares += float(np.vdot(residual, residual))
     norm = float(np.linalg.norm(values / scale))
-    if float(np.linalg.norm(residual)) > SPECTRAL_TOL * norm:
+    if math.sqrt(squares) > SPECTRAL_TOL * norm:
         raise NumericError("eigendecomposition failed the reconstruction check")
 
     values.setflags(write=False)
@@ -605,27 +699,32 @@ def spectral_decomposition(matrix: np.ndarray) -> SpectralPair:
 
 
 def _fix_eigenvector_signs(vectors: np.ndarray) -> np.ndarray:
-    fixed = np.array(vectors)
-    cols = np.arange(fixed.shape[1])
-    pivots = np.argmax(np.abs(fixed), axis=0)  # argmax takes the lowest index on ties
-    flip = fixed[pivots, cols] < 0
-    fixed[:, flip] = -fixed[:, flip]
-    return fixed
+    """Flip, in place, each column whose largest-magnitude entry (lowest
+    index on ties) is negative; returns ``vectors``."""
+    for first in range(0, vectors.shape[1], _BLOCK):
+        block = vectors[:, first:first + _BLOCK]
+        pivots = np.argmax(np.abs(block), axis=0)  # argmax takes the lowest index on ties
+        block *= np.where(block[pivots, np.arange(block.shape[1])] < 0, -1.0, 1.0)
+    return vectors
 
 
-#: n x n arrays alive at once at the peak of each dense spectrum site: the
-#: certificate's matrix, LAPACK's copy of it and the Cholesky factor; and the
-#: full decomposition's operators, eigenvectors and checks (cycle(4000)
-#: peaked at 912 MB, about 7 * 8 n^2 bytes).
-_CERTIFICATE_ARRAYS = 3
-_DECOMPOSITION_ARRAYS = 7
+#: n x n arrays alive at once at the peak of each dense spectrum site, as the
+#: process's resident set counts them: the certificate's one matrix, factored
+#: in place; and the full decomposition's Laplacian beside ``eigh``'s copy of
+#: it, LAPACK's workspace and the eigenvectors (5.1 * 8 n^2 above the start
+#: on cycle(2000), of which ``eigh`` alone takes 4.1; tracemalloc, which does
+#: not see LAPACK's buffers, counts 2.5 on cycle(800)).
+_CERTIFICATE_ARRAYS = 1
+_DECOMPOSITION_ARRAYS = 5
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=_DENSE_CACHE)
 def laplacian_spectrum(g: Graph) -> SpectralPair:
     """Cached spectral decomposition of the normalized Laplacian of ``g``."""
     _require_dense(g.n, _DECOMPOSITION_ARRAYS, "the full decomposition")
-    return spectral_decomposition(normalized_laplacian(g))
+    # exactly symmetric, so square_matrix's symmetrizing copies would return
+    # the same bits
+    return _checked_eigh(_laplacian(g))
 
 
 #: Lanczos steps before the iteration gives up and the full decomposition
@@ -658,7 +757,10 @@ def extreme_spectrum(g: Graph) -> SpectrumEnds:
       ``L - sigma I + c V V^T`` at the bottom), with V the cluster's vectors
       and sigma just past the next eigenvalue, proves by Weyl's interlacing
       that at most ``rank V`` eigenvalues lie beyond sigma.  sigma is shifted
-      by a bound on the factorization's rounding error.
+      by a bound on the factorization's rounding error, which holds for the
+      blocked factorization run here (Higham 2002, Thm 10.3).  Both ends
+      form and factor their matrix in place in one n x n buffer, freed on
+      return: the certificate holds that array and O(n * _BLOCK) beside it.
 
     Together the two steps show that each cluster is complete and that no
     eigenvalue lies between it and the next one.  A disconnected graph, an
@@ -717,9 +819,12 @@ def _certified_ends(g: Graph, bipartite: bool) -> SpectrumEnds | None:
     found = _lanczos(lap, np.array(known_values), np.array(known))
     if found is None:
         return None
-    bottom = _certified_end(g, lap, *found[0], side=-1)
-    top = _certified_end(g, lap, *found[1], side=1)
-    if bottom is None or top is None:
+    buffer = np.empty((n, n))  # both ends' certificates, in turn
+    bottom = _certified_end(g, lap, *found[0], side=-1, buffer=buffer)
+    if bottom is None:
+        return None
+    top = _certified_end(g, lap, *found[1], side=1, buffer=buffer)
+    if top is None:
         return None
     return SpectrumEnds(
         bottom=bottom[0], top=top[0], lambda_2=bottom[1], below_top=top[1], certified=True
@@ -788,23 +893,30 @@ def _converged_ends(known_values, diag, off, beta):
     return values, ritz, picks
 
 
-def _certified_end(g: Graph, lap, values, vectors, side: int):
+def _certified_end(g: Graph, lap, values, vectors, side: int, buffer: np.ndarray):
     """Certify one end from its ascending ``values`` and their ``vectors``:
     at the top (``side = 1``) the first is the next eigenvalue below the
     cluster, at the bottom (``side = -1``) the last is the next one above.
     Returns the cluster's pairs, signs fixed, and that next value; or None
     when the residuals, the cluster's shape or the inertia count do not
-    certify them.
+    certify them.  ``buffer`` is an n x n array it overwrites.
 
     The inertia count factors ``M = side (sigma I - L) + c V V^T``, V the
     cluster's vectors: if M is positive definite, subtracting the rank-k
     term ``c V V^T`` leaves at most k eigenvalues of ``side (sigma I - L)``
     at or below 0 (Weyl), so at most k eigenvalues of L lie beyond sigma.
+    M is formed in ``buffer`` and factored there by ``_cholesky_in_place``.
     The factorization runs at sigma moved inward by ``delta = 2 (n + 2) eps
     trace(M)``, above the bound ``gamma_{n+1} trace(M)`` on its rounding
-    error (Demmel), so that its success in floating point proves the count
-    at sigma.  sigma sits ``2 (delta + rho)`` past the edge value, whose own
-    eigenvalue (within rho of it) therefore stays on the near side.
+    error, so that its success in floating point proves the count at sigma:
+    a Cholesky factorization that runs to completion gives
+    ``R^T R = M + dM`` with ``|dM| <= gamma_{n+1} |R^T| |R|`` (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2002, Thm 10.3, which
+    covers Demmel's 1989 bound), whatever the order of its inner products.
+    That holds for the blocked factorization too, since its triangular
+    solves are substitutions and its products conventional multiplication.
+    sigma sits ``2 (delta + rho)`` past the edge value, whose own eigenvalue
+    (within rho of it) therefore stays on the near side.
     """
     n, p = vectors.shape
     residual = np.column_stack([lap(x) for x in vectors.T]) - vectors * values
@@ -819,14 +931,46 @@ def _certified_end(g: Graph, lap, values, vectors, side: int):
             or float(cluster.max() - cluster.min()) > TIE_TOL - 2.0 * rho
             or gap <= max(TIE_TOL, 2.0 * delta + rho) + 2.0 * rho):
         return None
-    m = _scatter(g, side * _edge_weights(g))
-    m += (c * v) @ v.T
-    m.flat[:: n + 1] += side * (edge + side * (2.0 * rho + delta) - 1.0)
-    try:
-        np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
+    _scatter(g, side * _edge_weights(g), out=buffer)
+    cv = c * v
+    for first in range(0, n, _BLOCK):
+        buffer[first:first + _BLOCK] += cv[first:first + _BLOCK] @ v.T
+    buffer.flat[:: n + 1] += side * (edge + side * (2.0 * rho + delta) - 1.0)
+    if not _cholesky_in_place(buffer):
         return None
-    return _frozen_pair(cluster, _fix_eigenvector_signs(v)), float(edge)
+    return _frozen_pair(cluster, _fix_eigenvector_signs(v.copy())), float(edge)
+
+
+def _cholesky_in_place(a: np.ndarray) -> bool:
+    """Whether the lower triangle of the symmetric ``a`` is positive definite
+    to floating point, by a right-looking blocked Cholesky factorization
+    that overwrites that triangle with the factor.
+
+    Each ``_BLOCK``-wide diagonal block is factored by ``np.linalg.cholesky``,
+    which fails exactly when the factorization meets a pivot that is not
+    positive.  The panel below it is solved against the block's factor by
+    ``np.linalg.solve`` on the index-reversed, so upper triangular, factor:
+    its LU meets only zeros below each pivot, swaps no rows and computes
+    only zero multipliers, which leaves a back substitution.  The trailing
+    matrix is updated one column block at a time.  Beside ``a`` it holds
+    O(n * _BLOCK).
+    """
+    n = a.shape[0]
+    for first in range(0, n, _BLOCK):
+        end = min(first + _BLOCK, n)
+        try:
+            low = np.linalg.cholesky(a[first:end, first:end])
+        except np.linalg.LinAlgError:
+            return False
+        a[first:end, first:end] = low
+        if end == n:
+            break
+        # L21 = A21 L11^-T, that is L11 L21^T = A21^T, solved with rows reversed
+        panel = a[end:, first:end]
+        panel[...] = np.linalg.solve(low[::-1, ::-1], panel.T[::-1])[::-1].T
+        for col in range(end, n, _BLOCK):
+            a[col:, col:col + _BLOCK] -= panel[col - end:] @ panel[col - end:col - end + _BLOCK].T
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -184,16 +184,16 @@ def test_run_with_steps_beyond_physical_memory_exits_4(workdir, capsys):
 
 
 def test_run_beyond_the_certificates_memory_exits_4_before_factoring(workdir, monkeypatch, capsys):
-    # one dense n x n matrix fits, the certificate's three do not
+    # not even the certificate's one dense n x n matrix fits
     n = 200
     cfg = write(workdir / "run.cfg", HFD_CFG.replace("complete_bipartite(5,5)", f"cycle({n})")
                 .replace("steps = 60", "steps = 5"))
     factored = []
-    monkeypatch.setattr(gel.graphs, "_physical_memory", lambda: 2 * 8 * n * n)
+    monkeypatch.setattr(gel.graphs, "_physical_memory", lambda: 8 * n * n // 2)
     monkeypatch.setattr(np.linalg, "cholesky", lambda *args: factored.append(args))
     extreme_spectrum.cache_clear()
     assert main(["run", cfg]) == 4
-    assert "the certificate's 3 dense 200 x 200 matrices" in capsys.readouterr().err
+    assert "the certificate's 1 dense 200 x 200 matrix" in capsys.readouterr().err
     assert factored == []
 
 

@@ -266,6 +266,39 @@ def test_erdos_renyi_matches_the_reference(n, p, seed):
     assert tuple(graph_checks(g)) == (True, False)
 
 
+def test_erdos_renyi_draws_across_chunks_and_retries_as_the_reference():
+    n, p, seed = 700, 0.009, 1
+    assert n * (n - 1) // 2 > 3 * gel.graphs._PAIR_CHUNK
+    iu, ju = np.triu_indices(n, k=1)
+    first = np.random.default_rng(seed).random(iu.size) < p
+    assert not graph_checks(Graph(n, np.stack((iu[first], ju[first]), axis=1))).connected
+    g = erdos_renyi(n, p, seed)
+    assert np.array_equal(g.edges, pair_array(oracle_erdos_renyi(n, p, seed)))
+    assert graph_checks(g).connected
+
+
+_B = gel.graphs._BLOCK
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from([1, _B - 1, _B, _B + 1, 2 * _B + 3]), st.integers(0, 2**32 - 1),
+       st.booleans())
+def test_blocked_cholesky_decides_definiteness(n, seed, definite):
+    # eigenvalues at least 0.01 from 0, far beyond the certificate's shift
+    # delta = 2 (n + 2) eps trace(M) < 1e-10 at these sizes
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    values = rng.uniform(0.01, 2.0, n)
+    if not definite:
+        values[rng.integers(n)] = -0.01
+    m = (q * values) @ q.T
+    m = (m + m.T) / 2
+    a = m.copy()
+    assert gel.graphs._cholesky_in_place(a) == definite
+    if definite:
+        assert np.abs(np.tril(a) - np.linalg.cholesky(m)).max() <= 1e-10
+
+
 @pytest.mark.parametrize(
     "g, pairs, checks",
     [

@@ -355,20 +355,77 @@ def test_dense_operator_beyond_physical_memory_is_refused_before_allocating():
 
 
 def test_each_dense_spectrum_site_guards_its_own_peak(monkeypatch):
-    # room for the certificate's 3 dense n x n arrays, not for the 7 of a
+    # room for the certificate's one dense n x n array, not for the 5 of a
     # full decomposition
     g = erdos_renyi(150, 0.1, 5)
-    monkeypatch.setattr(gel.graphs, "_physical_memory", lambda: 5 * 8 * g.n**2)
+    monkeypatch.setattr(gel.graphs, "_physical_memory", lambda: 3 * 8 * g.n**2)
     extreme_spectrum.cache_clear()
     laplacian_spectrum.cache_clear()
     assert extreme_spectrum(g).certified
-    with pytest.raises(NumericError, match="the full decomposition's 7 dense 150 x 150"):
+    with pytest.raises(NumericError, match="the full decomposition's 5 dense 150 x 150"):
         laplacian_spectrum(g)
 
 
 def test_erdos_renyi_beyond_physical_memory_is_refused_before_allocating():
     with pytest.raises(NumericError, match="candidate pairs"):
         erdos_renyi(3_000_000, 1e-6, 1)
+
+
+@pytest.mark.parametrize(
+    "build, args", [(cycle, (10**6,)), (path, (10**6,)), (complete_bipartite, (1000, 1000))],
+    ids=["cycle", "path", "complete_bipartite"],
+)
+def test_edge_array_generators_are_refused_before_allocating(monkeypatch, build, args):
+    monkeypatch.setattr(gel.graphs, "_physical_memory", lambda: 10**6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(NumericError, match=f"edges of {build.__name__}"):
+            build(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+def _traced(call):
+    """``call()``'s result, and the bytes it left held and at its peak."""
+    tracemalloc.start()
+    try:
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held, peak
+
+
+def test_certificate_holds_one_dense_array():
+    g = erdos_renyi(1200, 0.01, 3)
+    extreme_spectrum(cycle(10))  # warm up imports outside the trace
+    extreme_spectrum.cache_clear()
+    ends, _, peak = _traced(lambda: extreme_spectrum(g))
+    assert ends.certified
+    assert peak <= 1.25 * 8 * g.n**2
+
+
+def test_erdos_renyi_holds_no_candidate_pairs():
+    erdos_renyi(20, 0.5, 1)
+    _, _, peak = _traced(lambda: erdos_renyi(2000, 0.004, 7))
+    assert peak < 8_000_000  # all n (n - 1) / 2 draws would be 16 MB
+
+
+def test_dense_caches_hold_a_few_entries():
+    n = 300
+    graphs = [erdos_renyi(n, 0.05, seed) for seed in range(20)]
+    laplacian_spectrum(cycle(5))
+    for cached in (normalized_adjacency, normalized_laplacian, laplacian_spectrum):
+        cached.cache_clear()
+
+    def every_dense_result():
+        for g in graphs:
+            normalized_adjacency(g), normalized_laplacian(g), laplacian_spectrum(g)
+
+    _, held, _ = _traced(every_dense_result)
+    assert held <= 16 * 8 * n * n  # a few of each; 60 if every one stayed
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, True])
