@@ -53,13 +53,11 @@ from .dynamics import (
     trajectory_states,
 )
 from .spectral import (
-    HfdRates,
     ProfilePrediction,
     RegimeReport,
     asymptotic_profile,
     classify_regime,
     closed_form_features,
-    convergence_rates,
 )
 from .config import ExperimentConfig, load_config, parse_config
 

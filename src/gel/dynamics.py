@@ -516,7 +516,7 @@ def trajectory_states(spec: ModelSpec, g: Graph, F0, steps: int) -> Iterator[Fea
 
 def _start(spec: ModelSpec, g: Graph, F0, steps) -> tuple[np.ndarray, float, int]:
     """The checked reference features, their norm and the step count."""
-    if not isinstance(steps, (int, np.integer)) or steps < 0:
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 0:
         raise ValidationError(f"steps must be a nonnegative integer, got {steps!r}")
     feats = as_features(g, F0)
     _check_channels(spec.channels, feats, "model parameters")

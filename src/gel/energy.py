@@ -218,8 +218,8 @@ def _parametric_value(F: np.ndarray, mixing: float, weights: WeightSet, F0) -> f
 
 def lp_energy(g: Graph, Y, Y0, mu: float) -> float:
     """Label-propagation energy: Dirichlet term plus soft clamping to Y0."""
-    if mu < 0:
-        raise ValidationError(f"clamping strength mu must be nonnegative, got {mu}")
+    if not (np.isfinite(mu) and mu >= 0):
+        raise ValidationError(f"clamping strength mu must be finite and nonnegative, got {mu}")
     y = as_features(g, Y)
     y0 = as_features(g, Y0, name="Y0")
     if y.shape != y0.shape:
@@ -328,6 +328,8 @@ def make_weights(mode: str, *, W0=None, diag=None, q=None, r=None) -> np.ndarray
         rv = np.asarray(r, dtype=float).reshape(-1)
         if qv.shape != (d,) or rv.shape != (d,):
             raise ValidationError(f"q and r must have length d={d}")
+        if not (np.all(np.isfinite(qv)) and np.all(np.isfinite(rv))):
+            raise ValidationError("q and r contain non-finite entries")
         w = qv * np.abs(m).sum(axis=1) + rv
         return np.diag(w) + m
     raise ConfigurationError(

@@ -64,11 +64,9 @@ from .graphs import (
 
 __all__ = [
     "RegimeReport",
-    "HfdRates",
     "ProfilePrediction",
     "closed_form_features",
     "classify_regime",
-    "convergence_rates",
     "asymptotic_profile",
     "TIE_TOL",
     "BOUNDARY_TOL",
@@ -85,8 +83,12 @@ class RegimeReport:
     ``regime`` is one of ``"HFD"``, ``"LFD"``, ``"Boundary"``,
     ``"StepSizeViolated"``.  ``rho_minus = |mu_bottom| * (lambda_max - 1)`` is
     the high-frequency growth candidate, ``step_bound = 2/(tau*(2-lambda_max))``
-    the stability threshold on ``|mu_bottom|`` (infinite on bipartite graphs),
-    and the rate fields are populated only in the HFD regime.
+    the stability threshold on ``|mu_bottom|`` (infinite on bipartite graphs).
+    The certified rates are set in the HFD regime only, None otherwise:
+    ``delta_hfd`` bounds the per-step exponent of every subdominant mode,
+    ``epsilon_hfd`` is the spectral margin by which ``rho_minus`` leads them,
+    and the contraction ``rate_ratio = (1 + tau*delta_hfd) / (1 + tau*rho_minus)``
+    is below 1.
     """
 
     regime: str
@@ -99,20 +101,6 @@ class RegimeReport:
     delta_hfd: float | None = None
     epsilon_hfd: float | None = None
     rate_ratio: float | None = None
-
-
-@dataclass(frozen=True)
-class HfdRates:
-    """Certified high-frequency convergence rates.
-
-    ``delta`` bounds the per-step exponent of every subdominant mode,
-    ``epsilon = rho_minus - delta`` style margins are reported via the
-    contraction ``ratio = (1 + tau*delta) / (1 + tau*rho_minus) < 1``.
-    """
-
-    delta: float
-    epsilon: float
-    ratio: float
 
 
 @dataclass(frozen=True)
@@ -198,7 +186,7 @@ def closed_form_features(g: Graph, spec: ModelSpec, m: int, F0) -> FeatureState:
     exactly.  Source-coupled, nonlinear and grand_linear specs, and a
     non-symmetric channel factor, raise ``ConfigurationError``.
     """
-    if not isinstance(m, (int, np.integer)) or m < 0:
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 0:
         raise ConfigurationError(f"step count m must be a nonnegative integer, got {m!r}")
     feats = as_features(g, F0)
     norm0 = _frobenius_norm(feats)
@@ -246,7 +234,7 @@ def classify_regime(g: Graph, W, tau: float) -> RegimeReport:
         raise ConfigurationError(f"step size tau must be positive, got {tau!r}")
     ends = extreme_spectrum(g)
     lambda_max = ends.lambda_max
-    wvals = spectral_decomposition(np.asarray(W, dtype=float)).eigenvalues
+    wvals = spectral_decomposition(square_matrix(W, "W", symmetric=True)).eigenvalues
     mu_bottom = float(wvals[0])
     mu_top = float(wvals[-1])
     rho_minus = abs(mu_bottom) * (lambda_max - 1.0)
@@ -268,8 +256,7 @@ def classify_regime(g: Graph, W, tau: float) -> RegimeReport:
 
     delta = epsilon = ratio = None
     if regime == "HFD":
-        rates = _hfd_rates(lambda_max, ends.below_top, wvals, tau, rho_minus)
-        delta, epsilon, ratio = rates.delta, rates.epsilon, rates.ratio
+        delta, epsilon, ratio = _hfd_rates(lambda_max, ends.below_top, wvals, tau, rho_minus)
     return RegimeReport(
         regime=regime,
         rho_minus=rho_minus,
@@ -292,9 +279,10 @@ def _positive_gap(values: np.ndarray) -> float | None:
 
 def _hfd_rates(
     lambda_max: float, below_top: float, wvals: np.ndarray, tau: float, rho_minus: float
-) -> HfdRates:
-    """The rates from the top frequency gap ``lambda_max - below_top``, the
-    smallest positive eigenvalue of ``lambda_max I - L``."""
+) -> tuple[float, float, float]:
+    """The rates ``delta``, ``epsilon`` and ``ratio`` of :class:`RegimeReport`
+    from the top frequency gap ``lambda_max - below_top``, the smallest
+    positive eigenvalue of ``lambda_max I - L``."""
     mu_bottom = float(wvals[0])
     mu_top = float(wvals[-1])
     gap_freq = lambda_max - below_top
@@ -308,20 +296,7 @@ def _hfd_rates(
     delta = max(delta_terms)
     epsilon = min(eps_terms)
     ratio = (1.0 + tau * delta) / (1.0 + tau * rho_minus)
-    return HfdRates(delta=delta, epsilon=epsilon, ratio=ratio)
-
-
-def convergence_rates(g: Graph, W, tau: float) -> HfdRates:
-    """Certified subdominant/dominant rate pair; defined only in the HFD regime."""
-    report = classify_regime(g, W, tau)
-    if report.regime != "HFD":
-        raise RegimeError(
-            f"convergence rates are defined in the HFD regime only; "
-            f"classification here is {report.regime}"
-        )
-    return HfdRates(
-        delta=report.delta_hfd, epsilon=report.epsilon_hfd, ratio=report.rate_ratio
-    )
+    return delta, epsilon, ratio
 
 
 # ---------------------------------------------------------------------------

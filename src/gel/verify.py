@@ -33,7 +33,7 @@ from .dynamics import (
 )
 from .energy import WeightSet, as_features, parametric_energy
 from .energy import dirichlet_energy  # noqa: F401  (perfbench traces gel.verify.dirichlet_energy)
-from .errors import HypothesisError, NumericError, ParseError, ValidationError
+from .errors import HypothesisError, NumericError, ParseError, RegimeError, ValidationError
 from .graphs import (
     Graph,
     _parse_edge_lines,
@@ -44,12 +44,7 @@ from .graphs import (
     normalized_adjacency,
     spectral_decomposition,
 )
-from .spectral import (
-    asymptotic_profile,
-    classify_regime,
-    closed_form_features,
-    convergence_rates,
-)
+from .spectral import asymptotic_profile, classify_regime, closed_form_features
 
 __all__ = [
     "CheckReport",
@@ -57,10 +52,7 @@ __all__ = [
     "ASSEMBLY_LIMIT",
     "hessian_assembly",
     "kronecker_oracle_energy",
-    "gradient_fd_check",
     "curl_asymmetry",
-    "monotonicity_check",
-    "filter_equivalence_check",
     "run_check",
     "default_suite",
     "serialize_witness",
@@ -194,24 +186,8 @@ def kronecker_oracle_energy(g: Graph, F, weights: WeightSet, F0=None) -> float:
     return value
 
 
-def gradient_fd_check(
-    g: Graph, F, weights: WeightSet, F0=None, h: float = 1e-5
-) -> CheckReport:
-    """Central finite differences of the energy against -2x the flow field."""
-    w = Witness(
-        check="gradient_fd",
-        label="gradient_fd",
-        graph=g,
-        matrices={"F": np.asarray(F, dtype=float), "W": weights.W,
-                  "Omega": weights.Omega, "Wtilde": weights.Wtilde},
-        scalars={"h": float(h)},
-    )
-    if F0 is not None:
-        w.matrices["F0"] = np.asarray(F0, dtype=float)
-    return _run_gradient_fd(w)
-
-
 def _run_gradient_fd(w: Witness) -> CheckReport:
+    """Central finite differences of the energy against -2x the flow field."""
     h = w.scalar("h", 1e-5)
     if not 1e-7 <= h <= 1e-3:
         raise ValidationError(f"finite-difference step h must be in [1e-7, 1e-3], got {h!r}")
@@ -263,15 +239,7 @@ def curl_asymmetry(g: Graph, W, Omega, h: float = 1e-5) -> float:
     return float(np.abs(jac - jac.T).max())
 
 
-def monotonicity_check(
-    g: Graph,
-    weights: WeightSet,
-    F0,
-    sigma: str = "relu",
-    steps: int = 50,
-    tau_proxy: float = 1e-3,
-    tau_discrete: float = 0.3,
-) -> CheckReport:
+def _run_monotonicity(w: Witness) -> CheckReport:
     """Energy descent of the nonlinear flow, along both routes.
 
     (a) with a step below 1e-3 the energy must be nonincreasing within
@@ -280,20 +248,6 @@ def monotonicity_check(
     ``c`` the most positive eigenvalue of the assembled quadratic form
     (c = 0 when none), within 1e-9.
     """
-    w = Witness(
-        check="monotonicity",
-        label="monotonicity",
-        graph=g,
-        matrices={"F0": np.asarray(F0, dtype=float), "W": weights.W,
-                  "Omega": weights.Omega},
-        scalars={"steps": float(steps), "tau_proxy": float(tau_proxy),
-                 "tau_discrete": float(tau_discrete)},
-        tags={"sigma": sigma},
-    )
-    return _run_monotonicity(w)
-
-
-def _run_monotonicity(w: Witness) -> CheckReport:
     g = w.graph
     weights = _weights(w)
     feats = as_features(g, w.matrix("F0"))
@@ -332,19 +286,8 @@ def _run_monotonicity(w: Witness) -> CheckReport:
     return _report(w.label, max_error, 1e-9, w)
 
 
-def filter_equivalence_check(g: Graph, W, tau: float, F) -> CheckReport:
-    """Spectral-filter step against the matrix step, entrywise to 1e-12."""
-    w = Witness(
-        check="filter_equivalence",
-        label="filter_equivalence",
-        graph=g,
-        matrices={"F": np.asarray(F, dtype=float), "W": np.asarray(W, dtype=float)},
-        scalars={"tau": float(tau)},
-    )
-    return _run_filter_equivalence(w)
-
-
 def _run_filter_equivalence(w: Witness) -> CheckReport:
+    """Spectral-filter step against the matrix step, entrywise to 1e-12."""
     g = w.graph
     feats = w.matrix("F")
     spec = _spec(w, "gradient_flow")
@@ -490,7 +433,10 @@ def _run_rate_certification(w: Witness) -> CheckReport:
     g = w.graph
     F0 = w.matrix("F0")
     spec = _spec(w, "gradient_flow")
-    rates = convergence_rates(g, spec.weights.W, spec.tau)
+    report = classify_regime(g, spec.weights.W, spec.tau)
+    if report.regime != "HFD":
+        raise RegimeError("convergence rates are defined in the HFD regime only; "
+                          f"classification here is {report.regime}")
     profile = asymptotic_profile(g, spec, F0)
     # Certify over the window where the quotient is numerically well posed.
     # Each step injects ~1e-16 of fresh roundoff into the direction, so once
@@ -506,7 +452,7 @@ def _run_rate_certification(w: Witness) -> CheckReport:
         if prev is not None and prev > 1e-12 and residual > 1e-13:
             worst = max(worst, (residual / dominant) / prev)
         prev = (residual / dominant) if dominant > 0 else None
-    max_error = worst - rates.ratio
+    max_error = worst - report.rate_ratio
     return _report(w.label, max_error, 1e-9, w)
 
 

@@ -25,6 +25,7 @@ from gel.graphs import (
     normalized_laplacian,
     path,
 )
+from gel.spectral import closed_form_features
 
 
 def gf(wmat, **kw):
@@ -402,6 +403,16 @@ def test_trajectory_states_with_zero_steps_yield_the_initial_state():
     norm = float(np.linalg.norm(F))
     assert np.array_equal(state.direction, (F / norm)[:, None])
     assert state.log_scale == np.log(norm)
+
+
+@pytest.mark.parametrize("run", [
+    lambda spec, F0: run_trajectory(spec, path(2), F0, True),
+    lambda spec, F0: trajectory_states(spec, path(2), F0, True),
+    lambda spec, F0: closed_form_features(path(2), spec, True, F0),
+], ids=["run_trajectory", "trajectory_states", "closed_form_features"])
+def test_step_counts_reject_bools(run):
+    with pytest.raises(ValidationError, match="integer"):
+        run(ModelSpec("heat"), np.array([1.0, 0.0]))
 
 
 def test_trajectory_memory_does_not_grow_with_steps():

@@ -218,6 +218,12 @@ def test_lp_energy_rejects_negative_mu():
         lp_energy(path(2), np.ones(2), np.ones(2), mu=-0.1)
 
 
+@pytest.mark.parametrize("mu", [np.nan, np.inf])
+def test_lp_energy_rejects_non_finite_mu(mu):
+    with pytest.raises(ValidationError, match="finite"):
+        lp_energy(path(2), np.ones(2), np.ones(2), mu=mu)
+
+
 # --- weight factories -------------------------------------------------------
 
 def test_make_weights_symmetrize():
@@ -249,3 +255,10 @@ def test_make_weights_diag_dom_is_psd():
         np.fill_diagonal(off, 0.0)
         w = make_weights("diag_dom", W0=off, q=np.ones(3), r=np.ones(3))
         assert np.linalg.eigvalsh(w).min() >= -1e-10
+
+
+@pytest.mark.parametrize("q, r", [([np.nan, 1.0], [0.0, 0.0]), ([1.0, 1.0], [0.0, -np.inf])])
+def test_make_weights_diag_dom_rejects_non_finite_q_and_r(q, r):
+    off = np.array([[0.0, 0.5], [0.5, 0.0]])
+    with pytest.raises(ValidationError, match="non-finite"):
+        make_weights("diag_dom", W0=off, q=q, r=r)

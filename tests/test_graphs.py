@@ -428,6 +428,20 @@ def test_dense_caches_hold_a_few_entries():
     assert held <= 16 * 8 * n * n  # a few of each; 60 if every one stayed
 
 
+def test_per_graph_caches_hold_a_few_graphs():
+    # each cached result pins its Graph key, edge array included
+    extreme_spectrum(complete_bipartite(3, 4))  # warm up imports outside the trace
+    sizes = range(300, 316)
+
+    def spectra_of_dropped_graphs():
+        for b in sizes:
+            extreme_spectrum(complete_bipartite(300, b))
+
+    _, held, _ = _traced(spectra_of_dropped_graphs)
+    edge_bytes = 16 * 300 * sizes[-1]
+    assert held <= 12 * edge_bytes  # about 8 with 4 entries a cache; 32 if every graph stayed
+
+
 @pytest.mark.parametrize("seed", [-1, 1.5, True])
 def test_erdos_renyi_rejects_a_seed_numpy_cannot_take(seed):
     with pytest.raises(ValidationError, match="seed"):

@@ -23,12 +23,8 @@ from gel.graphs import (
     laplacian_spectrum,
     path,
 )
-from gel.spectral import (
-    asymptotic_profile,
-    classify_regime,
-    closed_form_features,
-    convergence_rates,
-)
+from gel.spectral import asymptotic_profile, classify_regime, closed_form_features
+from gel.verify import Witness, run_check
 
 
 def sym(rng, spectrum):
@@ -225,6 +221,15 @@ def test_step_size_violation_on_non_bipartite():
     assert abs(rep.mu_bottom) > rep.step_bound
 
 
+@pytest.mark.parametrize("W, message", [
+    ([[np.nan]], "W contains non-finite entries"),
+    ([[0.0, 1.0], [0.0, 0.0]], "W must be symmetric"),
+])
+def test_classify_names_W_in_its_errors(W, message):
+    with pytest.raises(ValidationError, match=message):
+        classify_regime(path(2), W, 0.5)
+
+
 def test_classify_requires_connected():
     with pytest.raises(ValidationError):
         classify_regime(Graph(4, ((0, 1), (2, 3))), np.array([[-1.0]]), 0.5)
@@ -234,15 +239,21 @@ def test_classify_requires_connected():
 
 def test_rates_frozen_k2():
     # K_2, W = [[-1]], tau = 0.5: delta = -1, epsilon = 2, ratio = 1/3
-    rates = convergence_rates(path(2), np.array([[-1.0]]), 0.5)
-    assert rates.delta == pytest.approx(-1.0, abs=1e-9)
-    assert rates.epsilon == pytest.approx(2.0, abs=1e-9)
-    assert rates.ratio == pytest.approx(1.0 / 3.0, abs=1e-9)
+    rep = classify_regime(path(2), np.array([[-1.0]]), 0.5)
+    assert rep.delta_hfd == pytest.approx(-1.0, abs=1e-9)
+    assert rep.epsilon_hfd == pytest.approx(2.0, abs=1e-9)
+    assert rep.rate_ratio == pytest.approx(1.0 / 3.0, abs=1e-9)
 
 
 def test_rates_refuse_non_hfd():
-    with pytest.raises(RegimeError):
-        convergence_rates(path(2), np.array([[1.0]]), 0.5)
+    rep = classify_regime(path(2), np.array([[1.0]]), 0.5)
+    assert rep.regime == "LFD"
+    assert (rep.delta_hfd, rep.epsilon_hfd, rep.rate_ratio) == (None, None, None)
+    witness = Witness("rate_certification", "rates_lfd_k2", path(2),
+                      matrices={"W": np.eye(1), "F0": np.array([[1.0], [0.5]])},
+                      scalars={"tau": 0.5})
+    with pytest.raises(RegimeError, match="HFD regime only"):
+        run_check(witness)
 
 
 def test_rate_ratio_bounds_every_subdominant_mode():

@@ -29,12 +29,15 @@ def test_assembly_size_guard():
         verify.hessian_assembly(g, ws)
 
 
+def _fd_witness(g, h=1e-5, **matrices):
+    return verify.Witness("gradient_fd", "gradient_fd", g, matrices=matrices, scalars={"h": h})
+
+
 def test_gradient_fd_check_passes():
     rng = np.random.default_rng(0)
     g = erdos_renyi(6, 0.5, 7)
     w = rng.normal(size=(2, 2))
-    ws = WeightSet(W=w + w.T, Omega=np.eye(2))
-    rep = verify.gradient_fd_check(g, rng.normal(size=(6, 2)), ws)
+    rep = verify.run_check(_fd_witness(g, F=rng.normal(size=(6, 2)), W=w + w.T, Omega=np.eye(2)))
     assert rep.passed and rep.max_error <= 1e-5
 
 
@@ -48,9 +51,7 @@ def test_gradient_fd_check_detects_corrupted_gradient(monkeypatch):
         energy, "energy_gradient", lambda *a, **kw: -true_gradient(*a, **kw)
     )
     rng = np.random.default_rng(1)
-    g = cycle(5)
-    ws = WeightSet(W=np.eye(2))
-    rep = verify.gradient_fd_check(g, rng.normal(size=(5, 2)), ws)
+    rep = verify.run_check(_fd_witness(cycle(5), F=rng.normal(size=(5, 2)), W=np.eye(2)))
     assert not rep.passed
     assert rep.witness is not None
     replay = verify.parse_witness(rep.witness)
@@ -62,9 +63,8 @@ def test_gradient_fd_check_detects_corrupted_gradient(monkeypatch):
 
 def test_fd_step_size_validated():
     rng = np.random.default_rng(2)
-    ws = WeightSet(W=np.eye(1))
-    with pytest.raises(ValidationError):
-        verify.gradient_fd_check(path(2), rng.normal(size=(2, 1)), ws, h=1.0)
+    with pytest.raises(ValidationError, match="step h"):
+        verify.run_check(_fd_witness(path(2), h=1.0, F=rng.normal(size=(2, 1)), W=np.eye(1)))
 
 
 def test_curl_asymmetry_separates_gradient_from_nongradient():
@@ -80,10 +80,10 @@ def test_monotonicity_check_both_routes():
     rng = np.random.default_rng(3)
     g = erdos_renyi(7, 0.5, 11)
     w = rng.normal(size=(3, 3))
-    ws = WeightSet(W=w + w.T, Omega=np.eye(3))
-    rep = verify.monotonicity_check(
-        g, ws, rng.normal(size=(7, 3)), sigma="tanh", steps=60
-    )
+    rep = verify.run_check(verify.Witness(
+        "monotonicity", "monotonicity", g,
+        matrices={"F0": rng.normal(size=(7, 3)), "W": w + w.T, "Omega": np.eye(3)},
+        scalars={"steps": 60}, tags={"sigma": "tanh"}))
     assert rep.passed
 
 
