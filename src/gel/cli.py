@@ -17,16 +17,11 @@ import sys
 import numpy as np
 
 from . import plotting, verify
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, _read_text, load_config
 from .dynamics import ModelSpec, Trajectory, run_trajectory
 from .energy import WeightSet
-from .errors import (
-    ConfigurationError,
-    GelError,
-    GelIOError,
-    ValidationError,
-)
-from .graphs import Graph, check_seed, complete_bipartite, extreme_spectrum
+from .errors import ConfigurationError, GelError, GelIOError, ValidationError
+from .graphs import Graph, check_count, complete_bipartite, extreme_spectrum
 from .spectral import RegimeReport, asymptotic_profile, classify_regime
 from .verify import _fmt
 
@@ -117,9 +112,7 @@ def run_experiment(cfg: ExperimentConfig, seed_override: int | None = None) -> i
     svg = plotting.line_plot(
         [plotting.Series(cfg.spec.variant, traj.rayleigh)],
         title=f"{cfg.graph_label}  {cfg.spec.variant}  tau={cfg.spec.tau:g}",
-        ylabel="rayleigh quotient",
         reference=lam_max,
-        reference_label="lambda_max",
     )
     _write_text(cfg.svg_path, svg)
 
@@ -197,11 +190,10 @@ def preset_bipartite_demo(
     """
     if a < 2 or b < 2:
         raise ValidationError(f"both parts need >= 2 nodes, got ({a}, {b})")
-    if steps < 1:
-        # the plot and the assertions read at least two states
-        raise ValidationError(f"--steps must be a positive integer, got {steps}")
+    # the plot and the assertions read at least two states
+    steps = check_count(steps, "--steps", 1)
     g = complete_bipartite(a, b)
-    F0 = np.random.default_rng(check_seed(seed, "seed")).standard_normal((g.n, 1))
+    F0 = np.random.default_rng(check_count(seed, "seed")).standard_normal((g.n, 1))
     lam_max = extreme_spectrum(g).lambda_max
 
     spec_gf = ModelSpec("gradient_flow", weights=WeightSet(W=[[w_entry]]), tau=tau)
@@ -216,9 +208,7 @@ def preset_bipartite_demo(
             plotting.Series("heat", traj_heat.rayleigh),
         ],
         title=f"complete_bipartite({a},{b})  tau={tau:g}  W=[[{w_entry:g}]]",
-        ylabel="rayleigh quotient",
         reference=lam_max,
-        reference_label="lambda_max",
     )
     _write_text(svg_path, svg)
 
@@ -303,12 +293,7 @@ def run_suite(witness_dir: str = ".") -> int:
 
 def replay_witness(path: str) -> int:
     """Re-run the check instance a witness file describes."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise GelIOError(f"cannot read witness {path!r}: {exc}") from None
-    rep = verify.run_check(verify.parse_witness(text))
+    rep = verify.run_check(verify.parse_witness(_read_text(path, "witness")))
     print(_check_line(rep))
     return 0 if rep.passed else 1
 

@@ -31,7 +31,7 @@ from .energy import WeightSet
 from .errors import ConfigurationError, GelIOError, ParseError, ValidationError
 from .graphs import (
     Graph,
-    check_seed,
+    check_count,
     complete_bipartite,
     cycle,
     erdos_renyi,
@@ -56,6 +56,14 @@ _KNOWN_KEYS = (
 )
 
 _REQUIRED_KEYS = ("graph", "variant", "steps", "init", "csv", "svg", "report")
+
+#: The graph generators a config may call, with the type of each argument.
+_GENERATORS = {
+    "complete_bipartite": (complete_bipartite, (int, int)),
+    "cycle": (cycle, (int,)),
+    "path": (path, (int,)),
+    "erdos_renyi": (erdos_renyi, (int, float, int)),
+}
 
 
 @dataclass(frozen=True)
@@ -83,7 +91,7 @@ class ExperimentConfig:
         n, d = self.graph.n, self.d
         if self.init_kind == "random_normal":
             seed = int(self.init_arg) if seed_override is None else seed_override
-            seed = check_seed(seed, "the random_normal seed")
+            seed = check_count(seed, "the random_normal seed")
             return np.random.default_rng(seed).standard_normal((n, d))
         if self.init_kind == "one_hot":
             node = int(self.init_arg)
@@ -103,6 +111,19 @@ class ExperimentConfig:
                 f"expected ({n}, {d})"
             )
         return feats
+
+
+def _read_text(path: str, what: str) -> str:
+    """The text of the UTF-8 file at ``path``; a file that cannot be read is
+    a ``GelIOError`` and one that is not UTF-8 a ``ParseError``, each naming
+    ``what`` and the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise GelIOError(f"cannot read {what} {path!r}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{what} {path!r} is not UTF-8 text: {exc}") from None
 
 
 def _load_text_matrix(path: str, key: str) -> np.ndarray:
@@ -144,45 +165,21 @@ def _parse_graph_value(value: str, lineno: int) -> tuple[Graph, str]:
                 f"line {lineno}: malformed graph generator spec {value!r}"
             )
         # anything that is not a generator call is an edge-list file path
-        try:
-            with open(value, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise GelIOError(f"key 'graph': cannot read {value!r}: {exc}") from None
-        return from_edge_list(text), value
+        return from_edge_list(_read_text(value, "edge list")), value
     name, argtext = call.groups()
+    if name not in _GENERATORS:
+        raise ParseError(f"line {lineno}: unknown graph generator {name!r}")
+    build, kinds = _GENERATORS[name]
     args = [a.strip() for a in argtext.split(",")] if argtext.strip() else []
-
-    def ints(k: int) -> list[int]:
-        if len(args) != k:
-            raise ParseError(
-                f"line {lineno}: graph generator {name!r} takes {k} argument(s)"
-            )
-        try:
-            return [int(a) for a in args]
-        except ValueError:
-            raise ParseError(
-                f"line {lineno}: graph generator {name!r}: integer arguments required"
-            )
-
-    if name == "complete_bipartite":
-        a, b = ints(2)
-        return complete_bipartite(a, b), value
-    if name == "cycle":
-        return cycle(ints(1)[0]), value
-    if name == "path":
-        return path(ints(1)[0]), value
-    if name == "erdos_renyi":
-        if len(args) != 3:
-            raise ParseError(
-                f"line {lineno}: erdos_renyi takes (n, p, seed), got {len(args)} args"
-            )
-        try:
-            n, p, seed = int(args[0]), float(args[1]), int(args[2])
-        except ValueError:
-            raise ParseError(f"line {lineno}: erdos_renyi: bad argument types")
-        return erdos_renyi(n, p, seed), value
-    raise ParseError(f"line {lineno}: unknown graph generator {name!r}")
+    try:
+        values = [kind(a) for kind, a in zip(kinds, args, strict=True)]
+    except ValueError:  # an argument too many or too few, or of the wrong type
+        wanted = ", ".join(kind.__name__ for kind in kinds)
+        raise ParseError(
+            f"line {lineno}: graph generator {name!r} takes {len(kinds)} "
+            f"argument(s) ({wanted}), got {argtext.strip()!r}"
+        ) from None
+    return build(*values), value
 
 
 def _parse_init_value(value: str, lineno: int) -> tuple[str, str]:
@@ -333,13 +330,10 @@ def parse_config(text: str) -> ExperimentConfig:
             f"variant {spec.variant!r} has no channel-sized parameters; "
             "set 'd' explicitly"
         )
-    if d < 1:
-        raise ValidationError(f"d must be >= 1, got {d}")
+    d = check_count(d, "d", 1)
 
-    steps = integer("steps", None)
-    if steps is None or steps < 1:
-        # the plot and the report read at least two states
-        raise ValidationError(f"steps must be a positive integer, got {raw['steps']!r}")
+    # the plot and the report read at least two states
+    steps = check_count(integer("steps", None), "steps", 1)
 
     return ExperimentConfig(
         graph=graph,
@@ -357,9 +351,4 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def load_config(config_path: str) -> ExperimentConfig:
     """Read and parse a configuration file."""
-    try:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise GelIOError(f"cannot read config {config_path!r}: {exc}") from None
-    return parse_config(text)
+    return parse_config(_read_text(config_path, "config"))

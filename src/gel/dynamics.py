@@ -90,6 +90,7 @@ from .graphs import (
     Graph,
     _adjacency_product,
     _require_memory,
+    check_count,
     degree_vector,
     graph_checks,
     spectral_decomposition,
@@ -248,17 +249,19 @@ class _Entry(NamedTuple):
     required: str | None  # the ModelSpec field the variant cannot do without
     build: Callable[[ModelSpec], _Update]
     nonlinear: bool = False
+    reads: tuple[str, ...] = ()  # the optional parameters (see _given) it reads
 
 
+_FLOW, _GRAFF = ("Omega", "Wtilde"), ("omega_diag", "beta")
 _TABLE: dict[str, _Entry] = {
-    "gradient_flow": _Entry("weights", lambda s: _flow(s.weights)),
-    "gradient_flow_nonlinear": _Entry("weights", lambda s: _flow(s.weights), True),
+    "gradient_flow": _Entry("weights", lambda s: _flow(s.weights), reads=_FLOW),
+    "gradient_flow_nonlinear": _Entry("weights", lambda s: _flow(s.weights), True, _FLOW),
     "no_residual": _Entry("weights", lambda s: _flow(WeightSet(W=s.weights.W), False)),
-    "graff": _Entry("weights", lambda s: _flow(_graff_weights(s))),
-    "graff_nonlinear": _Entry("weights", lambda s: _flow(_graff_weights(s)), True),
+    "graff": _Entry("weights", lambda s: _flow(_graff_weights(s)), reads=_GRAFF),
+    "graff_nonlinear": _Entry("weights", lambda s: _flow(_graff_weights(s)), True, _GRAFF),
     "heat": _Entry(None, lambda s: _Update((("L", -1.0),))),
-    "label_propagation": _Entry(None, _label_propagation),
-    "cgnn": _Entry("OmegaTilde", _cgnn),
+    "label_propagation": _Entry(None, _label_propagation, reads=("mu",)),
+    "cgnn": _Entry("OmegaTilde", _cgnn, reads=("source_free",)),
     "grand_linear": _Entry(None, lambda s: _Update(((_random_walk_laplacian, -1.0),))),
     "pde_gcn_d": _Entry("KtK", _pde_gcn_d),
     "harmonic": _Entry(
@@ -277,7 +280,7 @@ _TABLE: dict[str, _Entry] = {
             edge_energy=True,
         ),
     ),
-    "diag_nonlinear": _Entry("weights", _diag_nonlinear, True),
+    "diag_nonlinear": _Entry("weights", _diag_nonlinear, True, reads=("omega_diag",)),
 }
 
 VARIANTS = frozenset(_TABLE)
@@ -289,16 +292,11 @@ def _relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-def _tanh_relu(x: np.ndarray) -> np.ndarray:
-    return np.tanh(np.maximum(x, 0.0))
-
-
 #: Named entrywise activations; every entry satisfies x * sigma(x) >= 0.
 ACTIVATIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "identity": lambda x: x,
     "relu": _relu,
     "tanh": np.tanh,
-    "tanh_relu": _tanh_relu,
 }
 
 
@@ -351,6 +349,18 @@ def _check_admissible_sigma(fn: Callable[[np.ndarray], np.ndarray]) -> Callable:
     return fn
 
 
+def _given(spec: ModelSpec) -> list[str]:
+    """The optional parameters ``spec`` sets: a nonzero Omega, Wtilde,
+    omega_diag, beta or mu, a KtK, an OmegaTilde, a set source_free.  W is
+    not one: every variant takes it, as it fixes the channel count."""
+    weights = () if spec.weights is None else ("Omega", "Wtilde", "omega_diag", "beta")
+    return (
+        [name for name in weights if np.any(getattr(spec.weights, name))]
+        + [name for name in ("KtK", "OmegaTilde") if getattr(spec, name) is not None]
+        + [name for name in ("mu", "source_free") if getattr(spec, name)]
+    )
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Immutable description of one dynamics: variant tag plus its parameters.
@@ -360,6 +370,7 @@ class ModelSpec:
     constant positive-semidefinite channel metric of the diffusion-with-metric
     variant; ``OmegaTilde`` the channel mixer of the residual-diffusion
     variant, whose constant source is dropped when ``source_free`` is set.
+    A parameter the variant does not read (see ``_given``) is refused.
     """
 
     variant: str
@@ -381,8 +392,13 @@ class ModelSpec:
         entry = _TABLE[self.variant]
         if entry.required is not None and getattr(self, entry.required) is None:
             raise ConfigurationError(f"variant {self.variant!r} needs {entry.required}")
-        if entry.required == "weights" and not isinstance(self.weights, WeightSet):
+        if self.weights is not None and not isinstance(self.weights, WeightSet):
             raise ConfigurationError("weights must be a WeightSet")
+        unread = [name for name in _given(self) if name not in entry.reads + (entry.required,)]
+        if unread:
+            raise ConfigurationError(
+                f"variant {self.variant!r} does not read {', '.join(unread)}"
+            )
         activation = None
         if entry.nonlinear:
             activation = _check_admissible_sigma(resolve_sigma(self.sigma))
@@ -516,14 +532,13 @@ def trajectory_states(spec: ModelSpec, g: Graph, F0, steps: int) -> Iterator[Fea
 
 def _start(spec: ModelSpec, g: Graph, F0, steps) -> tuple[np.ndarray, float, int]:
     """The checked reference features, their norm and the step count."""
-    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 0:
-        raise ValidationError(f"steps must be a nonnegative integer, got {steps!r}")
+    steps = check_count(steps, "steps")
     feats = as_features(g, F0)
     _check_channels(spec.channels, feats, "model parameters")
     norm = _frobenius_norm(feats)
     if norm == 0.0:
         raise ValidationError("initial features must be nonzero")
-    return feats, norm, int(steps)
+    return feats, norm, steps
 
 
 def _states(spec, g, reference, norm, steps, products=None) -> Iterator[FeatureState]:

@@ -235,10 +235,6 @@ def energy_gradient(g: Graph, F, weights: WeightSet, F0=None) -> np.ndarray:
     """
     feats = as_features(g, F)
     _check_channels(weights.d, feats)
-    # defensive re-check: WeightSet guarantees symmetry, but the gradient/energy
-    # pairing silently breaks if an asymmetric matrix sneaks in sideways
-    square_matrix(weights.W, "W", symmetric=True)
-    square_matrix(weights.Omega, "Omega", symmetric=True)
     grad = -feats @ weights.Omega + _adjacency_product(g, feats) @ weights.W
     if weights.has_source:
         grad = grad - _require_source(g, F0, weights.d) @ weights.Wtilde

@@ -92,13 +92,9 @@ class Graph:
     edges: np.ndarray
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool):
-            raise ValidationError(f"node count must be an integer, got {self.n!r}")
-        if self.n < 1:
-            raise ValidationError(f"node count must be positive, got {self.n}")
-        if self.n > _MAX_NODES:  # the sort key lo * n + hi must fit in int64
-            raise ValidationError(f"node count must be at most {_MAX_NODES}, got {self.n}")
-        n = int(self.n)
+        n = check_count(self.n, "node count", 1)
+        if n > _MAX_NODES:  # the sort key lo * n + hi must fit in int64
+            raise ValidationError(f"node count must be at most {_MAX_NODES}, got {n}")
         arr = _canonical_edges(n, _pair_rows(n, self.edges))
         arr.setflags(write=False)
         object.__setattr__(self, "n", n)
@@ -330,8 +326,8 @@ def _parse_edge_lines(numbered_lines) -> Graph:
 
 def complete_bipartite(a: int, b: int) -> Graph:
     """Complete bipartite graph K_{a,b}: part A = 0..a-1, part B = a..a+b-1."""
-    _require_positive(a, "a")
-    _require_positive(b, "b")
+    a = check_count(a, "complete_bipartite's a", 1)
+    b = check_count(b, "complete_bipartite's b", 1)
     _require_edges(a * b, f"complete_bipartite({a}, {b})")
     lo = np.repeat(np.arange(a), b)
     hi = np.tile(np.arange(a, a + b), a)
@@ -340,22 +336,20 @@ def complete_bipartite(a: int, b: int) -> Graph:
 
 def cycle(n: int) -> Graph:
     """Cycle graph C_n (requires n >= 3)."""
-    if not isinstance(n, (int, np.integer)) or n < 3:
-        raise ValidationError(f"cycle needs n >= 3, got {n!r}")
+    n = check_count(n, "cycle's n", 3)
     _require_edges(n, f"cycle({n})")
     # the path's edges with (0, n-1) second, which keeps the rows sorted
     lo = np.concatenate(([0], np.arange(n - 1)))
     hi = np.concatenate(([1, n - 1], np.arange(2, n)))
-    return Graph(n=int(n), edges=np.stack((lo, hi), axis=1))
+    return Graph(n=n, edges=np.stack((lo, hi), axis=1))
 
 
 def path(n: int) -> Graph:
     """Path graph P_n (requires n >= 2)."""
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ValidationError(f"path needs n >= 2, got {n!r}")
+    n = check_count(n, "path's n", 2)
     _require_edges(n - 1, f"path({n})")
     lo = np.arange(n - 1)
-    return Graph(n=int(n), edges=np.stack((lo, lo + 1), axis=1))
+    return Graph(n=n, edges=np.stack((lo, lo + 1), axis=1))
 
 
 #: Candidate pairs ``erdos_renyi`` draws at a time: 512 KB of draws.  Median
@@ -382,11 +376,10 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     memory is O(n + m) beyond the chunk.  If the draw is disconnected the
     seed is incremented and the draw repeated, up to 100 attempts.
     """
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ValidationError(f"erdos_renyi needs n >= 2, got {n!r}")
+    n = check_count(n, "erdos_renyi's n", 2)
     if not 0.0 < p <= 1.0:
         raise ValidationError(f"edge probability must be in (0, 1], got {p!r}")
-    seed = check_seed(seed, "erdos_renyi seed")
+    seed = check_count(seed, "erdos_renyi seed")
     pairs = n * (n - 1) // 2
     # 25 bytes a pair is what one draw of every pair held; the chunked draw
     # holds O(n + m), but its time still grows with the n^2 / 2 pairs
@@ -400,7 +393,7 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
             for first in range(0, pairs, _PAIR_CHUNK)
         ])
         i = np.searchsorted(starts, hits, side="right") - 1
-        g = Graph(n=int(n), edges=np.stack((i, hits - starts[i] + i + 1), axis=1))
+        g = Graph(n=n, edges=np.stack((i, hits - starts[i] + i + 1), axis=1))
         if graph_checks(g).connected:
             return g
     raise ValidationError(
@@ -409,17 +402,16 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     )
 
 
-def _require_positive(value: int, name: str) -> None:
-    if not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValidationError(f"{name} must be a positive integer, got {value!r}")
-
-
-def check_seed(seed, what: str) -> int:
-    """``seed`` as an int if it is a non-negative whole number, as numpy's
-    generators need; anything else is a ``ValidationError`` naming ``what``."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValidationError(f"{what} must be a non-negative integer, got {seed!r}")
-    return int(seed)
+def check_count(value, what: str, least: int = 0) -> int:
+    """``value`` as an int if it is an integer (not a bool) of at least
+    ``least``, as node, step and seed counts must be; anything else is a
+    ``ValidationError`` naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        kind = {0: "a non-negative integer", 1: "a positive integer"}.get(
+            least, f"an integer >= {least}"
+        )
+        raise ValidationError(f"{what} must be {kind}, got {value!r}")
+    return int(value)
 
 
 def _physical_memory() -> float:

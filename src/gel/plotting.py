@@ -1,9 +1,9 @@
 """Minimal hand-rolled SVG line plots (no plotting dependency).
 
-Diagnostic quality only: a fixed 800x500 canvas, one polyline per series,
-an optional dashed horizontal reference line, and plain text labels.  The
-output is a deterministic function of the inputs, so plots can be golden-
-tested byte for byte on one platform.
+Diagnostic quality only: a fixed 800x500 canvas, one polyline of Rayleigh
+quotients by step per series, a dashed horizontal line at lambda_max, and
+plain text labels.  The output is a deterministic function of the inputs,
+so plots can be golden-tested byte for byte on one platform.
 """
 
 from __future__ import annotations
@@ -25,6 +25,10 @@ _TOP = 50.0
 _BOTTOM = 440.0
 
 _PALETTE = ("#1f6fb4", "#c0392b", "#2c8a4b", "#8e44ad", "#b8860b")
+
+_XLABEL = "step"
+_YLABEL = "rayleigh quotient"
+_REFERENCE_LABEL = "lambda_max"
 
 
 @dataclass(frozen=True)
@@ -66,24 +70,14 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def line_plot(
-    series: Sequence[Series],
-    *,
-    title: str = "",
-    ylabel: str = "",
-    xlabel: str = "step",
-    reference: float | None = None,
-    reference_label: str = "",
-) -> str:
-    """Render step-indexed curves as a complete SVG document string."""
+def line_plot(series: Sequence[Series], *, title: str, reference: float) -> str:
+    """Render step-indexed curves, with a reference line at ``reference``
+    (lambda_max), as a complete SVG document string."""
     if not series:
         raise ValidationError("line_plot needs at least one series")
     xmax = float(max(s.values.size - 1 for s in series))
-    lo = min(float(s.values.min()) for s in series)
-    hi = max(float(s.values.max()) for s in series)
-    if reference is not None:
-        lo = min(lo, float(reference))
-        hi = max(hi, float(reference))
+    lo = min(min(float(s.values.min()) for s in series), float(reference))
+    hi = max(max(float(s.values.max()) for s in series), float(reference))
     if hi - lo < 1e-12:
         lo, hi = lo - 1.0, hi + 1.0
     pad = 0.06 * (hi - lo)
@@ -124,19 +118,17 @@ def line_plot(
             f'font-family="monospace" text-anchor="end">{_tick_label(yv)}</text>'
         )
 
-    if reference is not None:
-        yp = _y_to_px(float(reference), ymin, ymax)
-        out.append(
-            f'<line x1="{_fmt(_LEFT)}" y1="{_fmt(yp)}" x2="{_fmt(_RIGHT)}" '
-            f'y2="{_fmt(yp)}" stroke="#888888" stroke-width="1" '
-            'stroke-dasharray="6,4"/>'
-        )
-        if reference_label:
-            out.append(
-                f'<text x="{_fmt(_RIGHT - 4)}" y="{_fmt(yp - 6)}" font-size="12" '
-                f'font-family="monospace" text-anchor="end" fill="#666666">'
-                f"{_escape(reference_label)}</text>"
-            )
+    yp = _y_to_px(float(reference), ymin, ymax)
+    out.append(
+        f'<line x1="{_fmt(_LEFT)}" y1="{_fmt(yp)}" x2="{_fmt(_RIGHT)}" '
+        f'y2="{_fmt(yp)}" stroke="#888888" stroke-width="1" '
+        'stroke-dasharray="6,4"/>'
+    )
+    out.append(
+        f'<text x="{_fmt(_RIGHT - 4)}" y="{_fmt(yp - 6)}" font-size="12" '
+        f'font-family="monospace" text-anchor="end" fill="#666666">'
+        f"{_REFERENCE_LABEL}</text>"
+    )
 
     for idx, s in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
@@ -160,24 +152,15 @@ def line_plot(
             f'font-family="monospace">{_escape(s.label)}</text>'
         )
 
-    if title:
-        out.append(
-            f'<text x="{_fmt((_LEFT + _RIGHT) / 2)}" y="28" font-size="15" '
-            f'font-family="monospace" text-anchor="middle">{_escape(title)}</text>'
-        )
-    if xlabel:
-        out.append(
-            f'<text x="{_fmt((_LEFT + _RIGHT) / 2)}" y="{_fmt(HEIGHT - 14)}" '
-            f'font-size="13" font-family="monospace" text-anchor="middle">'
-            f"{_escape(xlabel)}</text>"
-        )
-    if ylabel:
-        yc = (_TOP + _BOTTOM) / 2
-        out.append(
-            f'<text x="18" y="{_fmt(yc)}" font-size="13" font-family="monospace" '
-            f'text-anchor="middle" transform="rotate(-90 18 {_fmt(yc)})">'
-            f"{_escape(ylabel)}</text>"
-        )
+    yc = (_TOP + _BOTTOM) / 2
+    out += [
+        f'<text x="{_fmt((_LEFT + _RIGHT) / 2)}" y="28" font-size="15" '
+        f'font-family="monospace" text-anchor="middle">{_escape(title)}</text>',
+        f'<text x="{_fmt((_LEFT + _RIGHT) / 2)}" y="{_fmt(HEIGHT - 14)}" '
+        f'font-size="13" font-family="monospace" text-anchor="middle">{_XLABEL}</text>',
+        f'<text x="18" y="{_fmt(yc)}" font-size="13" font-family="monospace" '
+        f'text-anchor="middle" transform="rotate(-90 18 {_fmt(yc)})">{_YLABEL}</text>',
+    ]
 
     out.append("</svg>")
     return "\n".join(out) + "\n"

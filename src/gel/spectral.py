@@ -53,6 +53,7 @@ from .errors import (
 from .graphs import (
     TIE_TOL,
     Graph,
+    check_count,
     degree_vector,
     extreme_spectrum,
     graph_checks,
@@ -186,8 +187,7 @@ def closed_form_features(g: Graph, spec: ModelSpec, m: int, F0) -> FeatureState:
     exactly.  Source-coupled, nonlinear and grand_linear specs, and a
     non-symmetric channel factor, raise ``ConfigurationError``.
     """
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 0:
-        raise ConfigurationError(f"step count m must be a nonnegative integer, got {m!r}")
+    m = check_count(m, "step count m")
     feats = as_features(g, F0)
     norm0 = _frobenius_norm(feats)
     if norm0 == 0.0:

@@ -380,6 +380,30 @@ def test_exit_5_on_unwritable_output(workdir):
     assert main(["run", cfg]) == 5
 
 
+@pytest.mark.parametrize(
+    "files, argv",
+    [
+        ({"run.cfg": HFD_CFG.encode() + b"# caf\xe9\n"}, ["run", "run.cfg"]),
+        (
+            {
+                "run.cfg": HFD_CFG.replace("complete_bipartite(5,5)", "g.txt").encode(),
+                "g.txt": b"0 1\n1 2  # caf\xe9\n",
+            },
+            ["run", "run.cfg"],
+        ),
+        ({"w.txt": b"gel-witness 1\ncheck heat_monotone\n# caf\xe9\n"}, ["replay", "w.txt"]),
+    ],
+    ids=["config", "edge-list", "witness"],
+)
+def test_exit_2_on_a_file_that_is_not_utf8(workdir, capsys, files, argv):
+    for name, data in files.items():
+        (workdir / name).write_bytes(data)
+    assert main(argv) == 2
+    latin = next(name for name, data in files.items() if b"\xe9" in data)
+    assert f"{latin!r} is not UTF-8 text" in capsys.readouterr().err
+    assert sorted(p.name for p in workdir.iterdir()) == sorted(files)
+
+
 # --- bipartite preset -------------------------------------------------------
 
 def test_bipartite_demo_passes(workdir):

@@ -69,6 +69,16 @@ def test_omega_is_flat_vector():
     assert cfg.spec.weights.beta == 0.1
 
 
+@pytest.mark.parametrize(
+    "variant, extra, unread",
+    [("graff", "Omega = [[0.5]]\n", "Omega"), ("gradient_flow", "beta = 0.1\n", "beta")],
+)
+def test_key_the_variant_never_reads_rejected(variant, extra, unread):
+    text = BASE.replace("variant = gradient_flow", f"variant = {variant}") + extra
+    with pytest.raises(ConfigurationError, match=f"does not read {unread}"):
+        parse_config(text)
+
+
 def test_matrix_file_loading(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     np.savetxt("w.txt", np.array([[1.0, -0.5], [-0.5, 1.0]]))

@@ -102,6 +102,31 @@ def test_matrix_parameters_reject_nonfinite_and_empty(variant, param, value):
         ModelSpec(variant, **{param: value})
 
 
+@pytest.mark.parametrize(
+    "variant, given, unread",
+    [
+        ("graff", {"weights": WeightSet(W=[[-1.0]], Omega=[[0.5]])}, "Omega"),
+        ("gradient_flow", {"weights": WeightSet(W=[[-1.0]], beta=0.2)}, "beta"),
+        ("heat", {"mu": 0.3}, "mu"),
+        ("label_propagation", {"KtK": [[1.0]]}, "KtK"),
+        ("pde_gcn_d", {"KtK": [[1.0]], "source_free": True}, "source_free"),
+        ("no_residual", {"weights": WeightSet(W=[[1.0]], Wtilde=[[1.0]])}, "Wtilde"),
+    ],
+    ids=["graff-Omega", "gradient_flow-beta", "heat-mu", "lp-KtK", "pde-source_free",
+         "no_residual-Wtilde"],
+)
+def test_spec_refuses_a_parameter_its_variant_never_reads(variant, given, unread):
+    # graff's residual is diag(omega), not Omega, and gradient_flow has no
+    # beta: a run would ignore either and write the same CSV as without it
+    with pytest.raises(ConfigurationError, match=f"{variant}' does not read {unread}$"):
+        ModelSpec(variant, **given)
+
+
+def test_every_variant_takes_W_for_its_channel_count():
+    for variant in ("heat", "grand_linear", "label_propagation"):
+        assert ModelSpec(variant, weights=WeightSet(W=np.eye(2))).channels == 2
+
+
 # --- single-step oracles ----------------------------------------------------
 
 def test_heat_step_oracle():

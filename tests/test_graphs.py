@@ -71,6 +71,22 @@ def test_first_bad_pair_in_input_order_is_reported(edges, message):
         Graph(3, edges)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: complete_bipartite(True, 2),
+         "complete_bipartite's a must be a positive integer, got True"),
+        (lambda: cycle(5.0), "cycle's n must be an integer >= 3, got 5.0"),
+        (lambda: path(1), "path's n must be an integer >= 2, got 1"),
+        (lambda: Graph(True, ()), "node count must be a positive integer, got True"),
+    ],
+    ids=["bipartite-bool", "cycle-float", "path-too-short", "graph-bool"],
+)
+def test_generators_check_their_counts(build, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        build()
+
+
 def test_node_count_beyond_int64_keys_rejected():
     with pytest.raises(ValidationError, match="node count must be at most"):
         Graph(2**40, ((0, 1),))
