@@ -88,9 +88,8 @@ def _profile_lines(
         f"terminal prediction ({profile.label}):",
         f"  predicted per-step growth = {_fmt(profile.growth)}",
     ]
-    if traj.steps.size >= 2:
-        measured = float(np.exp(traj.log_scale[-1] - traj.log_scale[-2]))
-        out.append(f"  measured last-step growth = {_fmt(measured)}")
+    measured = float(np.exp(traj.log_scale[-1] - traj.log_scale[-2]))
+    out.append(f"  measured last-step growth = {_fmt(measured)}")
     final_dir = traj.final.direction
     s = float(np.sign(np.sum(final_dir * profile.direction))) or 1.0
     dev = float(np.abs(final_dir - s * profile.direction).max())

@@ -31,6 +31,7 @@ from .energy import WeightSet
 from .errors import ConfigurationError, GelIOError, ParseError, ValidationError
 from .graphs import (
     Graph,
+    _inv_sqrt_degree,
     check_count,
     complete_bipartite,
     cycle,
@@ -165,7 +166,10 @@ def _parse_graph_value(value: str, lineno: int) -> tuple[Graph, str]:
                 f"line {lineno}: malformed graph generator spec {value!r}"
             )
         # anything that is not a generator call is an edge-list file path
-        return from_edge_list(_read_text(value, "edge list")), value
+        graph = from_edge_list(_read_text(value, "edge list"))
+        # refuse an isolated node before the run draws its (n, d) features
+        _inv_sqrt_degree(graph)
+        return graph, value
     name, argtext = call.groups()
     if name not in _GENERATORS:
         raise ParseError(f"line {lineno}: unknown graph generator {name!r}")

@@ -85,7 +85,7 @@ from .energy import (
     as_features,
     dirichlet_energy,  # noqa: F401  (perfbench traces gel.dynamics.dirichlet_energy)
 )
-from .errors import ConfigurationError, NumericError, ValidationError
+from .errors import ConfigurationError, DegenerateInputError, NumericError, ValidationError
 from .graphs import (
     Graph,
     _adjacency_product,
@@ -288,14 +288,10 @@ NONLINEAR_VARIANTS = frozenset(v for v, entry in _TABLE.items() if entry.nonline
 LINEAR_VARIANTS = VARIANTS - NONLINEAR_VARIANTS
 
 
-def _relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
 #: Named entrywise activations; every entry satisfies x * sigma(x) >= 0.
 ACTIVATIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "identity": lambda x: x,
-    "relu": _relu,
+    "relu": lambda x: np.maximum(x, 0.0),
     "tanh": np.tanh,
 }
 
@@ -325,30 +321,6 @@ def normalize_variant(name: str) -> str:
     return snake
 
 
-def resolve_sigma(sigma) -> Callable[[np.ndarray], np.ndarray]:
-    if callable(sigma):
-        return sigma
-    if isinstance(sigma, str) and sigma in ACTIVATIONS:
-        return ACTIVATIONS[sigma]
-    raise ConfigurationError(
-        f"unknown activation {sigma!r}; expected a callable or one of "
-        f"{sorted(ACTIVATIONS)}"
-    )
-
-
-def _check_admissible_sigma(fn: Callable[[np.ndarray], np.ndarray]) -> Callable:
-    """Sample the activation, require x * sigma(x) >= 0 everywhere, return it."""
-    xs = np.linspace(-5.0, 5.0, 1000)
-    ys = np.asarray(fn(xs), dtype=float)
-    if ys.shape != xs.shape or not np.all(np.isfinite(ys)):
-        raise ValidationError("activation must map finite reals to finite reals")
-    if float(np.min(xs * ys)) < -1e-12:
-        raise ValidationError(
-            "activation is inadmissible: x * sigma(x) < 0 at a sampled point"
-        )
-    return fn
-
-
 def _given(spec: ModelSpec) -> list[str]:
     """The optional parameters ``spec`` sets: a nonzero Omega, Wtilde,
     omega_diag, beta or mu, a KtK, an OmegaTilde, a set source_free.  W is
@@ -370,13 +342,15 @@ class ModelSpec:
     constant positive-semidefinite channel metric of the diffusion-with-metric
     variant; ``OmegaTilde`` the channel mixer of the residual-diffusion
     variant, whose constant source is dropped when ``source_free`` is set.
+    ``sigma`` names an entry of ``ACTIVATIONS`` (``identity``, ``relu`` or
+    ``tanh``); only the nonlinear variants take one other than ``identity``.
     A parameter the variant does not read (see ``_given``) is refused.
     """
 
     variant: str
     weights: WeightSet | None = None
     tau: float = 0.5
-    sigma: str | Callable[[np.ndarray], np.ndarray] = "identity"
+    sigma: str = "identity"
     mu: float = 0.0
     KtK: np.ndarray | None = None
     OmegaTilde: np.ndarray | None = None
@@ -399,14 +373,16 @@ class ModelSpec:
             raise ConfigurationError(
                 f"variant {self.variant!r} does not read {', '.join(unread)}"
             )
-        activation = None
-        if entry.nonlinear:
-            activation = _check_admissible_sigma(resolve_sigma(self.sigma))
-        elif not (self.sigma == "identity" or self.sigma is None):
+        if not (isinstance(self.sigma, str) and self.sigma in ACTIVATIONS):
+            raise ConfigurationError(
+                f"unknown activation {self.sigma!r}; expected one of {sorted(ACTIVATIONS)}"
+            )
+        if not entry.nonlinear and self.sigma != "identity":
             raise ConfigurationError(
                 f"variant {self.variant!r} is linear; an activation is only "
                 "accepted by the *_nonlinear and diag_nonlinear variants"
             )
+        activation = ACTIVATIONS[self.sigma] if entry.nonlinear else None
         update = entry.build(self)
         update = update._replace(
             activation=activation,
@@ -527,18 +503,19 @@ def trajectory_states(spec: ModelSpec, g: Graph, F0, steps: int) -> Iterator[Fea
     source-coupled and nonlinear runs iterate the raw state, whose norm gives
     ``log_scale``.  Overflow or collapse raises a numeric error naming the step.
     """
-    return _states(spec, g, *_start(spec, g, F0, steps))
-
-
-def _start(spec: ModelSpec, g: Graph, F0, steps) -> tuple[np.ndarray, float, int]:
-    """The checked reference features, their norm and the step count."""
     steps = check_count(steps, "steps")
+    return _states(spec, g, *_reference(spec, g, F0), steps)
+
+
+def _reference(spec: ModelSpec, g: Graph, F0) -> tuple[np.ndarray, float]:
+    """A run's initial features, checked (one row per node, finite, the
+    spec's channel count, nonzero), and their norm."""
     feats = as_features(g, F0)
     _check_channels(spec.channels, feats, "model parameters")
     norm = _frobenius_norm(feats)
     if norm == 0.0:
-        raise ValidationError("initial features must be nonzero")
-    return feats, norm, steps
+        raise DegenerateInputError("initial features must be nonzero")
+    return feats, norm
 
 
 def _states(spec, g, reference, norm, steps, products=None) -> Iterator[FeatureState]:
@@ -608,7 +585,8 @@ def run_trajectory(spec: ModelSpec, g: Graph, F0, steps: int) -> Trajectory:
     state, and the fallbacks the module docstring lists, take the O(m d)
     edge form.
     """
-    reference, norm, steps = _start(spec, g, F0, steps)
+    steps = check_count(steps, "steps")
+    reference, norm = _reference(spec, g, F0)
     count = steps + 1
     _require_memory(4 * 8 * count, f"the CSV columns of {count} states")
     rayleigh, dirichlet, energy, log_scale = (np.empty(count) for _ in range(4))

@@ -508,16 +508,23 @@ def _edge_weights(g: Graph) -> np.ndarray:
 
 
 def _inv_sqrt_degree(g: Graph) -> np.ndarray:
-    """``1 / sqrt(deg)``; an isolated node is a validation error, since the
-    normalized operators divide by it."""
-    d = degree_vector(g)
-    isolated = np.flatnonzero(d == 0)
+    """``1 / sqrt(deg)``; an isolated node is a validation error naming the
+    smallest one, since the normalized operators divide by it.  More nodes
+    than edge ends, ``n > 2 m``, leave one isolated: it is then found among
+    the sorted ends, in O(m log m), before any O(n) array is built."""
+    if g.n > 2 * g.num_edges:
+        ends = np.sort(g.edges, axis=None)
+        ends = ends[np.diff(ends, prepend=-1) != 0]
+        # the distinct ends are 0, 1, ... up to the first missing node
+        isolated = np.append(np.flatnonzero(ends != np.arange(ends.size)), ends.size)
+    else:
+        isolated = np.flatnonzero(degree_vector(g) == 0)
     if isolated.size:
         raise ValidationError(
             f"node {int(isolated[0])} is isolated (degree 0); "
             "normalized operators require minimum degree 1"
         )
-    return 1.0 / np.sqrt(d)
+    return 1.0 / np.sqrt(degree_vector(g))
 
 
 def _adjacency_product(g: Graph, F: np.ndarray) -> np.ndarray:

@@ -8,12 +8,9 @@ so plots can be golden-tested byte for byte on one platform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
-
-from .errors import ValidationError
 
 WIDTH = 800
 HEIGHT = 500
@@ -31,22 +28,12 @@ _YLABEL = "rayleigh quotient"
 _REFERENCE_LABEL = "lambda_max"
 
 
-@dataclass(frozen=True)
-class Series:
-    """One named curve; x runs over 0..len(values)-1 (step index)."""
+class Series(NamedTuple):
+    """One named curve of at least two finite values; x runs over
+    0..len(values)-1 (step index)."""
 
     label: str
-    values: np.ndarray = field()
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float).reshape(-1)
-        if vals.size < 2:
-            raise ValidationError(
-                f"series {self.label!r} needs at least two points, got {vals.size}"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise ValidationError(f"series {self.label!r} contains non-finite values")
-        object.__setattr__(self, "values", vals)
+    values: np.ndarray
 
 
 def _fmt(x: float) -> str:
@@ -73,8 +60,6 @@ def _escape(text: str) -> str:
 def line_plot(series: Sequence[Series], *, title: str, reference: float) -> str:
     """Render step-indexed curves, with a reference line at ``reference``
     (lambda_max), as a complete SVG document string."""
-    if not series:
-        raise ValidationError("line_plot needs at least one series")
     xmax = float(max(s.values.size - 1 for s in series))
     lo = min(min(float(s.values.min()) for s in series), float(reference))
     hi = max(max(float(s.values.max()) for s in series), float(reference))

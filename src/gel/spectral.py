@@ -40,8 +40,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import FeatureState, ModelSpec
-from .energy import _check_channels, _frobenius_norm, as_features
+from .dynamics import FeatureState, ModelSpec, _reference
+from .energy import _frobenius_norm
 from .errors import (
     ConfigurationError,
     DegenerateInputError,
@@ -171,8 +171,7 @@ def _step_matrices(spec: ModelSpec, d: int, lam: np.ndarray) -> np.ndarray:
 
 def _modes(spec: ModelSpec, feats: np.ndarray, lam: np.ndarray, basis: np.ndarray) -> _Modes:
     """Diagonalize S at the eigenvalues ``lam`` (eigenvectors ``basis``) and
-    expand F0 over the modes."""
-    _check_channels(spec.channels, feats, "model parameters")
+    expand the checked F0 over the modes."""
     factors, vectors = np.linalg.eigh(_step_matrices(spec, feats.shape[1], lam))
     coeff = np.einsum("lk,lkj->lj", basis.T @ feats, vectors)
     return _Modes(lam, basis, factors, vectors, coeff)
@@ -188,10 +187,7 @@ def closed_form_features(g: Graph, spec: ModelSpec, m: int, F0) -> FeatureState:
     non-symmetric channel factor, raise ``ConfigurationError``.
     """
     m = check_count(m, "step count m")
-    feats = as_features(g, F0)
-    norm0 = _frobenius_norm(feats)
-    if norm0 == 0.0:
-        raise DegenerateInputError("initial features must be nonzero")
+    feats, norm0 = _reference(spec, g, F0)
     lap = laplacian_spectrum(g)
     modes = _modes(spec, feats, lap.eigenvalues, lap.eigenvectors)
     if m == 0:
@@ -329,10 +325,7 @@ def asymptotic_profile(g: Graph, spec: ModelSpec, F0) -> ProfilePrediction:
     - F0 without a component on the dominant modes: ``DegenerateInputError``.
     """
     require_connected(g, "asymptotic prediction")
-    feats = as_features(g, F0)
-    norm0 = _frobenius_norm(feats)
-    if norm0 == 0.0:
-        raise DegenerateInputError("initial features must be nonzero")
+    feats, norm0 = _reference(spec, g, F0)
     if spec.variant == "grand_linear":
         return _grand_profile(g, feats, norm0)
     ends = extreme_spectrum(g)

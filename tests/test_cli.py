@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -378,6 +379,48 @@ def test_exit_5_on_unwritable_output(workdir):
         HFD_CFG.replace("csv = run.csv", "csv = no_such_dir/run.csv"),
     )
     assert main(["run", cfg]) == 5
+
+
+def test_exit_3_on_an_activation_that_is_not_named(workdir, capsys):
+    cfg = write(workdir / "run.cfg", HFD_CFG.replace("gradient_flow", "gradient_flow_nonlinear")
+                + "sigma = softplus\n")
+    assert main(["run", cfg]) == 3
+    assert "unknown activation 'softplus'" in capsys.readouterr().err
+
+
+EDGE_LIST_CFG = HFD_CFG.replace("complete_bipartite(5,5)", "g.txt")
+
+
+@pytest.mark.parametrize(
+    "edges, code, message",
+    [
+        ("0 1\n1 2 3\n", 2, "line 2: expected 'u v'"),
+        ("0 1\n1 x\n", 2, "line 2: non-integer node id"),
+        ("0 1\n2 2\n", 3, "line 2: self-loop 2 2"),
+        ("n 3\n0 1\n1 5\n", 3, "line 3: node id exceeds declared count n=3"),
+        ("0 1\n-1 2\n", 3, "line 2: negative node id"),
+    ],
+    ids=["malformed", "non-integer", "self-loop", "out-of-range", "negative"],
+)
+def test_edge_list_errors_map_to_their_exit_codes(workdir, capsys, edges, code, message):
+    (workdir / "g.txt").write_text(edges)
+    assert main(["run", write(workdir / "run.cfg", EDGE_LIST_CFG)]) == code
+    assert message in capsys.readouterr().err
+
+
+def test_an_isolated_node_exits_3_before_the_features_are_drawn(workdir, capsys):
+    (workdir / "g.txt").write_text("n 20000000\n0 1\n")
+    cfg = write(workdir / "run.cfg", EDGE_LIST_CFG)
+    tracemalloc.start()
+    try:
+        code = main(["run", cfg])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert "node 2 is isolated" in capsys.readouterr().err
+    # the (n, 1) initial features alone would take 160 MB
+    assert peak < 16e6
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import pytest
 
 import gel.dynamics
 from gel.dynamics import (
+    ACTIVATIONS,
     ModelSpec,
     normalize_variant,
     run_trajectory,
@@ -13,7 +14,7 @@ from gel.dynamics import (
     trajectory_states,
 )
 from gel.energy import WeightSet, dirichlet_energy, lp_energy, parametric_energy
-from gel.errors import ConfigurationError, NumericError, ValidationError
+from gel.errors import ConfigurationError, DegenerateInputError, NumericError, ValidationError
 from gel.graphs import (
     Graph,
     adjacency_matrix,
@@ -25,7 +26,7 @@ from gel.graphs import (
     normalized_laplacian,
     path,
 )
-from gel.spectral import closed_form_features
+from gel.spectral import asymptotic_profile, closed_form_features
 
 
 def gf(wmat, **kw):
@@ -65,6 +66,24 @@ def test_weight_variant_needs_weights():
 def test_linear_variant_rejects_activation():
     with pytest.raises(ConfigurationError):
         gf(np.eye(2), sigma="relu")
+
+
+@pytest.mark.parametrize("name", sorted(ACTIVATIONS))
+def test_every_named_activation_keeps_the_sign_of_its_argument(name):
+    xs = np.linspace(-5.0, 5.0, 1001)
+    assert np.all(xs * ACTIVATIONS[name](xs) >= 0.0)
+
+
+@pytest.mark.parametrize("variant, sigma", [
+    ("gradient_flow_nonlinear", np.tanh),
+    ("gradient_flow_nonlinear", "softplus"),
+    ("gradient_flow_nonlinear", None),
+    ("gradient_flow", None),
+    ("gradient_flow", 1),
+])
+def test_an_activation_is_named_in_activations(variant, sigma):
+    with pytest.raises(ConfigurationError, match="unknown activation"):
+        ModelSpec(variant, weights=WeightSet(W=[[-1.0]]), sigma=sigma)
 
 
 def test_nonpositive_tau_rejected():
@@ -675,6 +694,17 @@ def test_collapse_names_step():
 def test_zero_init_rejected():
     with pytest.raises(ValidationError):
         run_trajectory(ModelSpec("heat"), cycle(4), np.zeros(4), 3)
+
+
+@pytest.mark.parametrize("run", [
+    lambda spec, g, F0: run_trajectory(spec, g, F0, 3),
+    lambda spec, g, F0: trajectory_states(spec, g, F0, 3),
+    lambda spec, g, F0: closed_form_features(g, spec, 3, F0),
+    lambda spec, g, F0: asymptotic_profile(g, spec, F0),
+], ids=["run_trajectory", "trajectory_states", "closed_form_features", "asymptotic_profile"])
+def test_zero_initial_features_are_degenerate_on_every_path(run):
+    with pytest.raises(DegenerateInputError, match="initial features must be nonzero"):
+        run(ModelSpec("heat"), cycle(4), np.zeros(4))
 
 
 # --- spectral filter --------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Fuzzed witness and config text fails only as a ``GelError``.
+"""Fuzzed witness, config and edge-list text fails only as a ``GelError``.
 
 Each example takes a valid document and applies up to three edits: delete,
 insert or replace a character, or drop, repeat or swap lines.  Inserted
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from gel.config import parse_config
 from gel.errors import GelError
+from gel.graphs import from_edge_list
 from gel.verify import default_suite, parse_witness, serialize_witness
 
 _WITNESSES = [serialize_witness(w) for w in default_suite()[::4]]
@@ -54,6 +55,11 @@ csv = c.csv
 svg = c.svg
 report = c.txt
 """,
+]
+
+_EDGE_LISTS = [
+    "n 6\n0 1\n1 2  # a comment\n\n2 3\n3 4\n4 5\n5 0\n",
+    "# a triangle and a tail\n0 1\n0 2\n1 2\n2 3\n",
 ]
 
 _CHARACTERS = st.sampled_from(list("abeinfxEW_ =[](),.-+#\t\n"))
@@ -101,5 +107,14 @@ def test_fuzzed_witness_text_raises_only_gel_errors(text):
 def test_fuzzed_config_text_raises_only_gel_errors(text):
     try:
         parse_config(text)
+    except GelError:
+        pass
+
+
+@settings(deadline=None, max_examples=300)
+@given(_mutated(_EDGE_LISTS))
+def test_fuzzed_edge_list_text_raises_only_gel_errors(text):
+    try:
+        from_edge_list(text)
     except GelError:
         pass

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,6 +86,35 @@ def test_monotonicity_check_both_routes():
         matrices={"F0": rng.normal(size=(7, 3)), "W": w + w.T, "Omega": np.eye(3)},
         scalars={"steps": 60}, tags={"sigma": "tanh"}))
     assert rep.passed
+
+
+def test_monotonicity_needs_a_step():
+    w = verify.Witness("monotonicity", "monotonicity", path(3),
+                       matrices={"F0": np.ones((3, 1)), "W": np.eye(1)}, scalars={"steps": 0})
+    with pytest.raises(ValidationError, match="steps must be a positive integer"):
+        verify.run_check(w)
+
+
+def _runner_peak(check: str, steps: int) -> int:
+    rng = np.random.default_rng(4)
+    w = verify.Witness(
+        check, check, cycle(64),
+        matrices={"F0": rng.normal(size=(64, 2)), "W": np.diag([0.5, 0.3])},
+        scalars={"steps": steps, "tau": 0.01}, tags={"sigma": "tanh"})
+    tracemalloc.start()
+    try:
+        verify.run_check(w)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("check", ["monotonicity", "conservation"])
+def test_runner_memory_does_not_grow_with_steps(check):
+    _runner_peak(check, 1)  # fills the graph's caches: both peaks below are the run's own
+    short = _runner_peak(check, 500)
+    # keeping every state of the run would take 8001 * 64 * 2 floats = 8 MB
+    assert _runner_peak(check, 8000) < 1.5 * short
 
 
 # --- witness serialization --------------------------------------------------
