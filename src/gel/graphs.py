@@ -18,9 +18,11 @@ dense matrix, built only then, on a dense one.  ``laplacian_spectrum`` is the
 full, checked ``numpy.linalg.eigh`` of the normalized Laplacian.
 ``extreme_spectrum`` gives only its two ends, the eigenpairs at 0 and at
 lambda_max and the next eigenvalue inward from each, from a Lanczos
-iteration on the same edge sum; residual bounds and one dense Cholesky per
-end, factored in place in one n x n buffer, certify that no eigenvalue was
-missed, and a failed certificate falls back to the full decomposition.  A
+iteration on the same edge sum.  Residual bounds and a dense Cholesky
+factorization, in place in one n x n array, certify that no eigenvalue was
+missed at the top; lambda_2 is certified the same way, in a new array, only
+when something reads it, and 0 needs no certificate on a connected graph.
+A failed certificate falls back to the full decomposition.  A
 dense site, or a generated edge set, that would not fit in the machine's
 physical memory is refused with a ``NumericError`` before it is allocated.
 
@@ -34,8 +36,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -217,7 +219,8 @@ class SpectralPair:
     eigenvectors: np.ndarray
 
 
-class SpectrumEnds(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class SpectrumEnds:
     """Both ends of a normalized Laplacian's spectrum.
 
     ``bottom`` holds the eigenvalues within ``TIE_TOL`` of the smallest one
@@ -227,14 +230,24 @@ class SpectrumEnds(NamedTuple):
     cluster and ``below_top`` the largest below the top cluster; when no
     eigenvalue lies between the clusters, lambda_2 belongs to the top one and
     below_top to the bottom one.  ``certified`` is False when the ends were
-    read off ``laplacian_spectrum``.
+    read off ``laplacian_spectrum``; a lambda_2 whose own certificate fails
+    is read off it too, and leaves ``certified`` as it was.
+
+    ``lambda_2`` is found on its first read, by ``find_lambda_2``, and kept,
+    so ``extreme_spectrum`` certifies it only when something reads it (the
+    profile of a flow whose bottom modes may dominate, not lambda_max or
+    the HFD rates).
     """
 
     bottom: SpectralPair
     top: SpectralPair
-    lambda_2: float
     below_top: float
     certified: bool
+    find_lambda_2: Callable[[], float] = field(repr=False)
+
+    @cached_property
+    def lambda_2(self) -> float:
+        return self.find_lambda_2()
 
     @property
     def lambda_max(self) -> float:
@@ -457,15 +470,11 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     return _scatter(g, 1.0)
 
 
-def _scatter(g: Graph, weights, out: np.ndarray | None = None) -> np.ndarray:
-    """The symmetric n x n matrix with ``weights`` (one per edge, or one for
-    all) at both ``(u, v)`` and ``(v, u)`` of each edge, zero elsewhere;
-    written over ``out`` when it is given."""
-    if out is None:
-        _require_memory(8 * g.n * g.n, f"a dense {g.n} x {g.n} matrix")
-        out = np.zeros((g.n, g.n))
-    else:
-        out.fill(0.0)
+def _scatter(g: Graph, weights) -> np.ndarray:
+    """A new symmetric n x n matrix with ``weights`` (one per edge, or one
+    for all) at both ``(u, v)`` and ``(v, u)`` of each edge, zero elsewhere."""
+    _require_memory(8 * g.n * g.n, f"a dense {g.n} x {g.n} matrix")
+    out = np.zeros((g.n, g.n))
     u, v = g.edges[:, 0], g.edges[:, 1]
     out[u, v] = weights
     out[v, u] = weights
@@ -747,7 +756,8 @@ def extreme_spectrum(g: Graph) -> SpectrumEnds:
     iteration with full reorthogonalization on the complement of these finds
     the rest of both ends from a fixed start vector.  It stops once their
     residual estimates fall below ``_RESIDUAL_TOL`` or the Krylov space is
-    invariant.  Each end is then certified in two steps:
+    invariant.  The top end is then certified in two steps, and so is the
+    bottom end when ``lambda_2`` is first read:
 
     - The pairs of the end's cluster and of the next eigenvalue inward have
       residuals R.  As many eigenvalues lie within ``rho = sqrt(2) |R|_F``
@@ -758,16 +768,20 @@ def extreme_spectrum(g: Graph) -> SpectrumEnds:
       and sigma just past the next eigenvalue, proves by Weyl's interlacing
       that at most ``rank V`` eigenvalues lie beyond sigma.  sigma is shifted
       by a bound on the factorization's rounding error, which holds for the
-      blocked factorization run here (Higham 2002, Thm 10.3).  Both ends
-      form and factor their matrix in place in one n x n buffer, freed on
-      return: the certificate holds that array and O(n * _BLOCK) beside it.
+      blocked factorization run here (Higham 2002, Thm 10.3).  Each end
+      forms and factors its matrix in place in its own n x n array, freed
+      on return: the certificate holds that array and O(n * _BLOCK) beside
+      it, and the bottom end's runs after the top end's array is freed.
 
     Together the two steps show that each cluster is complete and that no
-    eigenvalue lies between it and the next one.  A disconnected graph, an
-    iteration that does not converge in ``_LANCZOS_STEPS`` steps or a
-    failed certificate gives the ends of ``laplacian_spectrum`` instead.
-    A multiple lambda_max on a non-bipartite graph always fails: a single
-    start vector sees one copy.
+    eigenvalue lies between it and the next one.  The bottom cluster is 0
+    alone, exactly, as the graph is connected, unless a Ritz value lies
+    within ``TIE_TOL`` of 0; then the bottom end is certified at once.  A
+    disconnected graph, an iteration that does not converge in
+    ``_LANCZOS_STEPS`` steps or a failed top certificate gives the ends of
+    ``laplacian_spectrum`` instead; a failed lambda_2 certificate gives its
+    lambda_2.  A multiple lambda_max on a non-bipartite graph always fails:
+    a single start vector sees one copy.
     """
     checks = graph_checks(g)
     if checks.connected:
@@ -787,9 +801,9 @@ def _ends_of(pair: SpectralPair) -> SpectrumEnds:
     return SpectrumEnds(
         bottom=_frozen_pair(lam[low], vectors[:, low]),
         top=_frozen_pair(lam[high], vectors[:, high]),
-        lambda_2=float(lam[~low][0]),
         below_top=float(lam[~high][-1]),
         certified=False,
+        find_lambda_2=lambda: float(lam[~low][0]),
     )
 
 
@@ -819,16 +833,26 @@ def _certified_ends(g: Graph, bipartite: bool) -> SpectrumEnds | None:
     found = _lanczos(lap, np.array(known_values), np.array(known))
     if found is None:
         return None
-    buffer = np.empty((n, n))  # both ends' certificates, in turn
-    bottom = _certified_end(g, lap, *found[0], side=-1, buffer=buffer)
-    if bottom is None:
-        return None
-    top = _certified_end(g, lap, *found[1], side=1, buffer=buffer)
+    top = _certified_end(g, lap, *found[1], side=1)
     if top is None:
         return None
-    return SpectrumEnds(
-        bottom=bottom[0], top=top[0], lambda_2=bottom[1], below_top=top[1], certified=True
-    )
+    values, vectors = found[0]
+    if values.size == 2:
+        # 0 is a simple eigenvalue of a connected graph, so phi0 alone is the
+        # bottom cluster, exactly; lambda_2 is certified on its first read,
+        # in a new n x n array once the top's is freed
+        def lambda_2() -> float:
+            bottom = _certified_end(g, lap, values, vectors, side=-1)
+            return bottom[1] if bottom is not None else _ends_of(laplacian_spectrum(g)).lambda_2
+
+        bottom_pair = _frozen_pair(values[:1], vectors[:, :1].copy())
+        return SpectrumEnds(bottom_pair, top[0], top[1], True, lambda_2)
+    # a Ritz value within TIE_TOL of 0 joins the kernel's cluster, which only
+    # the certificate can bound
+    bottom = _certified_end(g, lap, values, vectors, side=-1)
+    if bottom is None:
+        return None
+    return SpectrumEnds(bottom[0], top[0], top[1], True, lambda: bottom[1])
 
 
 def _lanczos(lap, known_values: np.ndarray, known: np.ndarray):
@@ -893,19 +917,19 @@ def _converged_ends(known_values, diag, off, beta):
     return values, ritz, picks
 
 
-def _certified_end(g: Graph, lap, values, vectors, side: int, buffer: np.ndarray):
+def _certified_end(g: Graph, lap, values, vectors, side: int):
     """Certify one end from its ascending ``values`` and their ``vectors``:
     at the top (``side = 1``) the first is the next eigenvalue below the
     cluster, at the bottom (``side = -1``) the last is the next one above.
     Returns the cluster's pairs, signs fixed, and that next value; or None
     when the residuals, the cluster's shape or the inertia count do not
-    certify them.  ``buffer`` is an n x n array it overwrites.
+    certify them.  It holds one n x n array, freed on return.
 
     The inertia count factors ``M = side (sigma I - L) + c V V^T``, V the
     cluster's vectors: if M is positive definite, subtracting the rank-k
     term ``c V V^T`` leaves at most k eigenvalues of ``side (sigma I - L)``
     at or below 0 (Weyl), so at most k eigenvalues of L lie beyond sigma.
-    M is formed in ``buffer`` and factored there by ``_cholesky_in_place``.
+    M is formed in that array and factored there by ``_cholesky_in_place``.
     The factorization runs at sigma moved inward by ``delta = 2 (n + 2) eps
     trace(M)``, above the bound ``gamma_{n+1} trace(M)`` on its rounding
     error, so that its success in floating point proves the count at sigma:
@@ -931,12 +955,12 @@ def _certified_end(g: Graph, lap, values, vectors, side: int, buffer: np.ndarray
             or float(cluster.max() - cluster.min()) > TIE_TOL - 2.0 * rho
             or gap <= max(TIE_TOL, 2.0 * delta + rho) + 2.0 * rho):
         return None
-    _scatter(g, side * _edge_weights(g), out=buffer)
+    m = _scatter(g, side * _edge_weights(g))
     cv = c * v
     for first in range(0, n, _BLOCK):
-        buffer[first:first + _BLOCK] += cv[first:first + _BLOCK] @ v.T
-    buffer.flat[:: n + 1] += side * (edge + side * (2.0 * rho + delta) - 1.0)
-    if not _cholesky_in_place(buffer):
+        m[first:first + _BLOCK] += cv[first:first + _BLOCK] @ v.T
+    m.flat[:: n + 1] += side * (edge + side * (2.0 * rho + delta) - 1.0)
+    if not _cholesky_in_place(m):
         return None
     return _frozen_pair(cluster, _fix_eigenvector_signs(v.copy())), float(edge)
 

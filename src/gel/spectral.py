@@ -30,7 +30,9 @@ the spectrum and read ``extreme_spectrum``: the eigenpairs at 0 and at
 lambda_max and the next eigenvalue inward from each.  The profile may do
 so because ``|S(lambda)|_2`` is convex in lambda (S is affine in lambda
 and symmetric), so over the eigenvalues between the two ends it peaks at
-lambda_2 or at the one below lambda_max.
+lambda_2 or at the one below lambda_max.  It first bounds them by ``|S|``
+at 0 and below lambda_max, and reads lambda_2, whose certificate then
+runs, only when that bound reaches the dominant ``|s|``.
 """
 
 from __future__ import annotations
@@ -308,9 +310,11 @@ def asymptotic_profile(g: Graph, spec: ModelSpec, F0) -> ProfilePrediction:
     largest ``|s|``, within ``TIE_TOL * max(1, |s|)``; their projection of
     F0 is the terminal direction, ``|s|`` the growth, and ``contraction``
     the largest other ``|s|`` over it.  The modes are those of
-    ``extreme_spectrum``, and ``|s|`` between its two ends is read at the
-    interval's ends (see the module docstring); when that ties the
-    dominant ``|s|``, the full ``laplacian_spectrum`` gives every mode.
+    ``extreme_spectrum``, and ``|s|`` between its two ends is bounded by
+    its values at 0 and at ``below_top``, or, when that bound ties the
+    dominant ``|s|``, read at lambda_2 and ``below_top`` (see the module
+    docstring); when that still ties, the full ``laplacian_spectrum`` gives
+    every mode.
     Tie rules, in order:
 
     - ``|s|`` vanishes everywhere: ``DegenerateInputError``.
@@ -336,12 +340,22 @@ def asymptotic_profile(g: Graph, spec: ModelSpec, F0) -> ProfilePrediction:
         np.hstack((ends.bottom.eigenvectors, ends.top.eigenvectors)),
     )
     mags = np.abs(modes.factors)
-    # |s| at the ends of the interior interval bounds it at every eigenvalue inside
-    inner = np.abs(np.linalg.eigvalsh(_step_matrices(spec, feats.shape[1], ends.interior)))
+
+    def inner_mags(lam: np.ndarray) -> np.ndarray:
+        return np.abs(np.linalg.eigvalsh(_step_matrices(spec, feats.shape[1], lam)))
+
+    # every eigenvalue between the clusters lies in [bottom, below_top], where
+    # the convex |s| is at most the larger of its values at the two ends: the
+    # bottom modes' |s| and |s| at below_top; only a bound that reaches the
+    # tie reads lambda_2
+    inner = inner_mags(np.array([ends.below_top]))
+    bound = max(float(mags[: ends.bottom.eigenvalues.size].max()), float(inner.max()))
+    if bound >= _tie(max(float(mags.max()), float(inner.max()))):
+        inner = inner_mags(ends.interior)
     top = max(float(mags.max()), float(inner.max(initial=0.0)))
     if top <= 1e-12:
         raise DegenerateInputError("the update vanishes; every mode is annihilated")
-    tie = top - TIE_TOL * max(top, 1.0)
+    tie = _tie(top)
     if inner.size and float(inner.max()) >= tie:
         # an eigenvalue between the ends may be dominant: read every mode
         lap = laplacian_spectrum(g)
@@ -383,6 +397,11 @@ def asymptotic_profile(g: Graph, spec: ModelSpec, F0) -> ProfilePrediction:
         terminal=block if fixed else None,
         contraction=float(rest.max()) / top if rest.size else 0.0,
     )
+
+
+def _tie(top: float) -> float:
+    """The least ``|s|`` that ties the largest, ``top``."""
+    return top - TIE_TOL * max(top, 1.0)
 
 
 def _checked_direction(block: np.ndarray, norm0: float, what: str) -> np.ndarray:

@@ -333,8 +333,6 @@ def test_10_omega_equals_w_conservation_and_sharpening():
     rng = np.random.default_rng(110)
     witnesses = []
     for i, g in enumerate([complete_bipartite(2, 3), cycle(5), _non_bipartite_er(8, 0.45, 2000)]):
-        # small tau keeps total growth ~1e4: the conserved coefficients are
-        # read back through exp(log_scale), which amplifies roundoff
         witnesses.append(
             _witness("conservation", f"accept10_cons_{i}", g,
                      {"W": _sym(rng, rng.uniform(-1.0, 0.8, size=2)),

@@ -259,6 +259,39 @@ def test_run_reads_lambda_max_and_rates_without_a_full_decomposition(workdir, mo
     _assert_same_numbers(certified, _report_numbers(workdir / "run.txt"), abs)
 
 
+def _counted_factorizations(monkeypatch) -> list[int]:
+    """The order of each dense Cholesky factorization run from here on, with
+    both spectrum caches emptied."""
+    factored = []
+    cholesky = gel.graphs._cholesky_in_place
+
+    def counted(a):
+        factored.append(a.shape[0])
+        return cholesky(a)
+
+    monkeypatch.setattr(gel.graphs, "_cholesky_in_place", counted)
+    extreme_spectrum.cache_clear()
+    laplacian_spectrum.cache_clear()
+    return factored
+
+
+def test_an_hfd_run_certifies_only_the_top_end(workdir, monkeypatch):
+    factored = _counted_factorizations(monkeypatch)
+    assert main(["run", write(workdir / "run.cfg", ER_HFD_CFG)]) == 0
+    assert "regime = HFD" in (workdir / "run.txt").read_text()
+    # lambda_max, the rates and the HFD profile never read lambda_2
+    assert factored == [400]
+
+
+def test_an_lfd_profile_still_certifies_lambda_2(monkeypatch):
+    g = gel.graphs.erdos_renyi(400, 0.02, 7)
+    F0 = np.random.default_rng(7).normal(size=(g.n, 2))
+    factored = _counted_factorizations(monkeypatch)
+    # |s| = 1 at lambda = 0 reaches the tie, so the interior is read at lambda_2
+    assert gel.spectral.asymptotic_profile(g, ModelSpec("heat", tau=0.5), F0).label == "LFD"
+    assert factored == [400, 400]
+
+
 def test_bipartite_demo_reads_the_exact_top_without_a_full_decomposition(workdir, monkeypatch):
     extreme_spectrum.cache_clear()
     laplacian_spectrum.cache_clear()

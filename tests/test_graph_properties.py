@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import gel.graphs
 from gel.dynamics import ModelSpec, run_trajectory, trajectory_states
 from gel.energy import WeightSet
+from gel.errors import GelError
 from gel.graphs import (
     Graph,
     _adjacency_product,
@@ -33,6 +34,7 @@ from gel.graphs import (
     normalized_laplacian,
     path,
 )
+from gel.spectral import asymptotic_profile
 from gel.verify import default_suite
 
 # --- the reference ----------------------------------------------------------
@@ -163,6 +165,45 @@ def test_extreme_spectrum_matches_the_full_decomposition(case):
         assert pair.eigenvectors.shape == block.shape
         projector = pair.eigenvectors @ pair.eigenvectors.T
         assert np.abs(projector - block @ block.T).max() <= 1e-10
+
+
+@settings(deadline=None)
+@given(connected_edge_lists())
+def test_the_spectrum_lies_in_zero_two(case):
+    g = Graph(*case)
+    ends = extreme_spectrum(g)
+    for values in (laplacian_spectrum(g).eigenvalues, ends.bottom.eigenvalues,
+                   ends.top.eigenvalues, [ends.lambda_2, ends.below_top]):
+        assert -1e-12 <= min(values) and max(values) <= 2.0 + 1e-12
+    # the n eigenvalues sum to the trace n, and the bottom one is 0
+    assert ends.lambda_max >= g.n / (g.n - 1) - 1e-12
+
+
+@settings(deadline=None)
+@given(connected_edge_lists(), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_the_profile_does_not_depend_on_reading_lambda_2_first(case, d, seed):
+    g = Graph(*case)
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=(d, d))
+    spec = ModelSpec("gradient_flow", weights=WeightSet(W=w + w.T), tau=0.5)
+    F0 = rng.normal(size=(g.n, d))
+
+    def profile(read_lambda_2_first):
+        extreme_spectrum.cache_clear()
+        if read_lambda_2_first:
+            extreme_spectrum(g).lambda_2
+        try:
+            return asymptotic_profile(g, spec, F0)
+        except GelError as err:
+            return type(err)
+
+    lazy, eager = profile(False), profile(True)
+    if isinstance(eager, type):
+        assert lazy is eager
+        return
+    assert (lazy.label, lazy.growth) == (eager.label, eager.growth)
+    assert np.array_equal(lazy.direction, eager.direction)
+    assert abs(lazy.contraction - eager.contraction) <= 1e-14 * eager.contraction
 
 
 def edge_form_columns(g, spec, x, F0):

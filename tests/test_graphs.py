@@ -418,7 +418,8 @@ def test_certificate_holds_one_dense_array():
     g = erdos_renyi(1200, 0.01, 3)
     extreme_spectrum(cycle(10))  # warm up imports outside the trace
     extreme_spectrum.cache_clear()
-    ends, _, peak = _traced(lambda: extreme_spectrum(g))
+    # both ends: lambda_2's certificate runs once the top's array is freed
+    ends, _, peak = _traced(lambda: (ends := extreme_spectrum(g), ends.lambda_2)[0])
     assert ends.certified
     assert peak <= 1.25 * 8 * g.n**2
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gel.graphs
 from gel.dynamics import ModelSpec, run_trajectory
 from gel.energy import WeightSet
 from gel.errors import (
@@ -20,6 +21,7 @@ from gel.graphs import (
     complete_bipartite,
     cycle,
     erdos_renyi,
+    extreme_spectrum,
     laplacian_spectrum,
     path,
 )
@@ -314,6 +316,31 @@ def test_profile_rejects_orthogonal_init():
     spec = ModelSpec("gradient_flow", weights=WeightSet(W=[[-1.0]]), tau=0.5)
     with pytest.raises(DegenerateInputError):
         asymptotic_profile(g, spec, np.array([1.0, 1.0]))
+
+
+def test_a_failed_lambda_2_certificate_reads_the_full_decomposition(monkeypatch):
+    g = erdos_renyi(300, 0.03, 1)
+    F0 = np.random.default_rng(2).normal(size=(g.n, 2))
+    spec = ModelSpec("heat", tau=0.5)  # LFD: the profile reads lambda_2
+    extreme_spectrum.cache_clear()
+    certified = asymptotic_profile(g, spec, F0)
+
+    certified_end = gel.graphs._certified_end
+
+    def top_only(*args, side):
+        return None if side < 0 else certified_end(*args, side=side)
+
+    monkeypatch.setattr(gel.graphs, "_certified_end", top_only)
+    extreme_spectrum.cache_clear()
+    laplacian_spectrum.cache_clear()
+    profile = asymptotic_profile(g, spec, F0)
+    ends = extreme_spectrum(g)
+    assert ends.certified  # the top end still is
+    assert ends.lambda_2 == float(laplacian_spectrum(g).eigenvalues[1])
+    assert (profile.label, profile.growth) == (certified.label, certified.growth)
+    assert np.array_equal(profile.direction, certified.direction)
+    assert profile.contraction == pytest.approx(certified.contraction, rel=1e-12)
+    extreme_spectrum.cache_clear()  # later tests get ends certified in full
 
 
 def test_profile_refuses_boundary_regime():

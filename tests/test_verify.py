@@ -117,6 +117,39 @@ def test_runner_memory_does_not_grow_with_steps(check):
     assert _runner_peak(check, 8000) < 1.5 * short
 
 
+def _growing_conservation(steps: int) -> verify.Witness:
+    """A conservation run whose norm grows about e^0.02 a step."""
+    rng = np.random.default_rng(4)
+    return verify.Witness(
+        "conservation", "growing", cycle(64),
+        matrices={"F0": rng.normal(size=(64, 2)), "W": np.diag([-1.0, 0.3])},
+        scalars={"steps": steps, "tau": 0.01})
+
+
+@pytest.mark.parametrize("steps", [8000, 40000])
+def test_conservation_holds_however_far_the_norm_grows(steps):
+    # log_scale reaches 159 at 8000 steps, where the absolute drift of the raw
+    # coefficients is 3.6e52, and 792 at 40000, where exp(log_scale) overflows
+    rep = verify.run_check(_growing_conservation(steps))
+    assert rep.passed and rep.max_error <= 1e-14
+
+
+def test_conservation_catches_a_small_frequency_zero_drift(monkeypatch):
+    states = verify.trajectory_states
+    phi0 = np.full(64, 1.0 / 8.0)  # sqrt(deg) / |sqrt(deg)| on a cycle
+
+    def drifting(spec, g, F0, steps):
+        for k, state in enumerate(states(spec, g, F0, steps)):
+            if k == steps:  # move the last state's phi0 component by 1e-6 |F|
+                state = dataclasses.replace(
+                    state, direction=state.direction + 1e-6 * np.outer(phi0, [1.0, 0.0]))
+            yield state
+
+    monkeypatch.setattr(verify, "trajectory_states", drifting)
+    rep = verify.run_check(_growing_conservation(8000))
+    assert not rep.passed and rep.max_error == pytest.approx(1e-6, rel=1e-6)
+
+
 # --- witness serialization --------------------------------------------------
 
 def _sample_witness():
