@@ -70,6 +70,8 @@ SYMMETRY_TOL = 1e-12
 #: Orthonormality / reconstruction tolerance for eigendecompositions.
 SPECTRAL_TOL = 1e-10
 
+_SMALLEST_SUBNORMAL = float(np.finfo(float).smallest_subnormal)
+
 #: Eigenvalues closer than this are treated as tied (degenerate).
 TIE_TOL = 1e-9
 
@@ -699,7 +701,11 @@ def _checked_eigh(sym: np.ndarray) -> SpectralPair:
         residual /= scale
         squares += float(np.vdot(residual, residual))
     norm = float(np.linalg.norm(values / scale))
-    if math.sqrt(squares) > SPECTRAL_TOL * norm:
+    # subnormal entries carry no relative precision: allow each of the n^2
+    # residual entries n + 1 units of the smallest subnormal, which adds less
+    # than SPECTRAL_TOL * norm unless max |sym| < n (n + 1) 5e-314
+    floor = n * (n + 1) * _SMALLEST_SUBNORMAL / scale
+    if math.sqrt(squares) > SPECTRAL_TOL * norm + floor:
         raise NumericError("eigendecomposition failed the reconstruction check")
 
     values.setflags(write=False)

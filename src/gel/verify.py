@@ -12,11 +12,16 @@ The checks that run a model and compare the run with a prediction are rows
 of ``PREDICTIONS``: the variant, each compared quantity at its tolerance,
 the frequency the final Rayleigh quotient must reach, and a default step
 count or horizon rule.  One runner serves them all; a new prediction is one row.
+
+The default battery that ``gel suite`` runs is data: one witness file per
+check under ``gel/suite``, each read and run as ``gel replay`` reads and runs
+it.  ``tests/suite_witnesses.py`` builds those files from their seeds.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable
@@ -24,6 +29,7 @@ from typing import Callable
 import numpy as np
 
 from . import energy as energy_mod
+from .config import _read_text
 from .dynamics import (
     ModelSpec,
     run_trajectory,
@@ -44,6 +50,7 @@ from .graphs import (
     laplacian_spectrum,
     normalized_adjacency,
     spectral_decomposition,
+    square_matrix,
 )
 from .spectral import asymptotic_profile, classify_regime, closed_form_features
 
@@ -187,11 +194,17 @@ def kronecker_oracle_energy(g: Graph, F, weights: WeightSet, F0=None) -> float:
     return value
 
 
-def _run_gradient_fd(w: Witness) -> CheckReport:
-    """Central finite differences of the energy against -2x the flow field."""
-    h = w.scalar("h", 1e-5)
+def _fd_step(h: float) -> float:
+    """``h`` if it is a finite-difference step in [1e-7, 1e-3]; any other
+    value, nan and inf included, is a ValidationError."""
     if not 1e-7 <= h <= 1e-3:
         raise ValidationError(f"finite-difference step h must be in [1e-7, 1e-3], got {h!r}")
+    return h
+
+
+def _run_gradient_fd(w: Witness) -> CheckReport:
+    """Central finite differences of the energy against -2x the flow field."""
+    h = _fd_step(w.scalar("h", 1e-5))
     g = w.graph
     feats = as_features(g, w.matrix("F"))
     weights = _weights(w)
@@ -221,9 +234,10 @@ def curl_asymmetry(g: Graph, W, Omega, h: float = 1e-5) -> float:
     for symmetric weights and order-one once W or Omega is asymmetric.  The
     raw matrices are used directly (no symmetrization), which is the point.
     """
-    wmat = np.asarray(W, dtype=float)
-    omat = np.asarray(Omega, dtype=float)
+    h = _fd_step(h)
+    wmat = square_matrix(W, "W")
     d = wmat.shape[0]
+    omat = square_matrix(Omega, "Omega", d)
     _check_assembly_size(g.n, d)
     bar_a = normalized_adjacency(g)
 
@@ -320,7 +334,7 @@ def _run_curl_asymmetry(w: Witness) -> CheckReport:
     defect = curl_asymmetry(w.graph, w.matrix("W"), w.matrix("Omega"),
                             h=w.scalar("h", 1e-5))
     # detection check: the defect must *exceed* the threshold
-    return _report(w.label, max(0.0, 1e-6 - defect), 0.0, w)
+    return _report(w.label, np.maximum(0.0, 1e-6 - defect), 0.0, w)
 
 
 def _direction_mismatch(direction: np.ndarray, predicted: np.ndarray) -> float:
@@ -483,7 +497,7 @@ def _dirichlet_monotone(
 ) -> CheckReport:
     """The raw Dirichlet energy times ``sign`` is nonincreasing along the
     run, within 1e-9: smoothing for ``sign = 1``, sharpening for -1."""
-    traj = run_trajectory(spec, w.graph, w.matrix("F0"), steps)
+    traj = run_trajectory(spec, w.graph, w.matrix("F0"), check_count(steps, "steps", 1))
     raw_dirichlet = np.exp(2.0 * traj.log_scale) * traj.dirichlet
     housing = np.maximum(1.0, np.abs(raw_dirichlet[:-1]))
     violation = float(np.max(sign * np.diff(raw_dirichlet) / housing))
@@ -719,235 +733,13 @@ def parse_witness(text: str) -> Witness:
 # default battery
 # ---------------------------------------------------------------------------
 
-def _random_symmetric(rng: np.random.Generator, spectrum) -> np.ndarray:
-    """Symmetric matrix with the given eigenvalues and a Haar-random basis."""
-    vals = np.asarray(spectrum, dtype=float)
-    q, _ = np.linalg.qr(rng.normal(size=(vals.size, vals.size)))
-    return q @ np.diag(vals) @ q.T
+#: The default battery: one witness file per check, named ``NN_<label>.txt``
+#: so that sorted names give the run order.
+_SUITE_DIR = os.path.join(os.path.dirname(__file__), "suite")
 
 
 def default_suite() -> list[Witness]:
-    """The full seeded verification battery (about forty checks)."""
-    from .graphs import complete_bipartite, cycle, erdos_renyi, path
-
-    suite: list[Witness] = []
-
-    def add(check: str, label: str, g, **kw) -> None:
-        suite.append(
-            Witness(
-                check=check,
-                label=label,
-                graph=g,
-                matrices={k: np.asarray(v, dtype=float)
-                          for k, v in kw.get("matrices", {}).items()},
-                scalars={k: float(v) for k, v in kw.get("scalars", {}).items()},
-                tags=dict(kw.get("tags", {})),
-            )
-        )
-
-    # --- energy oracles -----------------------------------------------------
-    for idx, (gname, g, d) in enumerate(
-        [
-            ("k2", path(2), 1),
-            ("cycle5", cycle(5), 2),
-            ("k34", complete_bipartite(3, 4), 3),
-            ("er8", erdos_renyi(8, 0.45, 11), 2),
-            ("er10", erdos_renyi(10, 0.4, 23), 4),
-        ]
-    ):
-        rng = np.random.default_rng(100 + idx)
-        mats = {
-            "F": rng.normal(size=(g.n, d)),
-            "W": _random_symmetric(rng, rng.uniform(-1, 1, size=d)),
-            "Omega": _random_symmetric(rng, rng.uniform(-0.5, 0.5, size=d)),
-        }
-        if idx % 2 == 1:  # exercise the (possibly asymmetric) source coupling
-            mats["Wtilde"] = rng.normal(size=(d, d))
-            mats["F0"] = rng.normal(size=(g.n, d))
-        add("kronecker_energy", f"kronecker_energy_{gname}", g, matrices=mats)
-
-    for idx, (gname, g, d) in enumerate(
-        [
-            ("k2", path(2), 1),
-            ("cycle4", cycle(4), 2),
-            ("er7", erdos_renyi(7, 0.5, 5), 3),
-            ("k23", complete_bipartite(2, 3), 2),
-            ("er9", erdos_renyi(9, 0.4, 17), 2),
-        ]
-    ):
-        rng = np.random.default_rng(200 + idx)
-        mats = {
-            "F": rng.normal(size=(g.n, d)),
-            "W": _random_symmetric(rng, rng.uniform(-1, 1, size=d)),
-            "Omega": _random_symmetric(rng, rng.uniform(-0.5, 0.5, size=d)),
-        }
-        if idx % 2 == 0:
-            mats["Wtilde"] = rng.normal(size=(d, d))
-            mats["F0"] = rng.normal(size=(g.n, d))
-        add("gradient_fd", f"gradient_fd_{gname}", g,
-            matrices=mats, scalars={"h": 1e-5})
-
-    rng = np.random.default_rng(300)
-    g = erdos_renyi(6, 0.5, 31)
-    sym_w = _random_symmetric(rng, rng.uniform(-1, 1, size=3))
-    sym_o = _random_symmetric(rng, rng.uniform(-0.5, 0.5, size=3))
-    add("curl_symmetric", "curl_symmetric", g,
-        matrices={"W": sym_w, "Omega": sym_o}, scalars={"h": 1e-5})
-    asym = sym_w + 0.3 * np.triu(rng.normal(size=(3, 3)), k=1)
-    add("curl_asymmetry", "curl_detects_asymmetry", g,
-        matrices={"W": asym, "Omega": sym_o}, scalars={"h": 1e-5})
-
-    # --- filters and closed form -------------------------------------------
-    for idx, (gname, g, d, tau) in enumerate(
-        [
-            ("cycle6", cycle(6), 2, 0.5),
-            ("er8", erdos_renyi(8, 0.5, 41), 3, 0.25),
-            ("k33", complete_bipartite(3, 3), 2, 1.0),
-        ]
-    ):
-        rng = np.random.default_rng(400 + idx)
-        add("filter_equivalence", f"filter_equivalence_{gname}", g,
-            matrices={"F": rng.normal(size=(g.n, d)),
-                      "W": _random_symmetric(rng, rng.uniform(-1, 1, size=d))},
-            scalars={"tau": tau})
-
-    for idx, (gname, g, d, tau, steps) in enumerate(
-        [
-            ("k2", path(2), 1, 0.5, 50),
-            ("er9", erdos_renyi(9, 0.45, 53), 3, 0.5, 80),
-            ("cycle7", cycle(7), 2, 0.25, 100),
-        ]
-    ):
-        rng = np.random.default_rng(500 + idx)
-        add("closed_form_vs_trajectory", f"closed_form_vs_trajectory_{gname}", g,
-            matrices={"F0": rng.normal(size=(g.n, d)),
-                      "W": _random_symmetric(rng, rng.uniform(-1.2, 1.2, size=d))},
-            scalars={"tau": tau, "steps": steps})
-
-    # --- nonlinear energy descent ------------------------------------------
-    for idx, sigma in enumerate(["relu", "tanh", "identity"]):
-        rng = np.random.default_rng(600 + idx)
-        g = erdos_renyi(7, 0.5, 61 + idx)
-        d = 2
-        add("monotonicity", f"monotonicity_{sigma}", g,
-            matrices={"F0": rng.normal(size=(g.n, d)),
-                      "W": _random_symmetric(rng, rng.uniform(-1, 1, size=d)),
-                      "Omega": _random_symmetric(rng, rng.uniform(-0.5, 0.5, size=d))},
-            scalars={"steps": 50, "tau_proxy": 1e-3, "tau_discrete": 0.3},
-            tags={"sigma": sigma})
-
-    # --- regime realization -------------------------------------------------
-    rng = np.random.default_rng(700)
-    g = erdos_renyi(9, 0.5, 71)
-    lam_max = float(laplacian_spectrum(g).eigenvalues[-1])
-    w_hfd = _random_symmetric(rng, [-1.4, 0.2 * 1.4 * (lam_max - 1.0), 0.0])
-    add("regime_realization", "hfd_realized_er9", g,
-        matrices={"W": w_hfd, "F0": rng.normal(size=(g.n, 3))},
-        scalars={"tau": 0.5}, tags={"expected": "HFD"})
-    add("rate_certification", "rate_certified_er9", g,
-        matrices={"W": w_hfd, "F0": rng.normal(size=(g.n, 3))},
-        scalars={"tau": 0.5})
-
-    g2 = complete_bipartite(5, 5)
-    add("regime_realization", "hfd_realized_k55", g2,
-        matrices={"W": np.array([[-1.0]]),
-                  "F0": np.random.default_rng(702).normal(size=(g2.n, 1))},
-        scalars={"tau": 0.5}, tags={"expected": "HFD"})
-
-    rng = np.random.default_rng(710)
-    g3 = erdos_renyi(8, 0.5, 73)
-    w_lfd = _random_symmetric(rng, [1.0, -0.2, 0.1])
-    add("regime_realization", "lfd_realized_er8", g3,
-        matrices={"W": w_lfd, "F0": rng.normal(size=(g3.n, 3))},
-        scalars={"tau": 0.5}, tags={"expected": "LFD"})
-    add("regime_realization", "lfd_realized_k2", path(2),
-        matrices={"W": np.array([[1.0]]),
-                  "F0": np.array([[1.0], [0.0]])},
-        scalars={"tau": 0.5}, tags={"expected": "LFD"})
-
-    for idx, (gname, g4) in enumerate(
-        [("cycle5", cycle(5)), ("er8", erdos_renyi(8, 0.5, 83))]
-    ):
-        rng = np.random.default_rng(720 + idx)
-        d = 2
-        add("no_residual_lfd", f"no_residual_lfd_{gname}", g4,
-            matrices={"W": _random_symmetric(rng, rng.uniform(-1, 1, size=d)),
-                      "F0": rng.normal(size=(g4.n, d))},
-            scalars={"tau": 0.5})
-
-    # --- comparison dynamics ------------------------------------------------
-    rng = np.random.default_rng(800)
-    add("heat_monotone", "heat_dirichlet_monotone", erdos_renyi(8, 0.4, 91),
-        matrices={"F0": rng.normal(size=(8, 2))},
-        scalars={"tau": 0.3, "steps": 200})
-
-    rng = np.random.default_rng(810)
-    k = rng.normal(size=(3, 3))
-    add("pde_gcn_monotone", "pde_gcn_dirichlet_monotone", erdos_renyi(8, 0.45, 93),
-        matrices={"F0": rng.normal(size=(8, 3)), "KtK": k.T @ k},
-        scalars={"tau": 1e-3, "steps": 100})
-
-    rng = np.random.default_rng(820)
-    add("cgnn_decay", "cgnn_never_hfd", erdos_renyi(9, 0.4, 95),
-        matrices={"F0": rng.normal(size=(9, 2)),
-                  "OmegaTilde": _random_symmetric(rng, rng.uniform(-1, 1, size=2))},
-        scalars={"tau": 0.05})
-
-    rng = np.random.default_rng(830)
-    add("grand_mean", "grand_mean_limit_cycle6", cycle(6),
-        matrices={"F0": rng.normal(size=(6, 2))},
-        scalars={"tau": 0.1, "steps": 1500})
-
-    rng = np.random.default_rng(840)
-    add("diag_sharpening", "diag_nonlinear_sharpening", erdos_renyi(7, 0.5, 97),
-        matrices={"F0": rng.normal(size=(7, 2)),
-                  "omega_diag": np.array([[-0.8, -0.3]])},
-        scalars={"tau": 0.01, "steps": 100}, tags={"sigma": "relu"})
-
-    # --- special flows ------------------------------------------------------
-    rng = np.random.default_rng(900)
-    add("conservation", "omega_eq_w_conservation", complete_bipartite(2, 3),
-        matrices={"W": np.diag([-1.0, 0.3]),
-                  "F0": rng.normal(size=(5, 2))},
-        scalars={"tau": 0.01, "steps": 500})
-    add("omega_eq_w_hfd", "omega_eq_w_negative_gives_hfd", complete_bipartite(2, 3),
-        matrices={"W": np.diag([-1.0, 0.3]),
-                  "F0": np.random.default_rng(901).normal(size=(5, 2))},
-        scalars={"tau": 0.05, "steps": 1200})
-
-    rng = np.random.default_rng(910)
-    add("harmonic_limit", "harmonic_limit_full_rank", path(4),
-        matrices={"W": np.array([[1.2, 0.3], [0.3, 0.8]]),
-                  "F0": rng.normal(size=(4, 2))},
-        scalars={"tau": 0.2, "steps": 2500})
-    add("harmonic_limit", "harmonic_limit_singular", path(4),
-        matrices={"W": _random_symmetric(np.random.default_rng(911), [0.9, 0.0]),
-                  "F0": np.random.default_rng(912).normal(size=(4, 2))},
-        scalars={"tau": 0.2, "steps": 2500})
-
-    rng = np.random.default_rng(920)
-    add("special_cases", "heat_equals_identity_weights", erdos_renyi(7, 0.5, 99),
-        matrices={"F": rng.normal(size=(7, 2))}, scalars={"tau": 0.3})
-
-    rng = np.random.default_rng(930)
-    add("scale_commutation", "renormalization_commutes", erdos_renyi(8, 0.5, 101),
-        matrices={"W": _random_symmetric(rng, rng.uniform(-1.2, 1.2, size=2)),
-                  "F0": rng.normal(size=(8, 2))},
-        scalars={"tau": 0.5, "steps": 30})
-
-    rng = np.random.default_rng(940)
-    add("decomposition", "attraction_repulsion_split", erdos_renyi(8, 0.45, 103),
-        matrices={"F": rng.normal(size=(8, 3)),
-                  "W": _random_symmetric(rng, [0.9, -0.6, 0.0]),
-                  "Omega": _random_symmetric(rng, rng.uniform(-0.5, 0.5, size=3))})
-
-    for gname, g5 in [
-        ("er10", erdos_renyi(10, 0.4, 105)),
-        ("cycle6", cycle(6)),
-        ("cycle5", cycle(5)),
-        ("k34", complete_bipartite(3, 4)),
-        ("path6", path(6)),
-    ]:
-        add("spectral_sanity", f"spectral_sanity_{gname}", g5)
-
-    return suite
+    """The default verification battery: the witness files shipped in
+    ``gel/suite``, in name order, each read as ``gel replay`` reads it."""
+    return [parse_witness(_read_text(os.path.join(_SUITE_DIR, name), "witness"))
+            for name in sorted(os.listdir(_SUITE_DIR)) if name.endswith(".txt")]

@@ -614,6 +614,55 @@ def test_replay_rejects_a_step_count_that_is_not_a_whole_number(workdir, capsys,
     assert "'steps'" in err and "whole number" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("kind", ["heat_monotone", "pde_gcn_monotone", "diag_sharpening"])
+def test_replay_of_a_dirichlet_run_without_steps_exits_3(workdir, capsys, kind):
+    w = next(w for w in verify.default_suite() if w.check == kind)
+    w.scalars["steps"] = 0
+    path = write(workdir / "w.txt", verify.serialize_witness(w))
+    assert main(["replay", path]) == 3
+    err = capsys.readouterr().err
+    assert "steps must be a positive integer" in err and "Traceback" not in err
+
+
+def _nan_entry(matrix):
+    matrix = matrix.copy()
+    matrix[0, -1] = np.nan
+    return matrix
+
+
+@pytest.mark.parametrize("kind", ["curl_symmetric", "curl_asymmetry"])
+@pytest.mark.parametrize(
+    "name, broken",
+    [
+        ("h", lambda h: 0.0),
+        ("h", lambda h: np.inf),
+        ("h", lambda h: np.nan),
+        ("W", _nan_entry),
+        ("Omega", _nan_entry),
+        ("Omega", lambda omega: omega[:, :-1]),
+    ],
+    ids=["h-zero", "h-inf", "h-nan", "W-nan", "Omega-nan", "Omega-not-square"],
+)
+def test_replay_of_a_curl_check_with_a_bad_input_exits_3(workdir, capsys, kind, name, broken):
+    w = next(w for w in verify.default_suite() if w.check == kind)
+    fields = w.scalars if name == "h" else w.matrices
+    fields[name] = broken(fields[name])
+    path = write(workdir / "w.txt", verify.serialize_witness(w))
+    assert main(["replay", path]) == 3
+    captured = capsys.readouterr()
+    assert "[PASS]" not in captured.out and "Traceback" not in captured.err
+
+
+def test_suite_and_replay_print_the_same_line_for_every_shipped_witness(workdir, capsys):
+    assert main(["suite"]) == 0
+    suite_lines = capsys.readouterr().out.splitlines()[:-1]
+    names = sorted(os.listdir(verify._SUITE_DIR))
+    assert len(names) == len(suite_lines) == 45
+    for name, line in zip(names, suite_lines):
+        assert main(["replay", os.path.join(verify._SUITE_DIR, name)]) == 0
+        assert capsys.readouterr().out == line + "\n", name
+
+
 # --- csv formatting ---------------------------------------------------------
 
 def test_trajectory_csv_roundtrips_floats():

@@ -12,8 +12,9 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import gel.graphs
 from gel.dynamics import ModelSpec, run_trajectory, trajectory_states
@@ -34,8 +35,8 @@ from gel.graphs import (
     normalized_laplacian,
     path,
 )
-from gel.spectral import asymptotic_profile
-from gel.verify import default_suite
+from gel.spectral import asymptotic_profile, classify_regime
+from gel.verify import _horizon, default_suite
 
 # --- the reference ----------------------------------------------------------
 
@@ -204,6 +205,34 @@ def test_the_profile_does_not_depend_on_reading_lambda_2_first(case, d, seed):
     assert (lazy.label, lazy.growth) == (eager.label, eager.growth)
     assert np.array_equal(lazy.direction, eager.direction)
     assert abs(lazy.contraction - eager.contraction) <= 1e-14 * eager.contraction
+
+
+#: The least gap, per step, between the two growth exponents that
+#: ``classify_regime`` weighs, below which a draw counts as a Boundary draw.
+REGIME_MARGIN = 0.1
+
+
+@settings(deadline=None)
+@given(connected_edge_lists(12), st.integers(1, 3), st.data())
+def test_the_regime_is_the_frequency_a_long_run_reaches(case, d, data):
+    g = Graph(*case)
+    w = data.draw(hnp.arrays(float, (d, d), elements=st.floats(-2.0, 2.0)))
+    W, tau = w + w.T, 0.5
+    report = classify_regime(g, W, tau)
+    # Discarded, and nothing else: a step too large for HFD, and draws within
+    # REGIME_MARGIN of the Boundary, where the high-frequency exponent
+    # rho_minus (0 without negative spectrum) ties the low-frequency mu_top
+    # and the run would need unboundedly many steps to tell them apart.
+    assume(report.regime != "StepSizeViolated")
+    rho = report.rho_minus if report.mu_bottom < 0.0 else 0.0
+    assume(abs(rho - report.mu_top) >= REGIME_MARGIN)
+    assert report.regime in ("HFD", "LFD")
+    spec = ModelSpec("gradient_flow", weights=WeightSet(W=W), tau=tau)
+    F0 = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(size=(g.n, d))
+    profile = asymptotic_profile(g, spec, F0)
+    traj = run_trajectory(spec, g, F0, _horizon(profile.contraction, 1e-9))
+    target = report.lambda_max if report.regime == "HFD" else 0.0
+    assert abs(traj.rayleigh[-1] - target) <= 1e-6
 
 
 def edge_form_columns(g, spec, x, F0):

@@ -216,6 +216,12 @@ def test_nonnegative_spectrum_without_positive_top_is_boundary():
     assert rep.regime == "Boundary"
 
 
+def test_subnormal_weights_are_boundary():
+    # eigenvalues this small cannot reconstruct W to relative precision
+    W = [[0.0, 1e-323], [1e-323, 1e-323]]
+    assert classify_regime(path(2), W, 0.5).regime == "Boundary"
+
+
 def test_step_size_violation_on_non_bipartite():
     # C5: lambda_max ~ 1.809, bound = 2/(tau*(2-lambda_max)) ~ 20.9 at tau=0.5
     rep = classify_regime(cycle(5), np.array([[-25.0]]), 0.5)

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import gel.verify as verify
+import suite_witnesses
 from gel.energy import WeightSet
 from gel.errors import GelError, NumericError, ParseError, ValidationError
 from gel.graphs import Graph, complete_bipartite, cycle, erdos_renyi, path
@@ -75,6 +77,13 @@ def test_curl_asymmetry_separates_gradient_from_nongradient():
     asym_defect = verify.curl_asymmetry(g, np.eye(2) + skew, np.eye(2))
     assert sym_defect <= 1e-8
     assert asym_defect > 1e-6
+
+
+def test_curl_detection_fails_on_a_nan_defect(monkeypatch):
+    w = next(w for w in verify.default_suite() if w.check == "curl_asymmetry")
+    assert verify.run_check(w).passed
+    monkeypatch.setattr(verify, "curl_asymmetry", lambda *a, **kw: np.nan)
+    assert not verify.run_check(w).passed
 
 
 def test_monotonicity_check_both_routes():
@@ -284,6 +293,28 @@ def test_default_suite_composition():
     assert len(set(labels)) == len(labels)
     for w in suite:
         assert w.check in verify.CHECK_RUNNERS
+
+
+def test_the_shipped_battery_is_the_generators_output():
+    files = suite_witnesses.suite_files()
+    shipped = sorted(os.listdir(verify._SUITE_DIR))
+    assert shipped == sorted(files) and len(shipped) == 45
+    for name in shipped:
+        with open(os.path.join(verify._SUITE_DIR, name), "rb") as fh:
+            assert fh.read() == files[name].encode("utf-8"), name
+
+
+def test_default_suite_reads_back_the_generated_witnesses_bit_for_bit():
+    built = suite_witnesses.build_suite()
+    read = verify.default_suite()
+    assert len(read) == len(built) == 45
+    for got, want in zip(read, built):
+        assert (got.check, got.label, got.graph) == (want.check, want.label, want.graph)
+        assert got.matrices.keys() == want.matrices.keys()
+        for name, matrix in want.matrices.items():
+            assert got.matrices[name].shape == matrix.shape, (want.label, name)
+            assert got.matrices[name].tobytes() == matrix.tobytes(), (want.label, name)
+        assert (got.scalars, got.tags) == (want.scalars, want.tags)
 
 
 @pytest.mark.parametrize(
