@@ -12,6 +12,9 @@ The checks that run a model and compare the run with a prediction are rows
 of ``PREDICTIONS``: the variant, each compared quantity at its tolerance,
 the frequency the final Rayleigh quotient must reach, and a default step
 count or horizon rule.  One runner serves them all; a new prediction is one row.
+It iterates ``trajectory_states`` and holds only the last two states, so a
+prediction run records no CSV columns and holds O(n d) however many steps it
+takes; the one Rayleigh quotient it compares comes from ``rayleigh_quotient``.
 
 The default battery that ``gel suite`` runs is data: one witness file per
 check under ``gel/suite``, each read and run as ``gel replay`` reads and runs
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable
@@ -406,8 +410,12 @@ PREDICTIONS = {
 def _run_prediction(w: Witness) -> CheckReport:
     """Run the witness's model and compare it with its row of PREDICTIONS.
 
-    One quantity reports its own error and tolerance; several report the
-    worst error in units of its tolerance, against 1.
+    The run streams ``trajectory_states`` and keeps the final state and the
+    one before it, for the last step's log-growth; the final Rayleigh
+    quotient is ``rayleigh_quotient`` of the final direction.  A step count
+    the witness gives must be at least 1.  One quantity reports its own
+    error and tolerance; several report the worst error in units of its
+    tolerance, against 1.
     """
     row = PREDICTIONS[w.check]
     g, F0, tolerances = w.graph, w.matrix("F0"), row.tolerances
@@ -422,18 +430,21 @@ def _run_prediction(w: Witness) -> CheckReport:
         profile = asymptotic_profile(g, spec, F0)
         if "terminal" in tolerances and profile.terminal is None:
             raise HypothesisError(f"the {profile.label} profile has no terminal state")
-    steps = row.steps(w, spec, profile) if callable(row.steps) else w.count("steps", row.steps)
-    traj = run_trajectory(spec, g, F0, steps)
+    if callable(row.steps):
+        steps = row.steps(w, spec, profile)
+    else:
+        steps = check_count(w.count("steps", row.steps), "steps", 1)
+    previous, final = deque(trajectory_states(spec, g, F0, steps), maxlen=2)
     closed = tolerances.keys() & {"direction", "log_scale"}
     exact = closed_form_features(g, spec, steps, F0) if closed else None
     target = extreme_spectrum(g).lambda_max if frequency == "HFD" else 0.0
     measure = {
-        "direction": lambda: np.abs(traj.final.direction - exact.direction).max(),
-        "log_scale": lambda: abs(traj.final.log_scale - exact.log_scale),
-        "rayleigh": lambda: abs(traj.rayleigh[-1] - target),
-        "sign_free": lambda: _direction_mismatch(traj.final.direction, profile.direction),
-        "growth": lambda: abs(traj.log_scale[-1] - traj.log_scale[-2] - math.log(profile.growth)),
-        "terminal": lambda: np.abs(traj.final.features() - profile.terminal).max(),
+        "direction": lambda: np.abs(final.direction - exact.direction).max(),
+        "log_scale": lambda: abs(final.log_scale - exact.log_scale),
+        "rayleigh": lambda: abs(energy_mod.rayleigh_quotient(g, final.direction) - target),
+        "sign_free": lambda: _direction_mismatch(final.direction, profile.direction),
+        "growth": lambda: abs(final.log_scale - previous.log_scale - math.log(profile.growth)),
+        "terminal": lambda: np.abs(final.features() - profile.terminal).max(),
     }
     errors = {quantity: float(measure[quantity]()) for quantity in tolerances}
     if len(errors) == 1:
@@ -475,7 +486,7 @@ def _run_conservation(w: Witness) -> CheckReport:
     ``max(1, exp(log_scale))``: their roundoff grows with that norm, the law
     does not."""
     g = w.graph
-    steps = w.count("steps", 500)
+    steps = check_count(w.count("steps", 500), "steps", 1)
     F0 = w.matrix("F0")
     spec = _spec(w, "laplacian_omega_eq_w")
     phi0 = laplacian_spectrum(g).eigenvectors[:, 0]
@@ -551,7 +562,7 @@ def _run_special_cases(w: Witness) -> CheckReport:
 
 def _run_scale_commutation(w: Witness) -> CheckReport:
     g = w.graph
-    steps = w.count("steps", 30)
+    steps = check_count(w.count("steps", 30), "steps", 1)
     F0 = w.matrix("F0")
     spec = _spec(w, "gradient_flow")
     raw = as_features(g, F0)

@@ -92,6 +92,13 @@ def test_suite_passes_with_asserts_off(tmp_path):
     assert summary and summary[1] == summary[2], done.stdout
 
 
+def test_suite_stdout_is_identical_with_asserts_off(tmp_path):
+    # the debug-only cross-checks must feed no printed number
+    outs = [_gel(["suite"], tmp_path, optimize) for optimize in (False, True)]
+    assert all(done.returncode == 0 for done in outs), [done.stderr for done in outs]
+    assert outs[0].stdout == outs[1].stdout
+
+
 @pytest.mark.parametrize(
     "config",
     [
@@ -622,6 +629,24 @@ def test_replay_of_a_dirichlet_run_without_steps_exits_3(workdir, capsys, kind):
     assert main(["replay", path]) == 3
     err = capsys.readouterr().err
     assert "steps must be a positive integer" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["33_omega_eq_w_conservation", "38_renormalization_commutes",
+     "15_closed_form_vs_trajectory_k2"],
+)
+def test_replay_of_a_shipped_run_with_no_steps_exits_3(workdir, capsys, name):
+    # a run of no steps compares the start with itself: it must not pass
+    with open(os.path.join(verify._SUITE_DIR, name + ".txt")) as f:
+        text = re.sub(r"^scalar steps \d+$", "scalar steps 0", f.read(), flags=re.M)
+    assert "scalar steps 0\n" in text
+    path = write(workdir / "w.txt", text)
+    assert main(["replay", path]) == 3
+    captured = capsys.readouterr()
+    assert "[PASS]" not in captured.out
+    assert "steps must be a positive integer" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def _nan_entry(matrix):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import tracemalloc
 
@@ -8,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import gel.dynamics as dynamics
 import gel.verify as verify
 import suite_witnesses
 from gel.energy import WeightSet
 from gel.errors import GelError, NumericError, ParseError, ValidationError
-from gel.graphs import Graph, complete_bipartite, cycle, erdos_renyi, path
+from gel.graphs import Graph, complete_bipartite, cycle, erdos_renyi, extreme_spectrum, path
+from gel.spectral import closed_form_features
 
 
 # --- oracles ----------------------------------------------------------------
@@ -428,6 +431,81 @@ def test_suite_tolerances_are_pinned():
 def test_every_prediction_kind_runs_through_the_one_runner():
     for kind in verify.PREDICTIONS:
         assert verify.CHECK_RUNNERS[kind] is verify._run_prediction
+
+
+def _predictions() -> list[verify.Witness]:
+    witnesses = [w for w in verify.default_suite() if w.check in verify.PREDICTIONS]
+    assert len(witnesses) == 14
+    return witnesses
+
+
+def _recorded_error(w: verify.Witness) -> float:
+    """A prediction check's error read off ``run_trajectory``'s recorded
+    columns, at the pinned step count: the route the runner took before it
+    streamed its run, kept here as an oracle."""
+    row = verify.PREDICTIONS[w.check]
+    g, F0 = w.graph, w.matrix("F0")
+    spec = verify._spec(w, row.variant, source_free=row.source_free)
+    steps = SUITE_STEPS[w.label]
+    traj = dynamics.run_trajectory(spec, g, F0, steps)
+    frequency = w.tag("expected") if row.frequency == "expected" else row.frequency
+    target = extreme_spectrum(g).lambda_max if frequency == "HFD" else 0.0
+
+    def profile():
+        return verify.asymptotic_profile(g, spec, F0)
+
+    measure = {
+        "direction": lambda: np.abs(
+            traj.final.direction - closed_form_features(g, spec, steps, F0).direction).max(),
+        "log_scale": lambda: abs(
+            traj.final.log_scale - closed_form_features(g, spec, steps, F0).log_scale),
+        "rayleigh": lambda: abs(traj.rayleigh[-1] - target),
+        "sign_free": lambda: verify._direction_mismatch(traj.final.direction, profile().direction),
+        "growth": lambda: abs(traj.log_scale[-1] - traj.log_scale[-2] - math.log(profile().growth)),
+        "terminal": lambda: np.abs(traj.final.features() - profile().terminal).max(),
+    }
+    errors = {q: float(measure[q]()) for q in row.tolerances}
+    if len(errors) == 1:
+        return next(iter(errors.values()))
+    return max(errors[q] / row.tolerances[q] for q in errors)
+
+
+def test_a_prediction_compares_the_numbers_a_recorded_run_records():
+    for w in _predictions():
+        assert verify.run_check(w).max_error == _recorded_error(w), w.label
+
+
+def test_a_prediction_run_records_no_columns(monkeypatch):
+    calls = []
+    for name in ("_edge_state", "_product_state"):
+        real = getattr(dynamics, name)
+        monkeypatch.setattr(dynamics, name,
+                            lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
+    witnesses = _predictions()
+    for w in witnesses:
+        assert verify.run_check(w).passed, w.label
+    assert calls == []
+    w = witnesses[0]
+    dynamics.run_trajectory(verify._spec(w, "gradient_flow"), w.graph, w.matrix("F0"), 3)
+    assert calls  # the counters see the columns of a recorded run
+
+
+def _prediction_peak(steps: int) -> int:
+    w = next(w for w in verify.default_suite() if w.label == "closed_form_vs_trajectory_k2")
+    w.scalars["steps"] = steps
+    tracemalloc.start()
+    try:
+        verify.run_check(w)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_prediction_run_holds_the_same_memory_at_any_length():
+    _prediction_peak(1)  # fills the graph's caches: both peaks below are the run's own
+    short = _prediction_peak(200)
+    # the CSV columns of the 19 800 extra states alone would take 634 KB
+    assert _prediction_peak(20_000) <= short + 64 * 1024
 
 
 def test_regime_realization_needs_the_certificate_to_agree_with_its_tag():
