@@ -289,24 +289,14 @@ def parse_config(text: str) -> ExperimentConfig:
         source_free = raw["source_free"] == "true"
 
     mats = {k: matrix(k) for k in _MATRIX_KEYS}
-    omega = matrix("omega")
-    beta = scalar("beta", 0.0)
 
     weights = None
-    if any(mats[k] is not None for k in ("W", "Omega", "Wtilde")) or (
-        omega is not None or "beta" in raw
-    ):
+    if any(mats[k] is not None for k in ("W", "Omega", "Wtilde")):
         if mats["W"] is None:
             raise ConfigurationError(
                 "weight keys given but 'W' is missing (W fixes the channel count)"
             )
-        weights = WeightSet(
-            W=mats["W"],
-            Omega=mats["Omega"],
-            Wtilde=mats["Wtilde"],
-            omega_diag=omega,
-            beta=beta,
-        )
+        weights = WeightSet(W=mats["W"], Omega=mats["Omega"], Wtilde=mats["Wtilde"])
 
     spec = ModelSpec(
         variant=raw["variant"],
@@ -317,6 +307,8 @@ def parse_config(text: str) -> ExperimentConfig:
         KtK=mats["KtK"],
         OmegaTilde=mats["OmegaTilde"],
         source_free=source_free,
+        omega_diag=matrix("omega"),
+        beta=scalar("beta", 0.0),
     )
 
     d_given = integer("d", None)

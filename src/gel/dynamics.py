@@ -95,6 +95,7 @@ from .graphs import (
     graph_checks,
     spectral_decomposition,
     square_matrix,
+    vector,
 )
 
 __all__ = [
@@ -102,8 +103,6 @@ __all__ = [
     "FeatureState",
     "Trajectory",
     "VARIANTS",
-    "LINEAR_VARIANTS",
-    "NONLINEAR_VARIANTS",
     "ACTIVATIONS",
     "normalize_variant",
     "step_model",
@@ -196,14 +195,26 @@ def _flow(w: WeightSet, residual: bool = True) -> _Update:
     )
 
 
-def _graff_weights(spec: ModelSpec) -> WeightSet:
-    """GRAFF's diagonal residual and scalar source as parametric weights."""
-    w = spec.weights
-    return WeightSet(W=w.W, Omega=np.diag(w.omega_diag), Wtilde=w.beta * np.eye(w.d))
-
-
 # The builders below validate what they read and store canonical copies on
-# the spec; they run once, inside ModelSpec.__post_init__.
+# the spec; they run once, inside ModelSpec.__post_init__.  A channel-sized
+# parameter must match W's channel count when W is given.
+
+def _w_channels(spec: ModelSpec) -> int | None:
+    return None if spec.weights is None else spec.weights.d
+
+
+def _graff(spec: ModelSpec) -> _Update:
+    """GRAFF's diagonal residual and scalar source as parametric weights."""
+    d = spec.weights.d
+    omega = np.zeros(d) if spec.omega_diag is None else vector(spec.omega_diag, "omega_diag", d)
+    beta = float(spec.beta)
+    if not np.isfinite(beta):
+        raise ValidationError("beta must be finite")
+    omega.setflags(write=False)
+    object.__setattr__(spec, "omega_diag", omega)
+    object.__setattr__(spec, "beta", beta)
+    return _flow(WeightSet(spec.weights.W, np.diag(omega), beta * np.eye(d)))
+
 
 def _label_propagation(spec: ModelSpec) -> _Update:
     mu = float(spec.mu)
@@ -218,7 +229,9 @@ def _label_propagation(spec: ModelSpec) -> _Update:
 
 
 def _cgnn(spec: ModelSpec) -> _Update:
-    ot = square_matrix(spec.OmegaTilde, "OmegaTilde")
+    if not isinstance(spec.source_free, bool):
+        raise ConfigurationError(f"source_free must be True or False, got {spec.source_free!r}")
+    ot = square_matrix(spec.OmegaTilde, "OmegaTilde", _w_channels(spec))
     ot.setflags(write=False)
     object.__setattr__(spec, "OmegaTilde", ot)
     return _Update(
@@ -228,7 +241,7 @@ def _cgnn(spec: ModelSpec) -> _Update:
 
 
 def _pde_gcn_d(spec: ModelSpec) -> _Update:
-    ktk = square_matrix(spec.KtK, "KtK", symmetric=True)
+    ktk = square_matrix(spec.KtK, "KtK", _w_channels(spec), symmetric=True)
     if float(np.linalg.eigvalsh(ktk).min()) < -1e-10:
         raise ValidationError("KtK must be positive semidefinite")
     ktk.setflags(write=False)
@@ -237,11 +250,13 @@ def _pde_gcn_d(spec: ModelSpec) -> _Update:
 
 
 def _diag_nonlinear(spec: ModelSpec) -> _Update:
-    omega = spec.weights.omega_diag
+    omega = vector(spec.omega_diag, "omega_diag", _w_channels(spec))
     if np.any(omega > 1e-12):
         raise ValidationError(
             "diag_nonlinear requires nonpositive channel weights omega_diag"
         )
+    omega.setflags(write=False)
+    object.__setattr__(spec, "omega_diag", omega)
     return _Update(terms=(("L", np.diag(-omega)),))
 
 
@@ -257,8 +272,8 @@ _TABLE: dict[str, _Entry] = {
     "gradient_flow": _Entry("weights", lambda s: _flow(s.weights), reads=_FLOW),
     "gradient_flow_nonlinear": _Entry("weights", lambda s: _flow(s.weights), True, _FLOW),
     "no_residual": _Entry("weights", lambda s: _flow(WeightSet(W=s.weights.W), False)),
-    "graff": _Entry("weights", lambda s: _flow(_graff_weights(s)), reads=_GRAFF),
-    "graff_nonlinear": _Entry("weights", lambda s: _flow(_graff_weights(s)), True, _GRAFF),
+    "graff": _Entry("weights", _graff, reads=_GRAFF),
+    "graff_nonlinear": _Entry("weights", _graff, True, _GRAFF),
     "heat": _Entry(None, lambda s: _Update((("L", -1.0),))),
     "label_propagation": _Entry(None, _label_propagation, reads=("mu",)),
     "cgnn": _Entry("OmegaTilde", _cgnn, reads=("source_free",)),
@@ -280,12 +295,10 @@ _TABLE: dict[str, _Entry] = {
             edge_energy=True,
         ),
     ),
-    "diag_nonlinear": _Entry("weights", _diag_nonlinear, True, reads=("omega_diag",)),
+    "diag_nonlinear": _Entry("omega_diag", _diag_nonlinear, True),
 }
 
 VARIANTS = frozenset(_TABLE)
-NONLINEAR_VARIANTS = frozenset(v for v, entry in _TABLE.items() if entry.nonlinear)
-LINEAR_VARIANTS = VARIANTS - NONLINEAR_VARIANTS
 
 
 #: Named entrywise activations; every entry satisfies x * sigma(x) >= 0.
@@ -322,14 +335,16 @@ def normalize_variant(name: str) -> str:
 
 
 def _given(spec: ModelSpec) -> list[str]:
-    """The optional parameters ``spec`` sets: a nonzero Omega, Wtilde,
+    """The optional parameters ``spec`` sets, as given, before any builder
+    has checked them: a nonzero Omega or Wtilde on its weights, a nonzero
     omega_diag, beta or mu, a KtK, an OmegaTilde, a set source_free.  W is
     not one: every variant takes it, as it fixes the channel count."""
-    weights = () if spec.weights is None else ("Omega", "Wtilde", "omega_diag", "beta")
+    weights = () if spec.weights is None else ("Omega", "Wtilde")
     return (
         [name for name in weights if np.any(getattr(spec.weights, name))]
         + [name for name in ("KtK", "OmegaTilde") if getattr(spec, name) is not None]
-        + [name for name in ("mu", "source_free") if getattr(spec, name)]
+        + [name for name in ("omega_diag", "beta", "mu", "source_free")
+           if np.any(getattr(spec, name))]
     )
 
 
@@ -337,11 +352,16 @@ def _given(spec: ModelSpec) -> list[str]:
 class ModelSpec:
     """Immutable description of one dynamics: variant tag plus its parameters.
 
-    ``weights`` feeds the weight-based variants (W, Omega, Wtilde, omega_diag,
-    beta); ``mu`` is the label-propagation clamping strength; ``KtK`` the
-    constant positive-semidefinite channel metric of the diffusion-with-metric
-    variant; ``OmegaTilde`` the channel mixer of the residual-diffusion
-    variant, whose constant source is dropped when ``source_free`` is set.
+    ``weights`` holds the parametric energy's W, Omega and Wtilde; W fixes
+    the channel count, which every other channel-sized parameter must match.
+    ``omega_diag`` (a vector) and ``beta`` (a scalar) are GRAFF's diagonal
+    residual and source coupling, and ``omega_diag`` the channel weights of
+    diag_nonlinear; ``mu`` is the label-propagation clamping strength;
+    ``KtK`` the constant positive-semidefinite channel metric of the
+    diffusion-with-metric variant; ``OmegaTilde`` the channel mixer of the
+    residual-diffusion variant, whose constant source is dropped when
+    ``source_free`` (a bool) is True.  Each is checked, and stored in
+    canonical form, by the builder of the variant that reads it.
     ``sigma`` names an entry of ``ACTIVATIONS`` (``identity``, ``relu`` or
     ``tanh``); only the nonlinear variants take one other than ``identity``.
     A parameter the variant does not read (see ``_given``) is refused.
@@ -355,6 +375,8 @@ class ModelSpec:
     KtK: np.ndarray | None = None
     OmegaTilde: np.ndarray | None = None
     source_free: bool = False
+    omega_diag: np.ndarray | None = None
+    beta: float = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "variant", normalize_variant(self.variant))
@@ -392,13 +414,12 @@ class ModelSpec:
 
     @property
     def channels(self) -> int | None:
+        """W's channel count, else that of the parameter the variant requires
+        (KtK, OmegaTilde or omega_diag), else None."""
         if self.weights is not None:
             return self.weights.d
-        if self.OmegaTilde is not None:
-            return self.OmegaTilde.shape[0]
-        if self.KtK is not None:
-            return self.KtK.shape[0]
-        return None
+        required = _TABLE[self.variant].required
+        return None if required is None else len(getattr(self, required))
 
     @property
     def has_active_source(self) -> bool:

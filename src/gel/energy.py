@@ -9,7 +9,7 @@ coupling to reference features, and the flow field returned by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .graphs import (
     degree_vector,
     spectral_decomposition,
     square_matrix,
+    vector,
 )
 
 __all__ = [
@@ -41,20 +42,18 @@ KERNEL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class WeightSet:
-    """Channel-mixing weights of the parametric energy.
+    """The parametric energy's three weights.
 
-    ``W`` (required) fixes the channel count d.  ``Omega`` (residual term),
-    ``Wtilde`` (source coupling), ``omega_diag`` and ``beta`` (used by the
-    diagonally-parameterized variants) default to zeros.  ``W`` and ``Omega``
+    ``W`` (required) fixes the channel count d.  ``Omega`` (residual term)
+    and ``Wtilde`` (source coupling) default to zeros.  ``W`` and ``Omega``
     must be symmetric within 1e-12 and are stored exactly symmetric by
-    averaging with their transposes; ``Wtilde`` may be arbitrary.
+    averaging with their transposes; ``Wtilde`` may be arbitrary.  GRAFF's
+    diagonal ``omega_diag`` and scalar ``beta`` are ``ModelSpec`` fields.
     """
 
     W: np.ndarray
     Omega: np.ndarray = None  # type: ignore[assignment]
     Wtilde: np.ndarray = None  # type: ignore[assignment]
-    omega_diag: np.ndarray = None  # type: ignore[assignment]
-    beta: float = 0.0
 
     def __post_init__(self) -> None:
         w = square_matrix(self.W, "W", symmetric=True)
@@ -69,26 +68,11 @@ class WeightSet:
             if self.Wtilde is None
             else square_matrix(self.Wtilde, "Wtilde", d)
         )
-        if self.omega_diag is None:
-            odiag = np.zeros(d)
-        else:
-            odiag = np.asarray(self.omega_diag, dtype=float).reshape(-1)
-            if odiag.shape != (d,):
-                raise ValidationError(
-                    f"omega_diag must have length d={d}, got {odiag.shape[0]}"
-                )
-            if not np.all(np.isfinite(odiag)):
-                raise ValidationError("omega_diag contains non-finite entries")
-        beta = float(self.beta)
-        if not np.isfinite(beta):
-            raise ValidationError("beta must be finite")
-        for arr in (w, omega, wtilde, odiag):
+        for arr in (w, omega, wtilde):
             arr.setflags(write=False)
         object.__setattr__(self, "W", w)
         object.__setattr__(self, "Omega", omega)
         object.__setattr__(self, "Wtilde", wtilde)
-        object.__setattr__(self, "omega_diag", odiag)
-        object.__setattr__(self, "beta", beta)
 
     @property
     def d(self) -> int:
@@ -309,10 +293,7 @@ def make_weights(mode: str, *, W0=None, diag=None, q=None, r=None) -> np.ndarray
     if mode == "diagonal":
         if diag is None:
             raise ConfigurationError("make_weights('diagonal') needs diag")
-        vec = np.asarray(diag, dtype=float).reshape(-1)
-        if not np.all(np.isfinite(vec)):
-            raise ValidationError("diag contains non-finite entries")
-        return np.diag(vec)
+        return np.diag(vector(diag, "diag"))
     if mode == "diag_dom":
         if W0 is None or q is None or r is None:
             raise ConfigurationError("make_weights('diag_dom') needs W0, q and r")
@@ -320,12 +301,7 @@ def make_weights(mode: str, *, W0=None, diag=None, q=None, r=None) -> np.ndarray
         if float(np.abs(np.diag(m)).max()) > KERNEL_TOL:
             raise ValidationError("diag_dom needs W0 with zero diagonal")
         d = m.shape[0]
-        qv = np.asarray(q, dtype=float).reshape(-1)
-        rv = np.asarray(r, dtype=float).reshape(-1)
-        if qv.shape != (d,) or rv.shape != (d,):
-            raise ValidationError(f"q and r must have length d={d}")
-        if not (np.all(np.isfinite(qv)) and np.all(np.isfinite(rv))):
-            raise ValidationError("q and r contain non-finite entries")
+        qv, rv = vector(q, "q", d), vector(r, "r", d)
         w = qv * np.abs(m).sum(axis=1) + rv
         return np.diag(w) + m
     raise ConfigurationError(

@@ -645,6 +645,20 @@ def square_matrix(value, name: str, d=None, symmetric=False) -> np.ndarray:
     return half + half.T
 
 
+def vector(value, name: str, d=None) -> np.ndarray:
+    """Validate a nonempty, finite float vector (of length ``d`` if given),
+    flattened to 1-D.  Like ``square_matrix``'s, the result never shares
+    memory with ``value``."""
+    v = np.array(value, dtype=float).reshape(-1)
+    if d is not None and v.size != d:
+        raise ValidationError(f"{name} must have length d={d}, got {v.size}")
+    if v.size == 0:
+        raise ValidationError(f"{name} must be nonempty")
+    if not np.all(np.isfinite(v)):
+        raise ValidationError(f"{name} contains non-finite entries")
+    return v
+
+
 def spectral_decomposition(matrix: np.ndarray) -> SpectralPair:
     """Eigendecomposition of a symmetric matrix with deterministic signs.
 

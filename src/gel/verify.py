@@ -131,19 +131,15 @@ class Witness:
 
 
 def _weights(w: Witness) -> WeightSet:
-    """The witness's W, Omega, Wtilde and omega_diag; W defaults to zeros
-    of omega_diag's width, the others to zeros."""
-    diag = w.matrices.get("omega_diag")
-    wmat = w.matrix("W") if diag is None or "W" in w.matrices else np.zeros((diag.size,) * 2)
-    return WeightSet(W=wmat, Omega=w.matrices.get("Omega"),
-                     Wtilde=w.matrices.get("Wtilde"), omega_diag=diag)
+    """The witness's W, Omega and Wtilde; the last two default to zeros."""
+    return WeightSet(w.matrix("W"), w.matrices.get("Omega"), w.matrices.get("Wtilde"))
 
 
 def _spec(w: Witness, variant: str, **given) -> ModelSpec:
     """The ``variant`` model of the witness's fields, named as in a config
-    (the weights, KtK, OmegaTilde and tau); ``given`` fields win."""
-    fields = {"KtK": w.matrices.get("KtK"), "OmegaTilde": w.matrices.get("OmegaTilde")}
-    if "W" in w.matrices or "omega_diag" in w.matrices:
+    (the weights, KtK, OmegaTilde, omega_diag and tau); ``given`` fields win."""
+    fields = {name: w.matrices.get(name) for name in ("KtK", "OmegaTilde", "omega_diag")}
+    if "W" in w.matrices:
         fields["weights"] = _weights(w)
     if "tau" not in given:
         fields["tau"] = w.scalar("tau")

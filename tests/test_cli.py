@@ -140,6 +140,48 @@ def test_run_csv_with_both_column_forms_is_identical_with_asserts_off(tmp_path, 
     assert csvs[0] == csvs[1]
 
 
+DIAG_CFG = """\
+graph = cycle(7)
+variant = diag_nonlinear
+omega = [-1.0, -0.5]
+sigma = relu
+tau = 0.3
+steps = 20
+init = random_normal(3)
+csv = run.csv
+svg = run.svg
+report = run.txt
+"""
+
+
+def test_diag_nonlinear_run_needs_no_W(workdir):
+    # omega alone fixes d; a zero W beside it changes no byte of the outputs
+    outputs = []
+    for text in (DIAG_CFG, DIAG_CFG + "W = [[0, 0], [0, 0]]\n"):
+        assert main(["run", write(workdir / "run.cfg", text)]) == 0
+        outputs.append([(workdir / f"run.{ext}").read_bytes() for ext in ("csv", "svg", "txt")])
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "variant, given, message",
+    [
+        ("pde_gcn_d", "KtK = [[1, 0], [0, 1]]", "KtK must be 3x3, got 2x2"),
+        ("cgnn", "OmegaTilde = [[1, 0], [0, 1]]", "OmegaTilde must be 3x3, got 2x2"),
+        ("diag_nonlinear", "omega = [-1, -0.5]\nsigma = relu",
+         "omega_diag must have length d=3, got 2"),
+    ],
+    ids=["KtK", "OmegaTilde", "omega"],
+)
+def test_run_with_a_W_of_another_size_exits_3(workdir, capsys, variant, given, message):
+    # W fixes the channel count; a mismatch was a raw "shapes not aligned" traceback
+    text = HFD_CFG.replace("variant = gradient_flow", f"variant = {variant}\n{given}")
+    text = text.replace("W = [[-1.0]]", "W = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]")
+    assert main(["run", write(workdir / "run.cfg", text)]) == 3
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("steps", ["0", "-1"])
 def test_run_rejects_fewer_than_one_step_before_writing(workdir, capsys, steps):
     cfg = write(workdir / "run.cfg", HFD_CFG.replace("steps = 60", f"steps = {steps}"))

@@ -65,8 +65,15 @@ def test_flat_matrix_rejected_for_w():
 def test_omega_is_flat_vector():
     text = BASE.replace("variant = gradient_flow", "variant = graff")
     cfg = parse_config(text + "omega = [0.5]\nbeta = 0.1\n")
-    assert cfg.spec.weights.omega_diag.tolist() == [0.5]
-    assert cfg.spec.weights.beta == 0.1
+    assert cfg.spec.omega_diag.tolist() == [0.5]
+    assert cfg.spec.beta == 0.1
+
+
+def test_omega_alone_fixes_the_channel_count():
+    text = BASE.replace("variant = gradient_flow", "variant = diag_nonlinear\nsigma = relu")
+    cfg = parse_config(text.replace("W = [[-1.0]]", "omega = [-1, -0.5]"))
+    assert cfg.spec.weights is None and cfg.d == 2
+    assert cfg.spec.omega_diag.tolist() == [-1.0, -0.5]
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -92,9 +93,8 @@ def test_nonpositive_tau_rejected():
 
 
 def test_diag_nonlinear_rejects_positive_channel_weight():
-    ws = WeightSet(W=np.zeros((2, 2)), omega_diag=np.array([-1.0, 0.5]))
     with pytest.raises(ValidationError):
-        ModelSpec("diag_nonlinear", weights=ws, sigma="relu")
+        ModelSpec("diag_nonlinear", omega_diag=np.array([-1.0, 0.5]), sigma="relu")
 
 
 def test_cgnn_needs_omega_tilde():
@@ -125,7 +125,7 @@ def test_matrix_parameters_reject_nonfinite_and_empty(variant, param, value):
     "variant, given, unread",
     [
         ("graff", {"weights": WeightSet(W=[[-1.0]], Omega=[[0.5]])}, "Omega"),
-        ("gradient_flow", {"weights": WeightSet(W=[[-1.0]], beta=0.2)}, "beta"),
+        ("gradient_flow", {"weights": WeightSet(W=[[-1.0]]), "beta": 0.2}, "beta"),
         ("heat", {"mu": 0.3}, "mu"),
         ("label_propagation", {"KtK": [[1.0]]}, "KtK"),
         ("pde_gcn_d", {"KtK": [[1.0]], "source_free": True}, "source_free"),
@@ -144,6 +144,58 @@ def test_spec_refuses_a_parameter_its_variant_never_reads(variant, given, unread
 def test_every_variant_takes_W_for_its_channel_count():
     for variant in ("heat", "grand_linear", "label_propagation"):
         assert ModelSpec(variant, weights=WeightSet(W=np.eye(2))).channels == 2
+
+
+def test_weight_set_holds_exactly_the_energys_three_weights():
+    assert [f.name for f in dataclasses.fields(WeightSet)] == ["W", "Omega", "Wtilde"]
+
+
+def test_diag_nonlinear_needs_no_weights():
+    spec = ModelSpec("diag_nonlinear", omega_diag=[-1, -0.5], sigma="relu")
+    assert spec.weights is None and spec.channels == 2
+    assert spec.omega_diag.tolist() == [-1.0, -0.5] and not spec.omega_diag.flags.writeable
+    F = np.random.default_rng(3).normal(size=(5, 2))
+    L = normalized_laplacian(cycle(5))
+    expected = F + 0.5 * np.maximum(L @ F @ np.diag([1.0, 0.5]), 0.0)
+    assert np.abs(step_model(spec, cycle(5), F) - expected).max() < 1e-12
+
+
+def test_graff_stores_its_diagonal_and_source_on_the_spec():
+    spec = ModelSpec("graff", weights=WeightSet(W=np.eye(2)), omega_diag=[[0.3, -0.2]], beta=1)
+    assert spec.omega_diag.tolist() == [0.3, -0.2] and not spec.omega_diag.flags.writeable
+    assert spec.beta == 1.0 and type(spec.beta) is float
+    assert ModelSpec("graff", weights=WeightSet(W=np.eye(3))).omega_diag.tolist() == [0, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "variant, given, message",
+    [
+        ("pde_gcn_d", {"KtK": np.eye(2)}, "KtK must be 3x3, got 2x2"),
+        ("cgnn", {"OmegaTilde": np.eye(2)}, "OmegaTilde must be 3x3, got 2x2"),
+        ("diag_nonlinear", {"omega_diag": [-1.0, -0.5], "sigma": "relu"},
+         "omega_diag must have length d=3, got 2"),
+        ("graff", {"omega_diag": [0.1, 0.2]}, "omega_diag must have length d=3, got 2"),
+    ],
+    ids=["KtK", "OmegaTilde", "diag_nonlinear-omega", "graff-omega"],
+)
+def test_channel_sized_parameters_must_match_W(variant, given, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        ModelSpec(variant, weights=WeightSet(W=np.eye(3)), **given)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_graff_beta_must_be_finite(value):
+    with pytest.raises(ValidationError, match="beta must be finite"):
+        ModelSpec("graff", weights=WeightSet(W=np.eye(2)), beta=value)
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, np.True_, None])
+def test_source_free_must_be_a_bool(value):
+    # "false" is truthy: read by truthiness it silently dropped the source
+    with pytest.raises(ConfigurationError, match="source_free must be True or False"):
+        ModelSpec("cgnn", OmegaTilde=np.eye(2), source_free=value)
+    assert not ModelSpec("cgnn", OmegaTilde=np.eye(2), source_free=False).is_homogeneous
+    assert ModelSpec("cgnn", OmegaTilde=np.eye(2), source_free=True).is_homogeneous
 
 
 # --- single-step oracles ----------------------------------------------------
@@ -196,12 +248,13 @@ def test_graff_step_matches_formula():
     rng = np.random.default_rng(14)
     g = cycle(5)
     w = rng.normal(size=(2, 2))
-    ws = WeightSet(W=w + w.T, omega_diag=np.array([0.3, -0.2]), beta=0.7)
+    ws, omega = WeightSet(W=w + w.T), np.array([0.3, -0.2])
     F = rng.normal(size=(5, 2))
     F0 = rng.normal(size=(5, 2))
-    out = step_model(ModelSpec("graff", weights=ws, tau=0.1), g, F, F0=F0)
+    spec = ModelSpec("graff", weights=ws, tau=0.1, omega_diag=omega, beta=0.7)
+    out = step_model(spec, g, F, F0=F0)
     expected = F + 0.1 * (
-        -F @ np.diag(ws.omega_diag) + normalized_adjacency(g) @ F @ ws.W - 0.7 * F0
+        -F @ np.diag(omega) + normalized_adjacency(g) @ F @ ws.W - 0.7 * F0
     )
     assert np.abs(out - expected).max() < 1e-12
 
@@ -263,7 +316,7 @@ def _variant_oracles(g, source, rng):
     neg = -np.abs(omega)
 
     gf_ws = WeightSet(W=W, Omega=Om, Wtilde=Wt)
-    graff_ws = WeightSet(W=W, omega_diag=omega, beta=beta)
+    graff_ws = {"weights": WeightSet(W=W), "omega_diag": omega, "beta": beta}
     graff_eff = WeightSet(W=W, Omega=np.diag(omega), Wtilde=beta * np.eye(2))
 
     def gf_z(F, F0):
@@ -292,12 +345,12 @@ def _variant_oracles(g, source, rng):
             lambda x, ref: parametric_energy(g, x, WeightSet(W=W)),
         ),
         "graff": (
-            ModelSpec("graff", weights=graff_ws, tau=tau),
+            ModelSpec("graff", **graff_ws, tau=tau),
             lambda F, F0: F + tau * graff_z(F, F0),
             lambda x, ref: parametric_energy(g, x, graff_eff, F0=ref),
         ),
         "graff_nonlinear": (
-            ModelSpec("graff_nonlinear", weights=graff_ws, tau=tau, sigma="relu"),
+            ModelSpec("graff_nonlinear", **graff_ws, tau=tau, sigma="relu"),
             lambda F, F0: F + tau * np.maximum(graff_z(F, F0), 0.0),
             lambda x, ref: parametric_energy(g, x, graff_eff, F0=ref),
         ),
@@ -339,7 +392,8 @@ def _variant_oracles(g, source, rng):
         "diag_nonlinear": (
             ModelSpec(
                 "diag_nonlinear",
-                weights=WeightSet(W=W, omega_diag=neg),
+                weights=WeightSet(W=W),
+                omega_diag=neg,
                 tau=tau,
                 sigma="relu",
             ),

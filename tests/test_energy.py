@@ -262,3 +262,18 @@ def test_make_weights_diag_dom_rejects_non_finite_q_and_r(q, r):
     off = np.array([[0.0, 0.5], [0.5, 0.0]])
     with pytest.raises(ValidationError, match="non-finite"):
         make_weights("diag_dom", W0=off, q=q, r=r)
+
+
+@pytest.mark.parametrize(
+    "mode, given, message",
+    [
+        ("diag_dom", {"q": [1.0], "r": [0.0, 0.0]}, "q must have length d=2, got 1"),
+        ("diag_dom", {"q": [1.0, 1.0], "r": [0.0, 0.0, 0.0]}, "r must have length d=2, got 3"),
+        ("diagonal", {"diag": [1.0, np.inf]}, "diag contains non-finite entries"),
+    ],
+    ids=["q-length", "r-length", "diag-nonfinite"],
+)
+def test_make_weights_checks_its_vectors_by_name(mode, given, message):
+    off = np.array([[0.0, 0.5], [0.5, 0.0]])
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        make_weights(mode, W0=off, **given)

@@ -21,6 +21,7 @@ from gel.graphs import (
     path,
     require_connected,
     spectral_decomposition,
+    vector,
 )
 
 
@@ -463,3 +464,24 @@ def test_per_graph_caches_hold_a_few_graphs():
 def test_erdos_renyi_rejects_a_seed_numpy_cannot_take(seed):
     with pytest.raises(ValidationError, match="seed"):
         erdos_renyi(20, 0.5, seed)
+
+
+def test_vector_returns_a_fresh_flat_float_copy():
+    given = np.array([[1, 2, 3]])
+    v = vector(given, "q", 3)
+    assert v.dtype == float and v.shape == (3,) and not np.shares_memory(v, given)
+
+
+@pytest.mark.parametrize(
+    "value, d, message",
+    [
+        ([1.0, 2.0, 3.0], 2, "omega_diag must have length d=2, got 3"),
+        ([1.0, np.nan], None, "omega_diag contains non-finite entries"),
+        ([1.0, np.inf], 2, "omega_diag contains non-finite entries"),
+        ([], None, "omega_diag must be nonempty"),
+    ],
+    ids=["length", "nan", "inf", "empty"],
+)
+def test_vector_rejects_wrong_length_nonfinite_and_empty(value, d, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        vector(value, "omega_diag", d)

@@ -100,7 +100,8 @@ def homogeneous_specs(rng, d):
         "no_residual": ModelSpec("no_residual", weights=WeightSet(W=w), tau=0.5),
         "graff": ModelSpec(
             "graff",
-            weights=WeightSet(W=w, omega_diag=rng.uniform(-0.5, 0.5, size=d)),
+            weights=WeightSet(W=w),
+            omega_diag=rng.uniform(-0.5, 0.5, size=d),
             tau=0.5,
         ),
         "heat": ModelSpec("heat", tau=0.5),
@@ -154,7 +155,7 @@ def test_closed_form_equals_iteration_property(n, d, steps, seed):
     [
         ModelSpec("gradient_flow", weights=WeightSet(W=[[-1.0]], Wtilde=[[0.3]])),
         ModelSpec("label_propagation", mu=0.1),
-        ModelSpec("graff", weights=WeightSet(W=[[-1.0]], beta=0.2)),
+        ModelSpec("graff", weights=WeightSet(W=[[-1.0]]), beta=0.2),
         ModelSpec("cgnn", OmegaTilde=[[0.2]]),
         ModelSpec("gradient_flow_nonlinear", weights=WeightSet(W=[[-1.0]]), sigma="relu"),
         ModelSpec("grand_linear"),

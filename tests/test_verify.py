@@ -501,6 +501,19 @@ def _prediction_peak(steps: int) -> int:
         tracemalloc.stop()
 
 
+def test_the_diag_sharpening_replay_makes_no_W(monkeypatch):
+    # the witness gives omega_diag alone; no weights are made up beside it
+    calls = []
+    real = WeightSet.__post_init__
+    monkeypatch.setattr(WeightSet, "__post_init__", lambda self: calls.append(1) or real(self))
+    with open(os.path.join(verify._SUITE_DIR, "32_diag_nonlinear_sharpening.txt")) as f:
+        w = verify.parse_witness(f.read())
+    assert "W" not in w.matrices and verify.run_check(w).passed
+    assert calls == []
+    verify._weights(next(w for w in verify.default_suite() if "W" in w.matrices))
+    assert calls == [1]  # the counter sees a witness that gives W
+
+
 def test_a_prediction_run_holds_the_same_memory_at_any_length():
     _prediction_peak(1)  # fills the graph's caches: both peaks below are the run's own
     short = _prediction_peak(200)
