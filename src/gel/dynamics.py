@@ -35,13 +35,24 @@ overflow-safe bookkeeping and yields each state as it is reached, keeping
 none; ``run_trajectory`` records the CSV columns of each, so a run's memory is
 O(n d + steps), not O(steps n d).
 
+A run checks its inputs once, on entry (``_reference``: F0's rows, finite
+values, channels, a nonzero norm), and builds a plan (``_Plan``) of what
+its steps share.  Its loop calls ``step_model`` once a step with that plan,
+which skips the input checks and the scan of the result for non-finite
+values; what guards each step is the state's norm, which the loop takes
+anyway to renormalize or to record ``log_scale``: a state whose norm is
+not finite or is zero raises a ``NumericError`` naming the step.  Called
+without a plan, ``step_model`` checks F and F0 and scans its result.
+
 Cost model: each step does one operator product, ``AF = A_hat F``, which
 its A and L terms share (I -> F, A -> AF, L -> F - AF); grand_linear does
 its own ``Lrw F = F - (A F + F) / (deg + 1)`` instead, with
-``A F = sqrt(deg) A_hat (sqrt(deg) F)``.  The product is
-``graphs._adjacency_product``: an O(m d) sum over the edges on a sparse
-graph (``2 m d < n^2 / 8``) and one dense O(n^2 d) product otherwise, so a
-sparse run never builds an n x n matrix.
+``A F = sqrt(deg) A_hat (sqrt(deg) F)`` and its degree factors formed once a
+run.  The product's form is picked once a run, for the run's width, by
+``graphs._product_for``, the one rule that ``graphs._adjacency_product``
+also applies: an O(m d) sum over the edges on a sparse graph
+(``2 m d < n^2 / 8``) and one dense O(n^2 d) product otherwise, so a sparse
+run never builds an n x n matrix.
 
 The CSV columns of a state x between the first and the last are read off
 the product ``A x`` that the next step forms, in O(n d) (``_product_state``):
@@ -68,6 +79,7 @@ the degrees disagree with the edges.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
@@ -89,10 +101,13 @@ from .errors import ConfigurationError, DegenerateInputError, NumericError, Vali
 from .graphs import (
     Graph,
     _adjacency_product,
+    _floats,
+    _product_for,
     _require_memory,
     check_count,
     degree_vector,
     graph_checks,
+    scalar,
     spectral_decomposition,
     square_matrix,
     vector,
@@ -110,6 +125,9 @@ __all__ = [
     "trajectory_states",
     "spectral_filter_step",
 ]
+
+
+_Map = Callable[[np.ndarray], np.ndarray]
 
 
 class _State(NamedTuple):
@@ -146,14 +164,14 @@ _DEFLATED_FLOOR = 1e-3
 class _Update(NamedTuple):
     """One row of the module docstring's table.  A term's operator is "I",
     "A" (A_hat) or "L" (I - A_hat), the last two read off one product
-    ``A_hat F``, or a function ``(g, F) -> P F`` (GRAND's Lrw) that forms
-    its own product; ``reads_af`` says whether a term needs ``A_hat F`` and
-    is set by ``ModelSpec``.  ``energy`` defaults to the Dirichlet energy;
-    ``edge_energy`` marks one that reads the per-edge differences."""
+    ``A_hat F``, or a function ``(g, product) -> (F -> P F)`` (GRAND's Lrw)
+    that a run calls once, handing it the run's ``F -> A_hat F``, and that
+    forms its own product; ``reads_af`` says whether a term needs
+    ``A_hat F`` and is set by ``ModelSpec``.  ``energy`` defaults to the
+    Dirichlet energy; ``edge_energy`` marks one that reads the per-edge
+    differences."""
 
-    terms: tuple[
-        tuple[str | Callable[[Graph, np.ndarray], np.ndarray], np.ndarray | float], ...
-    ]
+    terms: tuple[tuple[str | Callable[[Graph, _Map], _Map], np.ndarray | float], ...]
     source: np.ndarray | float | None = None
     residual: bool = True
     energy: Callable[[_State], float] = lambda s: s.dirichlet
@@ -207,20 +225,15 @@ def _graff(spec: ModelSpec) -> _Update:
     """GRAFF's diagonal residual and scalar source as parametric weights."""
     d = spec.weights.d
     omega = np.zeros(d) if spec.omega_diag is None else vector(spec.omega_diag, "omega_diag", d)
-    beta = float(spec.beta)
-    if not np.isfinite(beta):
-        raise ValidationError("beta must be finite")
     omega.setflags(write=False)
     object.__setattr__(spec, "omega_diag", omega)
-    object.__setattr__(spec, "beta", beta)
-    return _flow(WeightSet(spec.weights.W, np.diag(omega), beta * np.eye(d)))
+    return _flow(WeightSet(spec.weights.W, np.diag(omega), spec.beta * np.eye(d)))
 
 
 def _label_propagation(spec: ModelSpec) -> _Update:
-    mu = float(spec.mu)
-    if not np.isfinite(mu) or mu < 0:
-        raise ValidationError(f"label propagation needs mu >= 0, got {spec.mu!r}")
-    object.__setattr__(spec, "mu", mu)
+    mu = spec.mu
+    if mu < 0:
+        raise ValidationError(f"label propagation needs mu >= 0, got {mu!r}")
     return _Update(
         terms=(("L", -1.0), ("I", -mu)),
         source=mu if mu > 0.0 else None,
@@ -335,16 +348,18 @@ def normalize_variant(name: str) -> str:
 
 
 def _given(spec: ModelSpec) -> list[str]:
-    """The optional parameters ``spec`` sets, as given, before any builder
-    has checked them: a nonzero Omega or Wtilde on its weights, a nonzero
-    omega_diag, beta or mu, a KtK, an OmegaTilde, a set source_free.  W is
-    not one: every variant takes it, as it fixes the channel count."""
+    """The optional parameters ``spec`` sets, before any builder has checked
+    them: a nonzero Omega or Wtilde on its weights, a nonzero omega_diag
+    (read as an array of floats), beta or mu (floats by then), a KtK, an
+    OmegaTilde, a set source_free.  W is not one: every variant takes it,
+    as it fixes the channel count."""
     weights = () if spec.weights is None else ("Omega", "Wtilde")
+    omega = spec.omega_diag is not None and np.any(_floats(spec.omega_diag, "omega_diag"))
     return (
         [name for name in weights if np.any(getattr(spec.weights, name))]
         + [name for name in ("KtK", "OmegaTilde") if getattr(spec, name) is not None]
-        + [name for name in ("omega_diag", "beta", "mu", "source_free")
-           if np.any(getattr(spec, name))]
+        + (["omega_diag"] if omega else [])
+        + [name for name in ("beta", "mu", "source_free") if getattr(spec, name)]
     )
 
 
@@ -360,8 +375,10 @@ class ModelSpec:
     ``KtK`` the constant positive-semidefinite channel metric of the
     diffusion-with-metric variant; ``OmegaTilde`` the channel mixer of the
     residual-diffusion variant, whose constant source is dropped when
-    ``source_free`` (a bool) is True.  Each is checked, and stored in
-    canonical form, by the builder of the variant that reads it.
+    ``source_free`` (a bool) is True.  The scalars ``tau``, ``mu`` and
+    ``beta`` are checked by ``graphs.scalar`` and stored as floats on entry;
+    every other parameter is checked, and stored in canonical form, by the
+    builder of the variant that reads it.
     ``sigma`` names an entry of ``ACTIVATIONS`` (``identity``, ``relu`` or
     ``tanh``); only the nonlinear variants take one other than ``identity``.
     A parameter the variant does not read (see ``_given``) is refused.
@@ -380,10 +397,10 @@ class ModelSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "variant", normalize_variant(self.variant))
-        tau = float(self.tau)
-        if not np.isfinite(tau) or tau <= 0:
+        for name in ("tau", "mu", "beta"):
+            object.__setattr__(self, name, scalar(getattr(self, name), name))
+        if self.tau <= 0:
             raise ValidationError(f"step size tau must be positive, got {self.tau!r}")
-        object.__setattr__(self, "tau", tau)
 
         entry = _TABLE[self.variant]
         if entry.required is not None and getattr(self, entry.required) is None:
@@ -462,49 +479,89 @@ class Trajectory:
     final: FeatureState
 
 
-def _random_walk_laplacian(g: Graph, F: np.ndarray) -> np.ndarray:
-    """``Lrw F`` for the random-walk Laplacian ``I - (D + I)^-1 (A + I)`` of
-    the self-loop-augmented graph, with ``A F = sqrt(deg) A_hat (sqrt(deg) F)``."""
+def _random_walk_laplacian(g: Graph, product: _Map) -> _Map:
+    """The map ``F -> Lrw F`` for the random-walk Laplacian
+    ``I - (D + I)^-1 (A + I)`` of the self-loop-augmented graph, with
+    ``A F = sqrt(deg) A_hat (sqrt(deg) F)`` and ``product`` the map
+    ``F -> A_hat F``; the degree factors are formed once, here."""
     deg = degree_vector(g)[:, None]
     sqrt_deg = np.sqrt(deg)
-    return F - (sqrt_deg * _adjacency_product(g, sqrt_deg * F) + F) / (deg + 1.0)
+    shifted = deg + 1.0
+    return lambda F: F - (sqrt_deg * product(sqrt_deg * F) + F) / shifted
 
 
-# overflow is reported as the NumericError below, not as a numpy warning
-@np.errstate(over="ignore", invalid="ignore")
-def step_model(spec: ModelSpec, g: Graph, F, F0=None, *, _af=None) -> np.ndarray:
+class _Plan(NamedTuple):
+    """What every step of one run shares, built once from checked inputs:
+    the spec's update and step size, each term with its operator resolved
+    for the run's graph, and the source ``F0 S`` (None when off).  The
+    product ``F -> A_hat F`` is picked once, for the run's width, by
+    ``graphs._adjacency_product``'s rule; a list in ``products`` receives
+    each step's ``A_hat F``, so ``run_trajectory`` reads F's columns off it."""
+
+    update: _Update
+    tau: float
+    product: _Map
+    terms: tuple[tuple[str | _Map, np.ndarray | float], ...]
+    source: np.ndarray | None
+    products: list | None
+
+
+def _run_plan(spec: ModelSpec, g: Graph, d: int, F0, products: list | None = None) -> _Plan:
+    """The plan of a run of ``spec`` on ``g`` with d-channel features; F0 is
+    checked here when the update reads it."""
+    update = spec._update
+    product = _product_for(g, d)
+    terms = tuple((op if isinstance(op, str) else op(g, product), m) for op, m in update.terms)
+    source = None
+    if update.source is not None:
+        source = np.dot(_require_source(g, F0, d), update.source)
+    return _Plan(update, spec.tau, product, terms, source, products)
+
+
+def _advance(plan: _Plan, F: np.ndarray) -> np.ndarray:
+    """The arithmetic of one step of ``plan`` from the checked features F."""
+    update = plan.update
+    af = plan.product(F) if update.reads_af else None
+    if plan.products is not None and af is not None:
+        plan.products.append(af)
+    z = 0
+    for op, m in plan.terms:
+        if op == "I":
+            product = F
+        elif op == "A":
+            product = af
+        elif op == "L":
+            product = F - af
+        else:
+            product = op(F)
+        # np.dot multiplies by a scalar factor and matrix-multiplies by a d x d one
+        z = z + np.dot(product, m)
+    if plan.source is not None:
+        z = z + plan.source
+    if update.activation is not None:
+        z = update.activation(z)
+    return F + plan.tau * z if update.residual else plan.tau * z
+
+
+def step_model(spec: ModelSpec, g: Graph, F, F0=None, *, _plan=None) -> np.ndarray:
     """One explicit-Euler step of the chosen variant.
 
     Sums the variant's ``P_k F M_k`` terms and its source ``F0 S``, applies
     sigma (the identity for the linear family), and returns
     ``F + tau * sigma(Z)``, or ``tau * Z`` for the discarding variant.  The
     A and L terms share one product ``A_hat F``, an edge sum on a sparse
-    graph (see ``graphs._adjacency_product``); a list passed as ``_af``
-    receives that product, so ``run_trajectory`` reads F's columns off it.
+    graph (see ``graphs._adjacency_product``).  F and F0 are checked, and
+    a non-finite result is a ``NumericError``.  A run's loop passes its
+    ``_plan`` instead: the run checked its inputs on entry, the plan holds
+    F0, and the loop guards each step with the state's norm.
     """
+    if _plan is not None:
+        return _advance(_plan, F)
     feats = as_features(g, F)
     _check_channels(spec.channels, feats, "model parameters")
-    update = spec._update
-    af = _adjacency_product(g, feats) if update.reads_af else None
-    if _af is not None and af is not None:
-        _af.append(af)
-    z = 0
-    for op, m in update.terms:
-        if op == "I":
-            product = feats
-        elif op == "A":
-            product = af
-        elif op == "L":
-            product = feats - af
-        else:
-            product = op(g, feats)
-        # np.dot multiplies by a scalar factor and matrix-multiplies by a d x d one
-        z = z + np.dot(product, m)
-    if update.source is not None:
-        z = z + np.dot(_require_source(g, F0, feats.shape[1]), update.source)
-    if update.activation is not None:
-        z = update.activation(z)
-    out = feats + spec.tau * z if update.residual else spec.tau * z
+    # overflow is reported as the NumericError below, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _advance(_run_plan(spec, g, feats.shape[1], F0), feats)
     if not np.all(np.isfinite(out)):
         remedy = (
             "use run_trajectory, which keeps homogeneous linear dynamics renormalized"
@@ -540,26 +597,33 @@ def _reference(spec: ModelSpec, g: Graph, F0) -> tuple[np.ndarray, float]:
 
 
 def _states(spec, g, reference, norm, steps, products=None) -> Iterator[FeatureState]:
-    """The states of a checked run.  A list passed as ``products`` receives,
-    at each step that forms one, ``A_hat`` of the direction the step read."""
+    """The states of a run from its checked ``reference`` features and their
+    norm.  A list passed as ``products`` receives, at each step that forms
+    one, ``A_hat`` of the direction the step read.
+
+    The run's plan is built once; each step is then guarded by the norm of
+    its result alone, which is finite and nonzero exactly when the result is
+    a finite, nonzero state.  It is taken as ``numpy.linalg.norm`` takes it,
+    the square root of one dot of ``x.ravel(order="K")`` with itself, so it
+    has the same bits."""
     renormalize = spec.is_homogeneous
+    plan = _run_plan(spec, g, reference.shape[1], reference, products)
     direction, log_scale = reference / norm, float(np.log(norm))
     yield FeatureState(direction, log_scale)
     state = direction if renormalize else reference
     for k in range(1, steps + 1):
-        try:
-            state = step_model(spec, g, state, F0=reference, _af=products)
-        except NumericError:  # the step overflowed; step_model checks that
-            norm = np.inf
-        else:
-            if products and not renormalize:
-                # the step read the raw state, of norm ``norm``
-                products[-1] /= norm
-            with np.errstate(over="ignore", invalid="ignore"):
-                norm = float(np.linalg.norm(state))
-        if not np.isfinite(norm) or norm == 0.0:
-            what = "collapsed to zero" if norm == 0.0 else "overflowed"
+        # overflow is reported as the NumericError below, not as a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            state = step_model(spec, g, state, F0=reference, _plan=plan)
+            flat = state.ravel(order="K")
+            size = math.sqrt(flat.dot(flat))
+        if not math.isfinite(size) or size == 0.0:
+            what = "collapsed to zero" if size == 0.0 else "overflowed"
             raise NumericError(f"state {what} at step {k}; reduce tau or the steps")
+        if products and not renormalize:
+            # the step read the raw state, of norm ``norm``
+            products[-1] /= norm
+        norm = size
         direction = state / norm
         log_scale = (log_scale if renormalize else 0.0) + float(np.log(norm))
         if renormalize:

@@ -11,11 +11,13 @@ propagation, on the graph and on its bipartite double cover.
 
 The public operators are dense numpy arrays, scattered from the edge array,
 for what needs the whole matrix: the full decomposition and the Kronecker
-assemblies of ``verify``.  What only multiplies by A_hat (each dynamics step
-and the energies) calls ``_adjacency_product``, which sums over a cached
+assemblies of ``verify``.  What only multiplies by A_hat (the dynamics and
+the energies) calls ``_adjacency_product``, which sums over a cached
 row-sorted (CSR) neighbour index on a sparse graph and multiplies by the
-dense matrix, built only then, on a dense one.  ``laplacian_spectrum`` is the
-full, checked ``numpy.linalg.eigh`` of the normalized Laplacian.
+dense matrix, built only then, on a dense one; a dynamics run takes the
+form that rule picks for its width once, from ``_product_for``.
+``laplacian_spectrum`` is the full, checked ``numpy.linalg.eigh`` of the
+normalized Laplacian.
 ``extreme_spectrum`` gives only its two ends, the eigenpairs at 0 and at
 lambda_max and the next eigenvalue inward from each, from a Lanczos
 iteration on the same edge sum.  Residual bounds and a dense Cholesky
@@ -35,6 +37,7 @@ results keeps only the last few graphs.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -429,6 +432,18 @@ def check_count(value, what: str, least: int = 0) -> int:
     return int(value)
 
 
+def scalar(value, name: str) -> float:
+    """``value`` as a float if it is a finite real number (not a bool), as
+    step sizes and coupling strengths must be; anything else is a
+    ``ValidationError`` naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    result = float(value)
+    if not math.isfinite(result):
+        raise ValidationError(f"{name} must be finite, got {value!r}")
+    return result
+
+
 def _physical_memory() -> float:
     try:
         return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
@@ -568,10 +583,17 @@ def _adjacency_product(g: Graph, F: np.ndarray) -> np.ndarray:
     forms sum in different orders, so they agree to roundoff, not bit for
     bit.  An isolated node is a validation error.
     """
-    width = 1 if F.ndim == 1 else F.shape[1]
+    return _product_for(g, 1 if F.ndim == 1 else F.shape[1])(F)
+
+
+def _product_for(g: Graph, width: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The map ``F -> A_hat F`` that ``_adjacency_product``'s rule picks for
+    an F of ``width`` columns, so that a loop over arrays of one width can
+    pick it once: the edge form when ``2 m width < n^2 / 8``, else the
+    product with the dense matrix, built on this first call."""
     if 16 * g.num_edges * width < g.n * g.n:
-        return _edge_product(g)(F)
-    return normalized_adjacency(g) @ F
+        return _edge_product(g)
+    return normalized_adjacency(g).__matmul__
 
 
 @lru_cache(maxsize=_CACHE_ENTRIES)
@@ -624,7 +646,7 @@ def square_matrix(value, name: str, d=None, symmetric=False) -> np.ndarray:
     measured on the halves ``M / 2`` so that it cannot overflow, and
     returns ``(M + M^T) / 2``.  The result never shares memory with
     ``value``, so callers may freeze it without freezing the caller's array."""
-    m = np.asarray(value, dtype=float)
+    m = _floats(value, name)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
         raise ValidationError(f"{name} must be a nonempty square matrix, got {m.shape}")
     if d is not None and m.shape[0] != d:
@@ -632,7 +654,7 @@ def square_matrix(value, name: str, d=None, symmetric=False) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValidationError(f"{name} contains non-finite entries")
     if not symmetric:
-        return m.copy()
+        return m
     scale = max(1.0, float(np.abs(m).max()))
     half = 0.5 * m  # halving first: M - M^T overflows for entries above ~9e307
     asym = float(np.abs(half - half.T).max())
@@ -649,7 +671,7 @@ def vector(value, name: str, d=None) -> np.ndarray:
     """Validate a nonempty, finite float vector (of length ``d`` if given),
     flattened to 1-D.  Like ``square_matrix``'s, the result never shares
     memory with ``value``."""
-    v = np.array(value, dtype=float).reshape(-1)
+    v = _floats(value, name).reshape(-1)
     if d is not None and v.size != d:
         raise ValidationError(f"{name} must have length d={d}, got {v.size}")
     if v.size == 0:
@@ -657,6 +679,16 @@ def vector(value, name: str, d=None) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValidationError(f"{name} contains non-finite entries")
     return v
+
+
+def _floats(value, name: str) -> np.ndarray:
+    """A new float array holding ``value``; what numpy cannot read as one,
+    such as a ragged list or text, is a ``ValidationError`` naming
+    ``name``."""
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be a rectangular array of numbers") from None
 
 
 def spectral_decomposition(matrix: np.ndarray) -> SpectralPair:

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import tracemalloc
 
@@ -5,6 +6,8 @@ import numpy as np
 import pytest
 
 import gel.dynamics
+import gel.energy
+import gel.graphs
 from gel.dynamics import (
     ACTIVATIONS,
     ModelSpec,
@@ -187,6 +190,35 @@ def test_channel_sized_parameters_must_match_W(variant, given, message):
 def test_graff_beta_must_be_finite(value):
     with pytest.raises(ValidationError, match="beta must be finite"):
         ModelSpec("graff", weights=WeightSet(W=np.eye(2)), beta=value)
+
+
+@pytest.mark.parametrize(
+    "given, message",
+    [
+        ({"variant": "heat", "tau": "x"}, "tau must be a real number, got 'x'"),
+        ({"variant": "label_propagation", "mu": "x"}, "mu must be a real number, got 'x'"),
+        ({"variant": "graff", "weights": WeightSet(W=np.eye(1)), "beta": [1, 2]},
+         r"beta must be a real number, got \[1, 2\]"),
+        ({"variant": "heat", "omega_diag": [[0, 0], [0]]},
+         "omega_diag must be a rectangular array of numbers"),
+        ({"variant": "heat", "tau": True}, "tau must be a real number, got True"),
+        ({"variant": "heat", "mu": [[1], [1, 2]]}, "mu must be a real number"),
+    ],
+    ids=["tau-text", "mu-text", "beta-list", "omega-ragged", "tau-bool", "mu-ragged"],
+)
+def test_spec_scalars_and_vectors_that_are_not_numbers_are_validation_errors(given, message):
+    # each of these escaped as a raw ValueError or TypeError, or (tau=True)
+    # was taken as 1.0
+    with pytest.raises(ValidationError, match=f"^{message}"):
+        ModelSpec(**given)
+
+
+def test_spec_stores_its_scalars_as_floats():
+    spec = ModelSpec("label_propagation", tau=np.float32(0.25), mu=1)
+    assert (spec.tau, spec.mu, spec.beta) == (0.25, 1.0, 0.0)
+    assert all(type(v) is float for v in (spec.tau, spec.mu, spec.beta))
+    # a zero or empty parameter the variant never reads is still ignored
+    assert ModelSpec("heat", omega_diag=[], beta=0, mu=0.0).beta == 0.0
 
 
 @pytest.mark.parametrize("value", ["false", "true", 0, 1, np.True_, None])
@@ -759,6 +791,147 @@ def test_zero_init_rejected():
 def test_zero_initial_features_are_degenerate_on_every_path(run):
     with pytest.raises(DegenerateInputError, match="initial features must be nonzero"):
         run(ModelSpec("heat"), cycle(4), np.zeros(4))
+
+
+# --- a run checks its inputs once ------------------------------------------
+
+@pytest.mark.parametrize(
+    "variant, source, graph",
+    [(v, s, g) for g in _PARITY_GRAPHS.values() for v, s in _VARIANT_CASES],
+    ids=[f"{v}-{'source' if s else 'plain'}{suffix}"
+         for suffix in _PARITY_GRAPHS for v, s in _VARIANT_CASES],
+)
+def test_trajectory_states_are_the_public_steps_bit_for_bit(variant, source, graph):
+    # one update implementation: the run's planned steps and its norm guard
+    # give the same bits as checked step_model calls and numpy's norm
+    rng = np.random.default_rng(37)
+    g = erdos_renyi(*graph)
+    spec = _variant_oracles(g, source, rng)[variant][0]
+    F0 = rng.normal(size=(g.n, 2))
+    states = trajectory_states(spec, g, F0, 12)
+    norm = float(np.linalg.norm(F0))
+    state, log_scale = F0, float(np.log(norm))
+    first = next(states)
+    assert np.array_equal(first.direction, F0 / norm) and first.log_scale == log_scale
+    if spec.is_homogeneous:
+        state = F0 / norm
+    for k, got in enumerate(states, start=1):
+        state = step_model(spec, g, state, F0=F0)
+        norm = float(np.linalg.norm(state))
+        direction = state / norm
+        log_scale = (log_scale if spec.is_homogeneous else 0.0) + float(np.log(norm))
+        assert np.array_equal(got.direction, direction), k
+        assert got.log_scale == log_scale, k
+        if spec.is_homogeneous:
+            state = direction
+    assert k == 12
+
+
+@pytest.mark.parametrize(
+    "spec, F, F0, error, message",
+    [
+        (ModelSpec("heat"), [1.0, np.nan, 0.0, 0.0, 0.0], None, ValidationError,
+         "F contains non-finite entries"),
+        (ModelSpec("heat"), np.ones((4, 1)), None, ValidationError, "n=5 rows"),
+        (ModelSpec("label_propagation", mu=0.5), np.ones(5), None, ConfigurationError,
+         "the source term needs reference features F0"),
+        (ModelSpec("cgnn", OmegaTilde=np.eye(1)), np.ones(5), [np.inf] * 5, ValidationError,
+         "F0 contains non-finite entries"),
+    ],
+    ids=["nonfinite-F", "row-count", "no-F0", "nonfinite-F0"],
+)
+def test_step_model_called_directly_checks_its_inputs(spec, F, F0, error, message):
+    # with the channel and overflow tests above: a run's plan skips these
+    # checks, a direct call keeps every one
+    with pytest.raises(error, match=message):
+        step_model(spec, cycle(5), F, F0=F0)
+
+
+def _count_calls(monkeypatch, counts, module, name):
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [ModelSpec("heat"), ModelSpec("label_propagation", mu=0.3), ModelSpec("grand_linear"),
+     ModelSpec("gradient_flow_nonlinear", weights=WeightSet(W=-np.eye(2)), sigma="tanh")],
+    ids=["renormalized", "source", "grand_linear", "nonlinear"],
+)
+@pytest.mark.parametrize(
+    "g", [erdos_renyi(120, 0.05, 13), complete_bipartite(6, 6)], ids=["edge-sum", "dense"]
+)
+@pytest.mark.parametrize(
+    "run",
+    [run_trajectory, lambda *args: list(trajectory_states(*args))],
+    ids=["run_trajectory", "trajectory_states"],
+)
+def test_a_run_checks_its_inputs_once_not_every_step(monkeypatch, run, spec, g):
+    counts = collections.Counter()
+    for module, name in [
+        (gel.dynamics, "as_features"), (gel.energy, "as_features"),
+        (gel.dynamics, "_product_for"), (gel.graphs, "_product_for"),
+        (gel.dynamics, "step_model"),
+    ]:
+        _count_calls(monkeypatch, counts, module, name)
+    caches = (gel.graphs._edge_product, gel.graphs.normalized_adjacency, degree_vector)
+    F0 = np.random.default_rng(7).normal(size=(g.n, 2))
+
+    def calls(steps: int) -> tuple:
+        counts.clear()
+        before = [c.cache_info() for c in caches]
+        run(spec, g, F0, steps)
+        lookups = [a.hits + a.misses - b.hits - b.misses
+                   for a, b in zip((c.cache_info() for c in caches), before)]
+        return counts.pop("step_model"), dict(counts), lookups
+
+    calls(10)  # builds what the graph's caches hold, so both runs below only look up
+    short, long = calls(50), calls(200)
+    assert (short[0], long[0]) == (50, 200)
+    assert short[1:] == long[1:]
+    assert long[1]["_product_for"] >= 1 and long[1]["as_features"] <= 3
+
+
+#: Two channels, the second zero at the start: the source feeds it 1e-200
+#: of the first, and W grows it by 1e300 a step, to about 1e100 after step
+#: 2 and past the floating range in step 3.
+_LEAK = {"W": np.diag([0.0, 1e300]), "Wtilde": [[0.0, -1e-200], [0.0, 0.0]]}
+
+
+@pytest.mark.parametrize(
+    "spec, bad",
+    [
+        (ModelSpec("gradient_flow", weights=WeightSet(**_LEAK), tau=1.0), np.isinf),
+        (ModelSpec("gradient_flow_nonlinear", sigma="relu", tau=1.0,
+                   weights=WeightSet(**_LEAK, Omega=np.diag([0.0, 1e300]))), np.isnan),
+    ],
+    ids=["source-inf", "nonlinear-nan"],
+)
+@pytest.mark.parametrize(
+    "run",
+    [run_trajectory, lambda *args: list(trajectory_states(*args))],
+    ids=["run_trajectory", "trajectory_states"],
+)
+def test_a_raw_run_that_leaves_the_floating_range_names_the_step(monkeypatch, run, spec, bad):
+    # the nonlinear run's third step reads inf - inf, the source run's only
+    # inf; the guard is the norm, and no RuntimeWarning escapes (pytest
+    # turns them into errors)
+    seen = []
+
+    def recorded(*args, **kwargs):
+        seen.append(step_model(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(gel.dynamics, "step_model", recorded)
+    F0 = np.column_stack((np.arange(1.0, 6.0), np.zeros(5)))
+    with pytest.raises(NumericError, match="^state overflowed at step 3; reduce tau"):
+        run(spec, path(5), F0, 10)
+    assert len(seen) == 3 and np.all(np.isfinite(seen[1])) and np.any(bad(seen[2]))
 
 
 # --- spectral filter --------------------------------------------------------

@@ -20,7 +20,9 @@ from gel.graphs import (
     normalized_laplacian,
     path,
     require_connected,
+    scalar,
     spectral_decomposition,
+    square_matrix,
     vector,
 )
 
@@ -485,3 +487,43 @@ def test_vector_returns_a_fresh_flat_float_copy():
 def test_vector_rejects_wrong_length_nonfinite_and_empty(value, d, message):
     with pytest.raises(ValidationError, match=f"^{message}$"):
         vector(value, "omega_diag", d)
+
+
+@pytest.mark.parametrize("value", [0.5, 2, np.float32(0.25), np.int64(-3), -0.0])
+def test_scalar_returns_a_float(value):
+    got = scalar(value, "tau")
+    assert type(got) is float and got == float(value)
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("x", "tau must be a real number, got 'x'"),
+        ("0.5", "tau must be a real number, got '0.5'"),
+        ([1, 2], r"tau must be a real number, got \[1, 2\]"),
+        (np.array(0.5), r"tau must be a real number, got array\(0.5\)"),
+        (1j, r"tau must be a real number, got 1j"),
+        (True, "tau must be a real number, got True"),
+        (np.True_, "tau must be a real number, got np.True_"),
+        (None, "tau must be a real number, got None"),
+        (float("nan"), "tau must be finite, got nan"),
+        (-np.inf, "tau must be finite, got -inf"),
+    ],
+    ids=["text", "numeric-text", "list", "0-d-array", "complex", "bool", "numpy-bool",
+         "none", "nan", "-inf"],
+)
+def test_scalar_refuses_what_is_not_a_finite_real(value, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        scalar(value, "tau")
+
+
+@pytest.mark.parametrize("value", [[[0, 0], [0]], "x", [1.0, "a"], {"a": 1}])
+@pytest.mark.parametrize(
+    "check", [lambda v: vector(v, "q"), lambda v: square_matrix(v, "q")],
+    ids=["vector", "square_matrix"],
+)
+def test_arrays_numpy_cannot_read_are_a_validation_error(check, value):
+    # a ragged list raised numpy's inhomogeneous-shape ValueError, text a
+    # conversion ValueError and a dict a TypeError
+    with pytest.raises(ValidationError, match="^q must be a rectangular array of numbers$"):
+        check(value)
