@@ -20,10 +20,11 @@ form that rule picks for its width once, from ``_product_for``.
 normalized Laplacian.
 ``extreme_spectrum`` gives only its two ends, the eigenpairs at 0 and at
 lambda_max and the next eigenvalue inward from each, from a Lanczos
-iteration on the same edge sum.  Residual bounds and a dense Cholesky
-factorization, in place in one n x n array, certify that no eigenvalue was
-missed at the top; lambda_2 is certified the same way, in a new array, only
-when something reads it, and 0 needs no certificate on a connected graph.
+iteration on the same edge sum.  Residual bounds and a Cholesky
+factorization of a matrix's lower triangle, formed and factored one block
+column at a time, certify that no eigenvalue was missed at the top;
+lambda_2 is certified the same way, in new block columns, only when
+something reads it, and 0 needs no certificate on a connected graph.
 A failed certificate falls back to the full decomposition.  A
 dense site, or a generated edge set, that would not fit in the machine's
 physical memory is refused with a ``NumericError`` before it is allocated.
@@ -701,20 +702,22 @@ def spectral_decomposition(matrix: np.ndarray) -> SpectralPair:
     return _checked_eigh(square_matrix(matrix, "matrix", symmetric=True))
 
 
-#: Rows (or columns) per block of the dense passes over n x n arrays: the
-#: blocked Cholesky of ``_cholesky_in_place`` and the checks of
-#: ``_checked_eigh`` hold O(n * _BLOCK) temporaries beside their n x n
-#: arrays.  128 is the smallest block whose factorization keeps up with
-#: LAPACK's own.  Median ms of 21 factorizations of a random SPD matrix, the
-#: range over two runs, on a 2-vCPU Xeon (numpy 2.4.6 with OpenBLAS, 2
-#: threads):
+#: Rows (or columns) per block of the blocked passes: the certificate's
+#: lower block columns (``_lower_block_columns``), whose factorization
+#: (``_factor_block_columns``) holds O(n * _BLOCK) temporaries beside them,
+#: and the checks of ``_checked_eigh``, which hold as much beside their
+#: n x n arrays.  128 is the fastest of the blocks tried; beside
+#: LAPACK's own factorization of the full matrix it loses most at small n,
+#: where the certificate costs little anyway.  Median ms of 21
+#: factorizations of a random SPD matrix's block columns, the range over two
+#: runs, on a 2-vCPU Xeon (numpy 2.4.6 with OpenBLAS 0.3.31, 2 threads):
 #:
 #: ======  ===================  =======  =======  =======  =======
 #: n       np.linalg.cholesky   128      160      192      256
 #: ======  ===================  =======  =======  =======  =======
-#: 600     8                    8        8-9      9-10     9-10
-#: 1000    23-25                26       23-45    24-34    24-26
-#: 2000    126-139              125-153  124-126  111-121  121-132
+#: 600     4                    7        7-8      8-9      9
+#: 1000    14-17                18-22    19-22    19-22    21-24
+#: 2000    85-99                90-108   95-112   106-116  108-111
 #: ======  ===================  =======  =======  =======  =======
 _BLOCK = 128
 
@@ -769,13 +772,11 @@ def _fix_eigenvector_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors
 
 
-#: n x n arrays alive at once at the peak of each dense spectrum site, as the
-#: process's resident set counts them: the certificate's one matrix, factored
-#: in place; and the full decomposition's Laplacian beside ``eigh``'s copy of
-#: it, LAPACK's workspace and the eigenvectors (5.1 * 8 n^2 above the start
-#: on cycle(2000), of which ``eigh`` alone takes 4.1; tracemalloc, which does
-#: not see LAPACK's buffers, counts 2.5 on cycle(800)).
-_CERTIFICATE_ARRAYS = 1
+#: n x n arrays alive at once at the peak of the full decomposition, as the
+#: process's resident set counts them: the Laplacian beside ``eigh``'s copy
+#: of it, LAPACK's workspace and the eigenvectors (5.1 * 8 n^2 above the
+#: start on cycle(2000), of which ``eigh`` alone takes 4.1; tracemalloc,
+#: which does not see LAPACK's buffers, counts 2.5 on cycle(800)).
 _DECOMPOSITION_ARRAYS = 5
 
 
@@ -815,15 +816,18 @@ def extreme_spectrum(g: Graph) -> SpectrumEnds:
       residuals R.  As many eigenvalues lie within ``rho = sqrt(2) |R|_F``
       of their values (Kahan's theorem; Parlett, *The Symmetric Eigenvalue
       Problem*, 11.5).
-    - A dense Cholesky factorization of ``sigma I - L + c V V^T`` (top end;
+    - A Cholesky factorization of ``sigma I - L + c V V^T`` (top end;
       ``L - sigma I + c V V^T`` at the bottom), with V the cluster's vectors
       and sigma just past the next eigenvalue, proves by Weyl's interlacing
       that at most ``rank V`` eigenvalues lie beyond sigma.  sigma is shifted
       by a bound on the factorization's rounding error, which holds for the
       blocked factorization run here (Higham 2002, Thm 10.3).  Each end
-      forms and factors its matrix in place in its own n x n array, freed
-      on return: the certificate holds that array and O(n * _BLOCK) beside
-      it, and the bottom end's runs after the top end's array is freed.
+      forms only its matrix's lower triangle, in ``_BLOCK``-wide block
+      columns, and factors them in place, dropping each block column once
+      it has updated the later ones: the certificate holds about
+      4 n (n + _BLOCK) bytes, half the dense matrix's 8 n^2, and
+      O(n * _BLOCK) beside them, and the bottom end's runs after the top
+      end's are freed.
 
     Together the two steps show that each cluster is complete and that no
     eigenvalue lies between it and the next one.  The bottom cluster is 0
@@ -837,8 +841,12 @@ def extreme_spectrum(g: Graph) -> SpectrumEnds:
     """
     checks = graph_checks(g)
     if checks.connected:
-        # before the Lanczos, which is wasted if the certificate cannot run
-        _require_dense(g.n, _CERTIFICATE_ARRAYS, "the certificate")
+        # before the Lanczos, which is wasted if the certificate cannot run:
+        # its block columns hold the lower triangle, and the upper halves of
+        # their diagonal blocks add O(n * _BLOCK)
+        _require_memory(
+            4 * g.n * (g.n + 1), f"the certificate's lower triangle of a {g.n} x {g.n} matrix"
+        )
         ends = _certified_ends(g, checks.bipartite)
         if ends is not None:
             return ends
@@ -868,8 +876,8 @@ def _frozen_pair(values: np.ndarray, vectors: np.ndarray) -> SpectralPair:
 def _certified_ends(g: Graph, bipartite: bool) -> SpectrumEnds | None:
     n = g.n
     # the edge form whatever the density: a dense A_hat built here would stay
-    # cached through the n x n Cholesky factorizations below, one more n^2
-    # array at the run's memory peak
+    # cached through the Cholesky factorizations below, one more n^2 array
+    # at the run's memory peak
     product = _edge_product(g)
 
     def lap(x: np.ndarray) -> np.ndarray:
@@ -892,7 +900,7 @@ def _certified_ends(g: Graph, bipartite: bool) -> SpectrumEnds | None:
     if values.size == 2:
         # 0 is a simple eigenvalue of a connected graph, so phi0 alone is the
         # bottom cluster, exactly; lambda_2 is certified on its first read,
-        # in a new n x n array once the top's is freed
+        # in new block columns once the top's are freed
         def lambda_2() -> float:
             bottom = _certified_end(g, lap, values, vectors, side=-1)
             return bottom[1] if bottom is not None else _ends_of(laplacian_spectrum(g)).lambda_2
@@ -975,16 +983,18 @@ def _certified_end(g: Graph, lap, values, vectors, side: int):
     cluster, at the bottom (``side = -1``) the last is the next one above.
     Returns the cluster's pairs, signs fixed, and that next value; or None
     when the residuals, the cluster's shape or the inertia count do not
-    certify them.  It holds one n x n array, freed on return.
+    certify them.  It holds the lower block columns of one n x n matrix,
+    each freed once factored.
 
     The inertia count factors ``M = side (sigma I - L) + c V V^T``, V the
     cluster's vectors: if M is positive definite, subtracting the rank-k
     term ``c V V^T`` leaves at most k eigenvalues of ``side (sigma I - L)``
     at or below 0 (Weyl), so at most k eigenvalues of L lie beyond sigma.
-    M is formed in that array and factored there by ``_cholesky_in_place``.
-    The factorization runs at sigma moved inward by ``delta = 2 (n + 2) eps
-    trace(M)``, above the bound ``gamma_{n+1} trace(M)`` on its rounding
-    error, so that its success in floating point proves the count at sigma:
+    M's lower triangle is formed in block columns by ``_lower_block_columns``
+    and factored in them by ``_factor_block_columns``.  The factorization
+    runs at sigma moved inward by ``delta = 2 (n + 2) eps trace(M)``, above
+    the bound ``gamma_{n+1} trace(M)`` on its rounding error, so that its
+    success in floating point proves the count at sigma:
     a Cholesky factorization that runs to completion gives
     ``R^T R = M + dM`` with ``|dM| <= gamma_{n+1} |R^T| |R|`` (Higham,
     *Accuracy and Stability of Numerical Algorithms*, 2002, Thm 10.3, which
@@ -1007,45 +1017,72 @@ def _certified_end(g: Graph, lap, values, vectors, side: int):
             or float(cluster.max() - cluster.min()) > TIE_TOL - 2.0 * rho
             or gap <= max(TIE_TOL, 2.0 * delta + rho) + 2.0 * rho):
         return None
-    m = _scatter(g, side * _edge_weights(g))
-    cv = c * v
-    for first in range(0, n, _BLOCK):
-        m[first:first + _BLOCK] += cv[first:first + _BLOCK] @ v.T
-    m.flat[:: n + 1] += side * (edge + side * (2.0 * rho + delta) - 1.0)
-    if not _cholesky_in_place(m):
+    shift = side * (edge + side * (2.0 * rho + delta) - 1.0)
+    if not _factor_block_columns(_lower_block_columns(g, side * _edge_weights(g), c * v, v, shift)):
         return None
     return _frozen_pair(cluster, _fix_eigenvector_signs(v.copy())), float(edge)
 
 
-def _cholesky_in_place(a: np.ndarray) -> bool:
-    """Whether the lower triangle of the symmetric ``a`` is positive definite
-    to floating point, by a right-looking blocked Cholesky factorization
-    that overwrites that triangle with the factor.
+def _lower_block_columns(g: Graph, weights, cv, v, shift: float) -> list[np.ndarray]:
+    """The lower triangle of ``M = S + cv v^T + shift I`` as block columns,
+    S symmetric with ``weights`` (one per edge) at both ends of each edge.
 
-    Each ``_BLOCK``-wide diagonal block is factored by ``np.linalg.cholesky``,
-    which fails exactly when the factorization meets a pivot that is not
-    positive.  The panel below it is solved against the block's factor by
-    ``np.linalg.solve`` on the index-reversed, so upper triangular, factor:
-    its LU meets only zeros below each pivot, swaps no rows and computes
-    only zero multipliers, which leaves a back substitution.  The trailing
-    matrix is updated one column block at a time.  Beside ``a`` it holds
-    O(n * _BLOCK).
-    """
-    n = a.shape[0]
-    for first in range(0, n, _BLOCK):
+    Block column k holds rows ``k B..n`` of columns ``k B..(k + 1) B``,
+    ``B = _BLOCK``: its diagonal block in full, both triangles, and the rows
+    below it.  Each is filled from the edges, whose sorted rows ``(lo, hi)``
+    put each edge at ``(hi, lo)`` of the block column holding lo, and at
+    ``(lo, hi)`` too inside the diagonal block; the rank-k term's product;
+    and the shift on the diagonal.  Together they hold about 4 n (n + B)
+    bytes, against 8 n^2 for the dense M."""
+    n = g.n
+    bounds = np.searchsorted(g.edges[:, 0], np.arange(0, n + _BLOCK, _BLOCK))
+    columns = []
+    for k, first in enumerate(range(0, n, _BLOCK)):
         end = min(first + _BLOCK, n)
+        edges = slice(bounds[k], bounds[k + 1])  # the edges whose lo lies in this column
+        col, row = (g.edges[edges] - first).T
+        block = np.zeros((n - first, end - first))
+        block[row, col] = weights[edges]
+        inside = row < end - first  # both ends in the diagonal block: mirrored
+        block[col[inside], row[inside]] = weights[edges][inside]
+        block += cv[first:] @ v[first:end].T
+        diag = np.arange(end - first)
+        block[diag, diag] += shift
+        columns.append(block)
+    return columns
+
+
+def _factor_block_columns(columns: list[np.ndarray]) -> bool:
+    """Whether the symmetric matrix whose lower block columns (as from
+    ``_lower_block_columns``) are ``columns`` is positive definite to
+    floating point, by a right-looking blocked Cholesky factorization that
+    overwrites each block column with the factor's and then drops it from
+    ``columns``, so that its memory is freed unless the caller holds it.
+
+    Each diagonal block is factored by ``np.linalg.cholesky``, which reads
+    its lower triangle and fails exactly when the factorization meets a
+    pivot that is not positive.  The panel below it is solved against the
+    block's factor by ``np.linalg.solve`` on the index-reversed, so upper
+    triangular, factor: its LU meets only zeros below each pivot, swaps no
+    rows and computes only zero multipliers, which leaves a back
+    substitution.  The later block columns are then updated one at a time.
+    Beside ``columns`` it holds O(n * _BLOCK).
+    """
+    for k, column in enumerate(columns):
+        width = column.shape[1]
         try:
-            low = np.linalg.cholesky(a[first:end, first:end])
+            low = np.linalg.cholesky(column[:width])
         except np.linalg.LinAlgError:
             return False
-        a[first:end, first:end] = low
-        if end == n:
-            break
+        column[:width] = low
         # L21 = A21 L11^-T, that is L11 L21^T = A21^T, solved with rows reversed
-        panel = a[end:, first:end]
+        panel = column[width:]  # empty in the last block column
         panel[...] = np.linalg.solve(low[::-1, ::-1], panel.T[::-1])[::-1].T
-        for col in range(end, n, _BLOCK):
-            a[col:, col:col + _BLOCK] -= panel[col - end:] @ panel[col - end:col - end + _BLOCK].T
+        start = 0
+        for later in columns[k + 1:]:
+            later -= panel[start:] @ panel[start:start + later.shape[1]].T
+            start += later.shape[1]
+        columns[k] = None
     return True
 
 

@@ -234,7 +234,8 @@ def test_run_with_steps_beyond_physical_memory_exits_4(workdir, capsys):
 
 
 def test_run_beyond_the_certificates_memory_exits_4_before_factoring(workdir, monkeypatch, capsys):
-    # not even the certificate's one dense n x n matrix fits
+    # half an n x n matrix: not even the certificate's lower triangle, with
+    # its diagonal, fits
     n = 200
     cfg = write(workdir / "run.cfg", HFD_CFG.replace("complete_bipartite(5,5)", f"cycle({n})")
                 .replace("steps = 60", "steps = 5"))
@@ -243,7 +244,7 @@ def test_run_beyond_the_certificates_memory_exits_4_before_factoring(workdir, mo
     monkeypatch.setattr(np.linalg, "cholesky", lambda *args: factored.append(args))
     extreme_spectrum.cache_clear()
     assert main(["run", cfg]) == 4
-    assert "the certificate's 1 dense 200 x 200 matrix" in capsys.readouterr().err
+    assert "the certificate's lower triangle of a 200 x 200 matrix" in capsys.readouterr().err
     assert factored == []
 
 
@@ -309,16 +310,16 @@ def test_run_reads_lambda_max_and_rates_without_a_full_decomposition(workdir, mo
 
 
 def _counted_factorizations(monkeypatch) -> list[int]:
-    """The order of each dense Cholesky factorization run from here on, with
-    both spectrum caches emptied."""
+    """The order of each certificate's Cholesky factorization run from here
+    on, with both spectrum caches emptied."""
     factored = []
-    cholesky = gel.graphs._cholesky_in_place
+    factor = gel.graphs._factor_block_columns
 
-    def counted(a):
-        factored.append(a.shape[0])
-        return cholesky(a)
+    def counted(columns):
+        factored.append(columns[0].shape[0])  # the first block column has all n rows
+        return factor(columns)
 
-    monkeypatch.setattr(gel.graphs, "_cholesky_in_place", counted)
+    monkeypatch.setattr(gel.graphs, "_factor_block_columns", counted)
     extreme_spectrum.cache_clear()
     laplacian_spectrum.cache_clear()
     return factored

@@ -363,10 +363,106 @@ def test_blocked_cholesky_decides_definiteness(n, seed, definite):
         values[rng.integers(n)] = -0.01
     m = (q * values) @ q.T
     m = (m + m.T) / 2
-    a = m.copy()
-    assert gel.graphs._cholesky_in_place(a) == definite
+    columns = [m[first:, first:first + _B].copy() for first in range(0, n, _B)]
+    held = list(columns)  # the routine drops its own references as it goes
+    assert gel.graphs._factor_block_columns(columns) == definite
     if definite:
+        a = np.zeros((n, n))
+        for first, column in zip(range(0, n, _B), held):
+            a[first:, first:first + _B] = column
         assert np.abs(np.tril(a) - np.linalg.cholesky(m)).max() <= 1e-10
+
+
+def dense_certificate_matrix(g, weights, cv, v, shift):
+    """The certificate's M as the dense n x n array it was formed in before
+    the block columns: the edges scattered, the rank-k term added in row
+    blocks, then the shift."""
+    m = gel.graphs._scatter(g, weights)
+    for first in range(0, g.n, _B):
+        m[first:first + _B] += cv[first:first + _B] @ v.T
+    m.flat[:: g.n + 1] += shift
+    return m
+
+
+@pytest.mark.parametrize("side", [1, -1])
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize(
+    "g", [cycle(7), path(2 * _B + 3), erdos_renyi(3 * _B, 0.05, 2), complete_bipartite(100, 157)],
+    ids=["cycle7", "path2B+3", "er3B", "k100_157"],
+)
+def test_block_columns_hold_the_lower_triangle_of_the_dense_matrix(g, p, side):
+    rng = np.random.default_rng(g.n + p)
+    v = rng.standard_normal((g.n, p))
+    cv, weights, shift = 4.0 * v, side * gel.graphs._edge_weights(g), side * 0.37
+    dense = dense_certificate_matrix(g, weights, cv, v, shift)
+    columns = gel.graphs._lower_block_columns(g, weights, cv, v, shift)
+    firsts = range(0, g.n, _B)
+    assert len(columns) == len(firsts)
+    for first, column in zip(firsts, columns):
+        width = min(_B, g.n - first)
+        expected = dense[first:, first:first + width]
+        assert column.shape == expected.shape  # the diagonal block in full
+        if p == 1:  # each entry of the rank-1 term is one product, one rounding
+            assert np.array_equal(column, expected)
+        else:
+            # BLAS kernels of the two product shapes may round a two-term sum
+            # differently (with or without a fused multiply-add): a few units
+            # in the last place of the terms' magnitudes
+            scale = np.abs(expected) + np.abs(cv[first:]) @ np.abs(v[first:first + width]).T
+            assert np.all(np.abs(column - expected) <= 4 * np.finfo(float).eps * scale)
+
+
+def _read_ends(g):
+    """``extreme_spectrum(g)``'s certified flag, lambda_max, below_top,
+    lambda_2 and top vectors, from emptied caches."""
+    extreme_spectrum.cache_clear()
+    laplacian_spectrum.cache_clear()
+    ends = extreme_spectrum(g)
+    return (ends.certified, ends.lambda_max, ends.below_top, ends.lambda_2,
+            ends.top.eigenvectors.copy())
+
+
+def _with_dense_certificate(monkeypatch):
+    """Make the certificate form the dense M and factor all of it with one
+    ``np.linalg.cholesky``: a single block column as wide as M."""
+    def factored(columns):
+        try:
+            np.linalg.cholesky(columns[0])
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    monkeypatch.setattr(gel.graphs, "_lower_block_columns",
+                        lambda *args: [dense_certificate_matrix(*args)])
+    monkeypatch.setattr(gel.graphs, "_factor_block_columns", factored)
+
+
+def _assert_same_ends(monkeypatch, g):
+    blocked = _read_ends(g)
+    with monkeypatch.context() as patched:
+        _with_dense_certificate(patched)
+        dense = _read_ends(g)
+    assert blocked[:4] == dense[:4]
+    assert np.array_equal(blocked[4], dense[4])
+    return blocked[0]
+
+
+def test_the_block_certificate_decides_as_the_dense_one_on_the_witness_graphs(monkeypatch):
+    graphs = sorted({w.graph for w in default_suite()}, key=lambda g: (g.n, g.edges.tobytes()))
+    certified = [_assert_same_ends(monkeypatch, g) for g in graphs]
+    assert sum(certified) > len(graphs) // 2
+
+
+@pytest.mark.parametrize(
+    "g",
+    [build(n) for build in (cycle, path) for n in (3, 4, _B - 1, _B, _B + 1, 2 * _B + 3, 3 * _B)]
+    + [complete_bipartite(a, b) for a, b in ((1, 1), (2, 3), (_B // 2, _B // 2 + 1),
+                                             (_B, _B), (_B, 2 * _B))]
+    + [erdos_renyi(n, p, s) for n, p, s in ((400, 0.02, 7), (700, 0.009, 1), (1200, 0.01, 3))],
+    ids=repr,
+)
+def test_the_block_certificate_decides_as_the_dense_one(monkeypatch, g):
+    _assert_same_ends(monkeypatch, g)
 
 
 @pytest.mark.parametrize(

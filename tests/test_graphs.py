@@ -374,8 +374,8 @@ def test_dense_operator_beyond_physical_memory_is_refused_before_allocating():
 
 
 def test_each_dense_spectrum_site_guards_its_own_peak(monkeypatch):
-    # room for the certificate's one dense n x n array, not for the 5 of a
-    # full decomposition
+    # room for the certificate, not for the 5 dense n x n arrays of a full
+    # decomposition
     g = erdos_renyi(150, 0.1, 5)
     monkeypatch.setattr(gel.graphs, "_physical_memory", lambda: 3 * 8 * g.n**2)
     extreme_spectrum.cache_clear()
@@ -383,6 +383,13 @@ def test_each_dense_spectrum_site_guards_its_own_peak(monkeypatch):
     assert extreme_spectrum(g).certified
     with pytest.raises(NumericError, match="the full decomposition's 5 dense 150 x 150"):
         laplacian_spectrum(g)
+
+
+def test_the_certificate_guard_asks_for_the_lower_triangle(monkeypatch):
+    g = erdos_renyi(150, 0.1, 5)
+    monkeypatch.setattr(gel.graphs, "_physical_memory", lambda: 0.75 * 8 * g.n**2)
+    extreme_spectrum.cache_clear()
+    assert extreme_spectrum(g).certified
 
 
 def test_erdos_renyi_beyond_physical_memory_is_refused_before_allocating():
@@ -425,6 +432,28 @@ def test_certificate_holds_one_dense_array():
     ends, _, peak = _traced(lambda: (ends := extreme_spectrum(g), ends.lambda_2)[0])
     assert ends.certified
     assert peak <= 1.25 * 8 * g.n**2
+
+
+def test_certificate_holds_its_lower_triangle():
+    g = erdos_renyi(1200, 0.01, 3)
+    extreme_spectrum(cycle(10))  # warm up imports outside the trace
+    extreme_spectrum.cache_clear()
+    ends, _, peak = _traced(lambda: (ends := extreme_spectrum(g), ends.lambda_2)[0])
+    assert ends.certified
+    # the block columns' 4 n (n + _BLOCK) bytes and O(n * _BLOCK) beside them
+    assert peak <= 0.75 * 8 * g.n**2
+
+
+def test_the_certificate_forms_no_dense_matrix(monkeypatch):
+    def refused(*args):
+        raise AssertionError("_scatter called")
+
+    g = erdos_renyi(400, 0.02, 7)
+    monkeypatch.setattr(gel.graphs, "_scatter", refused)
+    extreme_spectrum.cache_clear()
+    ends = extreme_spectrum(g)
+    assert ends.certified
+    assert ends.lambda_2 > 0
 
 
 def test_erdos_renyi_holds_no_candidate_pairs():
