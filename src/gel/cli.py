@@ -134,14 +134,8 @@ def run_experiment(cfg: ExperimentConfig, seed_override: int | None = None) -> i
         "",
     ]
     if cfg.spec.variant in ("gradient_flow", "gradient_flow_nonlinear"):
-        weights = cfg.spec.weights
         try:
-            if np.any(weights.Omega != 0.0) or weights.has_source:
-                raise ConfigurationError(
-                    "the classification reads W alone; it needs Omega = 0 and "
-                    "no source (Wtilde = 0)"
-                )
-            lines += _regime_lines(classify_regime(cfg.graph, weights.W, cfg.spec.tau))
+            lines += _regime_lines(classify_regime(cfg.graph, cfg.spec))
         except GelError as exc:
             lines += ["regime classification unavailable:", f"  {exc}"]
         lines.append("")
@@ -197,7 +191,7 @@ def preset_bipartite_demo(
 
     spec_gf = ModelSpec("gradient_flow", weights=WeightSet(W=[[w_entry]]), tau=tau)
     spec_heat = ModelSpec("heat", tau=tau)
-    regime = classify_regime(g, spec_gf.weights.W, tau)
+    regime = classify_regime(g, spec_gf)
     traj_gf = run_trajectory(spec_gf, g, F0, steps)
     traj_heat = run_trajectory(spec_heat, g, F0, steps)
 

@@ -721,5 +721,5 @@ def spectral_filter_step(g: Graph, W, tau: float, F) -> np.ndarray:
     feats = as_features(g, F)
     pair = spectral_decomposition(square_matrix(W, "W", feats.shape[1]))
     z = feats @ pair.eigenvectors
-    z = z + float(tau) * _adjacency_product(g, z) * pair.eigenvalues[None, :]
+    z = z + scalar(tau, "tau") * _adjacency_product(g, z) * pair.eigenvalues[None, :]
     return z @ pair.eigenvectors.T

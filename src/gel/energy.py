@@ -18,6 +18,7 @@ from .graphs import (
     Graph,
     _adjacency_product,
     degree_vector,
+    scalar,
     spectral_decomposition,
     square_matrix,
     vector,
@@ -202,8 +203,8 @@ def _parametric_value(F: np.ndarray, mixing: float, weights: WeightSet, F0) -> f
 
 def lp_energy(g: Graph, Y, Y0, mu: float) -> float:
     """Label-propagation energy: Dirichlet term plus soft clamping to Y0."""
-    if not (np.isfinite(mu) and mu >= 0):
-        raise ValidationError(f"clamping strength mu must be finite and nonnegative, got {mu}")
+    if scalar(mu, "mu") < 0:
+        raise ValidationError(f"clamping strength mu must be nonnegative, got {mu!r}")
     y = as_features(g, Y)
     y0 = as_features(g, Y0, name="Y0")
     if y.shape != y0.shape:

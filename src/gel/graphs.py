@@ -396,7 +396,7 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     seed is incremented and the draw repeated, up to 100 attempts.
     """
     n = check_count(n, "erdos_renyi's n", 2)
-    if not 0.0 < p <= 1.0:
+    if not 0.0 < scalar(p, "edge probability") <= 1.0:
         raise ValidationError(f"edge probability must be in (0, 1], got {p!r}")
     seed = check_count(seed, "erdos_renyi seed")
     pairs = n * (n - 1) // 2

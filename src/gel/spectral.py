@@ -216,9 +216,11 @@ def closed_form_features(g: Graph, spec: ModelSpec, m: int, F0) -> FeatureState:
 # regime classification
 # ---------------------------------------------------------------------------
 
-def classify_regime(g: Graph, W, tau: float) -> RegimeReport:
+def classify_regime(g: Graph, spec: ModelSpec) -> RegimeReport:
     """Decide the asymptotic frequency regime of the residual-free flow.
 
+    It reads W and tau alone: a spec that is not a gradient flow, or has a
+    nonzero Omega or a source (Wtilde), is a ``ConfigurationError``.
     With a genuinely negative bottom weight eigenvalue the high-frequency
     candidate ``rho_minus = |mu_bottom|*(lambda_max-1)`` competes against
     ``mu_top``: the larger wins (HFD needs ``|mu_bottom|`` below the stability
@@ -226,13 +228,17 @@ def classify_regime(g: Graph, W, tau: float) -> RegimeReport:
     negative spectrum there is no repulsion: any positive ``mu_top`` gives
     LFD, and W ~ 0 is Boundary (the flow is the identity).
     """
+    if spec.variant not in ("gradient_flow", "gradient_flow_nonlinear"):
+        raise ConfigurationError(f"the classification is of a gradient flow, not {spec.variant!r}")
+    weights, tau = spec.weights, spec.tau
+    if np.any(weights.Omega != 0.0) or weights.has_source:
+        raise ConfigurationError(
+            "the classification reads W alone; it needs Omega = 0 and no source (Wtilde = 0)"
+        )
     require_connected(g, "regime classification")
-    tau = float(tau)
-    if not np.isfinite(tau) or tau <= 0:
-        raise ConfigurationError(f"step size tau must be positive, got {tau!r}")
     ends = extreme_spectrum(g)
     lambda_max = ends.lambda_max
-    wvals = spectral_decomposition(square_matrix(W, "W", symmetric=True)).eigenvalues
+    wvals = spectral_decomposition(weights.W).eigenvalues
     mu_bottom = float(wvals[0])
     mu_top = float(wvals[-1])
     rho_minus = abs(mu_bottom) * (lambda_max - 1.0)

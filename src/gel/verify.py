@@ -8,13 +8,13 @@ check serializes to a self-contained text document that ``gel replay`` can
 re-run verbatim.  A witness names its model's fields as a config does.  The
 diagonal weights are ``omega_diag``, a config's ``omega``.
 
-The checks that run a model and compare the run with a prediction are rows
-of ``PREDICTIONS``: the variant, each compared quantity at its tolerance,
-the frequency the final Rayleigh quotient must reach, and a default step
-count or horizon rule.  One runner serves them all; a new prediction is one row.
-It iterates ``trajectory_states`` and holds only the last two states, so a
-prediction run records no CSV columns and holds O(n d) however many steps it
-takes; the one Rayleigh quotient it compares comes from ``rayleigh_quotient``.
+The checks that run a model once and compare the run with a prediction are
+rows of ``PREDICTIONS``: the variant, each compared quantity (of the final
+state, or the worst over every state) at its tolerance, the frequency the
+final Rayleigh quotient must reach, and a default step count or horizon
+rule.  One runner serves them all; a new prediction is one row.  It streams
+``trajectory_states``, so it records no CSV columns and holds O(n d) at any
+step count.  ``rate_certification`` and ``monotonicity`` keep their own.
 
 The default battery that ``gel suite`` runs is data: one witness file per
 check under ``gel/suite``, each read and run as ``gel replay`` reads and runs
@@ -25,22 +25,16 @@ from __future__ import annotations
 
 import math
 import os
-from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice
+from functools import partial
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
 from . import energy as energy_mod
 from .config import _read_text
-from .dynamics import (
-    ModelSpec,
-    run_trajectory,
-    spectral_filter_step,
-    step_model,
-    trajectory_states,
-)
+from .dynamics import ModelSpec, spectral_filter_step, step_model, trajectory_states
 from .energy import WeightSet, as_features, parametric_energy
 from .energy import dirichlet_energy  # noqa: F401  (perfbench traces gel.verify.dirichlet_energy)
 from .errors import HypothesisError, NumericError, ParseError, RegimeError, ValidationError
@@ -73,6 +67,10 @@ __all__ = [
 
 #: Largest n*d for which the dense (n*d x n*d) oracle assemblies are built.
 ASSEMBLY_LIMIT = 4096
+
+#: Most steps a witness may ask for: 25 times the 40 000 of the longest run a
+#: test or shipped witness makes; a larger count would run until killed.
+MAX_STEPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -114,13 +112,14 @@ class Witness:
             raise ValidationError(f"check {self.check!r} needs scalar {name!r}")
         return default
 
-    def count(self, name: str, default: int | None = None) -> int:
-        value = self.scalar(name, default)
-        if not (math.isfinite(value) and float(value).is_integer()):
-            raise ValidationError(
-                f"check {self.check!r}: scalar {name!r} must be a whole number, got {value!r}"
-            )
-        return int(value)
+    def steps(self, default: int | None = None) -> int:
+        """The ``steps`` scalar, or ``default``: a whole number from 1 to MAX_STEPS."""
+        value = self.scalar("steps", default)
+        whole = float(value).is_integer()
+        if not whole or value > MAX_STEPS:
+            bound = f"at most {MAX_STEPS}" if whole else "a whole number"
+            raise ValidationError(f"check {self.check!r}: scalar 'steps' must be {bound}, got {value!r}")
+        return check_count(int(value), "steps", 1)
 
     def tag(self, name: str, default: str | None = None) -> str:
         if name in self.tags:
@@ -267,7 +266,7 @@ def _run_monotonicity(w: Witness) -> CheckReport:
     weights = _weights(w)
     feats = as_features(g, w.matrix("F0"))
     sigma = w.tag("sigma", "relu")
-    steps = check_count(w.count("steps", 50), "steps", 1)
+    steps = w.steps(50)
     tau_proxy = w.scalar("tau_proxy", 1e-3)
     tau_discrete = w.scalar("tau_discrete", 0.3)
     if tau_proxy > 1e-3:
@@ -342,12 +341,15 @@ def _direction_mismatch(direction: np.ndarray, predicted: np.ndarray) -> float:
     return float(min(np.abs(direction - predicted).max(), np.abs(direction + predicted).max()))
 
 
-def _horizon(ratio: float, target: float, cap: int = 20000) -> int:
+_HORIZON_CAP = 20000  # the steps of a horizon rule whose ratio never contracts
+
+
+def _horizon(ratio: float, target: float) -> int:
     if ratio <= 0.0:
         return 1
     if ratio >= 1.0:
-        return cap
-    return min(cap, max(1, math.ceil(math.log(target) / math.log(ratio))))
+        return _HORIZON_CAP
+    return min(_HORIZON_CAP, max(1, math.ceil(math.log(target) / math.log(ratio))))
 
 
 def _contracted(w: Witness, spec: ModelSpec, profile) -> int:
@@ -365,19 +367,81 @@ def _cgnn_horizon(w: Witness, spec: ModelSpec, profile) -> int:
     return _horizon(max(ratio, 0.0), 1e-8)
 
 
+def _dirichlet_change(sign: float, g: Graph, spec: ModelSpec, F0):
+    """The raw Dirichlet energy ``exp(2 log_scale) D`` times ``sign``: its
+    change from the state before, over ``max(1, |the value before|)``.  D is
+    summed over the edges, whose rows are looked up once a run."""
+    rows, before, change = energy_mod._edge_rows(g), None, -np.inf
+    while True:
+        state = yield change
+        head, tail = rows(state.direction)
+        diffs = head - tail
+        raw = np.exp(2.0 * state.log_scale) * float(np.sum(diffs * diffs))
+        change = -np.inf if before is None else sign * (raw - before) / max(1.0, abs(before))
+        before = raw
+
+
+def _conservation(g: Graph, spec: ModelSpec, F0):
+    """The drift of the raw frequency-zero coefficients
+    ``exp(log_scale) phi0^T F psi`` from their start, over the state's norm
+    ``max(1, exp(log_scale))``: their roundoff grows with that norm, the law
+    does not."""
+    phi0 = laplacian_spectrum(g).eigenvectors[:, 0]
+    psi = spectral_decomposition(spec.weights.W).eigenvectors
+    first, drift = None, -np.inf
+    while True:
+        state = yield drift
+        coeff = phi0 @ state.direction @ psi
+        if first is None:
+            first = math.exp(state.log_scale) * coeff
+        # both terms over max(1, exp(log_scale)), with no exp that can overflow
+        shrink = math.exp(-max(state.log_scale, 0.0))
+        drift = np.abs(math.exp(min(state.log_scale, 0.0)) * coeff - shrink * first).max()
+
+
+def _commutation(g: Graph, spec: ModelSpec, F0):
+    """The distance from the direction to the unit direction of the same run
+    iterated without renormalization, from the first step on."""
+    raw, distance = as_features(g, F0), -np.inf
+    yield distance  # started; both runs begin at the first state sent
+    while True:
+        state = yield distance
+        raw = step_model(spec, g, raw)
+        distance = float(np.abs(raw / float(np.linalg.norm(raw)) - state.direction).max())
+
+
+#: The quantities of every state: a generator made once a run, which yields
+#: -inf when started and then, sent each state in turn, that state's error.
+_ALONG = {
+    "descent": partial(_dirichlet_change, 1.0),
+    "ascent": partial(_dirichlet_change, -1.0),
+    "conservation": _conservation,
+    "commutation": _commutation,
+}
+
+#: The quantities of the final state ``e.final``, against the closed form
+#: ``e.exact``, the Rayleigh quotient's ``e.target`` or the ``e.profile``.
+_AT_END = {
+    "direction": lambda e: np.abs(e.final.direction - e.exact.direction).max(),
+    "log_scale": lambda e: abs(e.final.log_scale - e.exact.log_scale),
+    "rayleigh": lambda e: abs(energy_mod.rayleigh_quotient(e.g, e.final.direction) - e.target),
+    "sign_free": lambda e: _direction_mismatch(e.final.direction, e.profile.direction),
+    "growth": lambda e: abs(e.final.log_scale - e.previous.log_scale - math.log(e.profile.growth)),
+    "terminal": lambda e: np.abs(e.final.features() - e.profile.terminal).max(),
+}
+
+
 @dataclass(frozen=True)
 class _Prediction:
     """A check that runs ``variant`` and compares the run with a prediction.
 
-    ``tolerances`` maps each compared quantity to its tolerance:
-    ``direction`` and ``log_scale`` of the final state against
-    ``closed_form_features``; ``rayleigh``, the final Rayleigh quotient,
-    against ``frequency``; ``sign_free``, the final direction up to sign,
-    ``growth``, the last step's log-growth, and ``terminal``, the final
-    features, against ``asymptotic_profile``.  ``frequency`` is "LFD" (0),
-    "HFD" (lambda_max), or "expected": the witness's ``expected`` tag,
-    which ``classify_regime`` must confirm.  ``steps`` is the default step
-    count (None: the witness must give one) or a horizon rule.
+    ``tolerances`` maps each compared quantity (of ``_AT_END`` or
+    ``_ALONG``) to its tolerance.  ``frequency`` is "LFD" (0), "HFD"
+    (lambda_max), or "expected": the witness's ``expected`` tag, which
+    ``classify_regime`` must confirm.  ``steps`` is the default step count
+    (None: the witness must give one) or a horizon rule; ``sigma`` the
+    default ``sigma`` tag (None: none is read); ``max_tau`` the step size
+    bound on a graph and the message refusing a larger step.
     """
 
     variant: str
@@ -385,6 +449,8 @@ class _Prediction:
     frequency: str | None = None
     steps: int | Callable[[Witness, ModelSpec, object], int] | None = 2000
     source_free: bool = False
+    sigma: str | None = None
+    max_tau: tuple[Callable[[Graph], float], str] | None = None
 
 
 PREDICTIONS = {
@@ -400,49 +466,56 @@ PREDICTIONS = {
     "grand_mean": _Prediction("grand_linear", {"terminal": 1e-8}),
     "cgnn_decay": _Prediction(
         "cgnn", {"rayleigh": 1e-6}, "LFD", _cgnn_horizon, source_free=True),
+    "heat_monotone": _Prediction("heat", {"descent": 1e-9}, steps=200, max_tau=(
+        lambda g: 1.0 / extreme_spectrum(g).lambda_max,
+        "heat smoothing needs tau <= 1/lambda_max = {:.6g}")),
+    "pde_gcn_monotone": _Prediction("pde_gcn_d", {"descent": 1e-9}, steps=100, max_tau=(
+        lambda g: 1e-3, "the diffusion-with-metric proxy needs tau <= 1e-3")),
+    "diag_sharpening": _Prediction("diag_nonlinear", {"ascent": 1e-9}, steps=200, sigma="relu"),
+    "conservation": _Prediction("laplacian_omega_eq_w", {"conservation": 1e-9}, steps=500),
+    "scale_commutation": _Prediction("gradient_flow", {"commutation": 1e-9}, steps=30),
 }
 
 
 def _run_prediction(w: Witness) -> CheckReport:
     """Run the witness's model and compare it with its row of PREDICTIONS.
 
-    The run streams ``trajectory_states`` and keeps the final state and the
-    one before it, for the last step's log-growth; the final Rayleigh
-    quotient is ``rayleigh_quotient`` of the final direction.  A step count
-    the witness gives must be at least 1.  One quantity reports its own
-    error and tolerance; several report the worst error in units of its
-    tolerance, against 1.
+    The run streams ``trajectory_states``, hands each state to the row's
+    ``_ALONG`` quantities and keeps the final state and the one before it.
+    One quantity reports its own error and tolerance; several report the
+    worst error in units of its tolerance, against 1.
     """
     row = PREDICTIONS[w.check]
     g, F0, tolerances = w.graph, w.matrix("F0"), row.tolerances
-    spec = _spec(w, row.variant, source_free=row.source_free)
+    given = {} if row.sigma is None else {"sigma": w.tag("sigma", row.sigma)}
+    spec = _spec(w, row.variant, source_free=row.source_free, **given)
+    bound = row.max_tau[0](g) if row.max_tau else np.inf
+    if spec.tau > bound:
+        raise ValidationError(row.max_tau[1].format(bound))
     frequency = row.frequency
     if frequency == "expected":
         frequency = w.tag("expected")
-        if classify_regime(g, spec.weights.W, spec.tau).regime != frequency:
+        if classify_regime(g, spec).regime != frequency:
             return _report(w.label, np.inf, 1.0, w)
     profile = None
     if tolerances.keys() & {"sign_free", "growth", "terminal"}:
         profile = asymptotic_profile(g, spec, F0)
         if "terminal" in tolerances and profile.terminal is None:
             raise HypothesisError(f"the {profile.label} profile has no terminal state")
-    if callable(row.steps):
-        steps = row.steps(w, spec, profile)
-    else:
-        steps = check_count(w.count("steps", row.steps), "steps", 1)
-    previous, final = deque(trajectory_states(spec, g, F0, steps), maxlen=2)
+    steps = row.steps(w, spec, profile) if callable(row.steps) else w.steps(row.steps)
+    along = {q: _ALONG[q](g, spec, F0) for q in tolerances if q in _ALONG}
+    errors = {quantity: next(measure) for quantity, measure in along.items()}
+    previous = final = None
+    for state in trajectory_states(spec, g, F0, steps):
+        for quantity, measure in along.items():
+            errors[quantity] = np.maximum(errors[quantity], measure.send(state))
+        previous, final = final, state
     closed = tolerances.keys() & {"direction", "log_scale"}
     exact = closed_form_features(g, spec, steps, F0) if closed else None
     target = extreme_spectrum(g).lambda_max if frequency == "HFD" else 0.0
-    measure = {
-        "direction": lambda: np.abs(final.direction - exact.direction).max(),
-        "log_scale": lambda: abs(final.log_scale - exact.log_scale),
-        "rayleigh": lambda: abs(energy_mod.rayleigh_quotient(g, final.direction) - target),
-        "sign_free": lambda: _direction_mismatch(final.direction, profile.direction),
-        "growth": lambda: abs(final.log_scale - previous.log_scale - math.log(profile.growth)),
-        "terminal": lambda: np.abs(final.features() - profile.terminal).max(),
-    }
-    errors = {quantity: float(measure[quantity]()) for quantity in tolerances}
+    ending = SimpleNamespace(g=g, previous=previous, final=final, exact=exact,
+                             profile=profile, target=target)
+    errors = {q: float(errors[q] if q in along else _AT_END[q](ending)) for q in tolerances}
     if len(errors) == 1:
         ((quantity, error),) = errors.items()
         return _report(w.label, error, tolerances[quantity], w)
@@ -453,7 +526,7 @@ def _run_rate_certification(w: Witness) -> CheckReport:
     g = w.graph
     F0 = w.matrix("F0")
     spec = _spec(w, "gradient_flow")
-    report = classify_regime(g, spec.weights.W, spec.tau)
+    report = classify_regime(g, spec)
     if report.regime != "HFD":
         raise RegimeError("convergence rates are defined in the HFD regime only; "
                           f"classification here is {report.regime}")
@@ -474,62 +547,6 @@ def _run_rate_certification(w: Witness) -> CheckReport:
         prev = (residual / dominant) if dominant > 0 else None
     max_error = worst - report.rate_ratio
     return _report(w.label, max_error, 1e-9, w)
-
-
-def _run_conservation(w: Witness) -> CheckReport:
-    """The raw frequency-zero coefficients ``exp(log_scale) phi0^T F psi``
-    stay at their start, within 1e-9 of the state's norm
-    ``max(1, exp(log_scale))``: their roundoff grows with that norm, the law
-    does not."""
-    g = w.graph
-    steps = check_count(w.count("steps", 500), "steps", 1)
-    F0 = w.matrix("F0")
-    spec = _spec(w, "laplacian_omega_eq_w")
-    phi0 = laplacian_spectrum(g).eigenvectors[:, 0]
-    psi = spectral_decomposition(spec.weights.W).eigenvectors
-    first, drift = None, 0.0
-    for state in trajectory_states(spec, g, F0, steps):
-        coeff = phi0 @ state.direction @ psi
-        if first is None:
-            first = math.exp(state.log_scale) * coeff
-        # both terms over max(1, exp(log_scale)), with no exp that can overflow
-        shrink = math.exp(-max(state.log_scale, 0.0))
-        moved = math.exp(min(state.log_scale, 0.0)) * coeff - shrink * first
-        drift = np.maximum(drift, np.abs(moved).max())
-    return _report(w.label, float(drift), 1e-9, w)
-
-
-def _dirichlet_monotone(
-    w: Witness, spec: ModelSpec, steps: int, sign: float = 1.0
-) -> CheckReport:
-    """The raw Dirichlet energy times ``sign`` is nonincreasing along the
-    run, within 1e-9: smoothing for ``sign = 1``, sharpening for -1."""
-    traj = run_trajectory(spec, w.graph, w.matrix("F0"), check_count(steps, "steps", 1))
-    raw_dirichlet = np.exp(2.0 * traj.log_scale) * traj.dirichlet
-    housing = np.maximum(1.0, np.abs(raw_dirichlet[:-1]))
-    violation = float(np.max(sign * np.diff(raw_dirichlet) / housing))
-    return _report(w.label, violation, 1e-9, w)
-
-
-def _run_heat_monotone(w: Witness) -> CheckReport:
-    tau = w.scalar("tau")
-    lambda_max = float(laplacian_spectrum(w.graph).eigenvalues[-1])
-    if tau > 1.0 / lambda_max:
-        raise ValidationError(
-            f"heat smoothing needs tau <= 1/lambda_max = {1.0 / lambda_max:.6g}"
-        )
-    return _dirichlet_monotone(w, _spec(w, "heat"), w.count("steps", 200))
-
-
-def _run_pde_gcn_monotone(w: Witness) -> CheckReport:
-    if w.scalar("tau") > 1e-3:
-        raise ValidationError("the diffusion-with-metric proxy needs tau <= 1e-3")
-    return _dirichlet_monotone(w, _spec(w, "pde_gcn_d"), w.count("steps", 100))
-
-
-def _run_diag_sharpening(w: Witness) -> CheckReport:
-    spec = _spec(w, "diag_nonlinear", sigma=w.tag("sigma", "relu"))
-    return _dirichlet_monotone(w, spec, w.count("steps", 200), sign=-1.0)
 
 
 def _run_decomposition(w: Witness) -> CheckReport:
@@ -554,20 +571,6 @@ def _run_special_cases(w: Witness) -> CheckReport:
     lp = step_model(_spec(w, "label_propagation"), g, F)
     max_error = max(float(np.abs(heat - as_flow).max()), float(np.abs(heat - lp).max()))
     return _report(w.label, max_error, 1e-12, w)
-
-
-def _run_scale_commutation(w: Witness) -> CheckReport:
-    g = w.graph
-    steps = check_count(w.count("steps", 30), "steps", 1)
-    F0 = w.matrix("F0")
-    spec = _spec(w, "gradient_flow")
-    raw = as_features(g, F0)
-    worst = 0.0
-    for state in islice(trajectory_states(spec, g, F0, steps), 1, None):
-        raw = step_model(spec, g, raw)
-        raw_dir = raw / float(np.linalg.norm(raw))
-        worst = max(worst, float(np.abs(raw_dir - state.direction).max()))
-    return _report(w.label, worst, 1e-9, w)
 
 
 def _run_spectral_sanity(w: Witness) -> CheckReport:
@@ -599,13 +602,8 @@ CHECK_RUNNERS = {
     "monotonicity": _run_monotonicity,
     **dict.fromkeys(PREDICTIONS, _run_prediction),
     "rate_certification": _run_rate_certification,
-    "conservation": _run_conservation,
-    "heat_monotone": _run_heat_monotone,
-    "pde_gcn_monotone": _run_pde_gcn_monotone,
-    "diag_sharpening": _run_diag_sharpening,
     "decomposition": _run_decomposition,
     "special_cases": _run_special_cases,
-    "scale_commutation": _run_scale_commutation,
     "spectral_sanity": _run_spectral_sanity,
 }
 

@@ -15,6 +15,8 @@ import numpy as np
 
 import gel.verify as verify
 from gel.cli import main
+from gel.dynamics import ModelSpec
+from gel.energy import WeightSet
 from gel.graphs import (
     complete_bipartite,
     cycle,
@@ -30,6 +32,11 @@ def _sym(rng, spectrum):
     vals = np.asarray(spectrum, dtype=float)
     q, _ = np.linalg.qr(rng.normal(size=(vals.size, vals.size)))
     return (q * vals) @ q.T
+
+
+def _flow(w, tau):
+    """The gradient-flow spec with weights W = w alone."""
+    return ModelSpec("gradient_flow", weights=WeightSet(W=w), tau=tau)
 
 
 def _witness(check, label, g, matrices, scalars=None, tags=None):
@@ -95,7 +102,7 @@ def _hfd_spectrum(rng, g, d, tau):
     inner = rng.uniform(-0.6 * bottom, 0.85 * top, size=max(d - 2, 0))
     spectrum = np.concatenate([[-bottom], inner, [top]])[:d]
     w = _sym(rng, spectrum)
-    assert classify_regime(g, w, tau).regime == "HFD"
+    assert classify_regime(g, _flow(w, tau)).regime == "HFD"
     return w
 
 
@@ -168,7 +175,7 @@ def test_03_lfd_realization():
             rest = rng.uniform(-min(ceiling, 0.8 * top), 0.8 * top, size=d - 1)
             spectrum = np.concatenate([rest, [top]])
         w = _sym(rng, spectrum)
-        assert classify_regime(g, w, 0.5).regime == "LFD"
+        assert classify_regime(g, _flow(w, 0.5)).regime == "LFD"
         witnesses.append(
             _witness(
                 "regime_realization", f"accept3_{i:02d}", g,
@@ -208,7 +215,7 @@ def test_05_no_residual_forces_low_frequency():
             _witness("no_residual_lfd", f"accept5_nr_{i:02d}", g,
                      {"W": w, "F0": F0}, {"tau": 0.5})
         )
-        if classify_regime(g, w, 0.5).regime == "HFD":
+        if classify_regime(g, _flow(w, 0.5)).regime == "HFD":
             flows += 1
             witnesses.append(
                 _witness("regime_realization", f"accept5_gf_{i:02d}", g,

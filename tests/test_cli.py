@@ -692,6 +692,33 @@ def test_replay_of_a_shipped_run_with_no_steps_exits_3(workdir, capsys, name):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "kind",
+    [kind for kind, row in verify.PREDICTIONS.items() if not callable(row.steps)]
+    + ["monotonicity"],
+)
+def test_replay_of_a_step_count_past_the_cap_exits_3_before_running(workdir, capsys, kind):
+    w = next(w for w in verify.default_suite() if w.check == kind)
+    w.scalars["steps"] = 1e300
+    path = write(workdir / "w.txt", verify.serialize_witness(w))
+    assert main(["replay", path]) == 3
+    err = capsys.readouterr().err
+    assert f"at most {verify.MAX_STEPS}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["21_hfd_realized_er9", "22_rate_certified_er9"])
+@pytest.mark.parametrize("scale", [-1.0, 0.5])
+def test_replay_of_a_classified_check_with_an_omega_exits_3(workdir, capsys, name, scale):
+    # the classification reads W alone: it cannot stand for a model with Omega
+    with open(os.path.join(verify._SUITE_DIR, name + ".txt")) as f:
+        w = verify.parse_witness(f.read())
+    w.matrices["Omega"] = scale * np.eye(w.matrix("W").shape[0])
+    path = write(workdir / "w.txt", verify.serialize_witness(w))
+    assert main(["replay", path]) == 3
+    err = capsys.readouterr().err
+    assert "needs Omega = 0" in err and "Traceback" not in err
+
+
 def _nan_entry(matrix):
     matrix = matrix.copy()
     matrix[0, -1] = np.nan

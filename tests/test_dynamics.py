@@ -949,6 +949,13 @@ def test_spectral_filter_matches_dense_step():
         assert np.abs(filtered - dense).max() < 1e-12
 
 
+@pytest.mark.parametrize("tau, message", [("x", "real number"), (True, "real number"),
+                                          (np.nan, "finite")])
+def test_spectral_filter_checks_its_step_size_as_a_scalar(tau, message):
+    with pytest.raises(ValidationError, match=f"tau must be .*{message}"):
+        spectral_filter_step(cycle(5), np.eye(1), tau, np.ones((5, 1)))
+
+
 # --- a start near the top of the floating range -------------------------------
 
 _HUGE_START = np.array([[1e300, 0.0], [0.0, 2.0], [1.0, 1.0], [0.0, 0.0], [3.0, 0.0]])

@@ -224,6 +224,12 @@ def test_lp_energy_rejects_non_finite_mu(mu):
         lp_energy(path(2), np.ones(2), np.ones(2), mu=mu)
 
 
+@pytest.mark.parametrize("mu", ["x", True, None])
+def test_lp_energy_refuses_a_mu_that_is_not_a_real_number(mu):
+    with pytest.raises(ValidationError, match="mu must be a real number"):
+        lp_energy(path(2), np.ones(2), np.ones(2), mu=mu)
+
+
 # --- weight factories -------------------------------------------------------
 
 def test_make_weights_symmetrize():

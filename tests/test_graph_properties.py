@@ -218,7 +218,8 @@ def test_the_regime_is_the_frequency_a_long_run_reaches(case, d, data):
     g = Graph(*case)
     w = data.draw(hnp.arrays(float, (d, d), elements=st.floats(-2.0, 2.0)))
     W, tau = w + w.T, 0.5
-    report = classify_regime(g, W, tau)
+    spec = ModelSpec("gradient_flow", weights=WeightSet(W=W), tau=tau)
+    report = classify_regime(g, spec)
     # Discarded, and nothing else: a step too large for HFD, and draws within
     # REGIME_MARGIN of the Boundary, where the high-frequency exponent
     # rho_minus (0 without negative spectrum) ties the low-frequency mu_top
@@ -227,7 +228,6 @@ def test_the_regime_is_the_frequency_a_long_run_reaches(case, d, data):
     rho = report.rho_minus if report.mu_bottom < 0.0 else 0.0
     assume(abs(rho - report.mu_top) >= REGIME_MARGIN)
     assert report.regime in ("HFD", "LFD")
-    spec = ModelSpec("gradient_flow", weights=WeightSet(W=W), tau=tau)
     F0 = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(size=(g.n, d))
     profile = asymptotic_profile(g, spec, F0)
     traj = run_trajectory(spec, g, F0, _horizon(profile.contraction, 1e-9))

@@ -497,6 +497,13 @@ def test_erdos_renyi_rejects_a_seed_numpy_cannot_take(seed):
         erdos_renyi(20, 0.5, seed)
 
 
+@pytest.mark.parametrize("p, message", [("x", "real number"), (True, "real number"),
+                                        (np.nan, "finite")])
+def test_erdos_renyi_checks_its_edge_probability_as_a_scalar(p, message):
+    with pytest.raises(ValidationError, match=f"edge probability must be .*{message}"):
+        erdos_renyi(20, p, 1)
+
+
 def test_vector_returns_a_fresh_flat_float_copy():
     given = np.array([[1, 2, 3]])
     v = vector(given, "q", 3)

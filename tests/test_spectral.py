@@ -29,6 +29,11 @@ from gel.spectral import asymptotic_profile, classify_regime, closed_form_featur
 from gel.verify import Witness, run_check
 
 
+def flow(W, tau):
+    """The gradient-flow spec with weights W alone."""
+    return ModelSpec("gradient_flow", weights=WeightSet(W=W), tau=tau)
+
+
 def sym(rng, spectrum):
     vals = np.asarray(spectrum, dtype=float)
     q, _ = np.linalg.qr(rng.normal(size=(vals.size, vals.size)))
@@ -194,38 +199,38 @@ def test_huge_symmetric_channel_factor_gives_a_finite_state_or_a_gel_error():
 # --- regime classification --------------------------------------------------
 
 def test_hfd_on_k2_with_negative_weight():
-    rep = classify_regime(path(2), np.array([[-1.0]]), 0.5)
+    rep = classify_regime(path(2), flow(np.array([[-1.0]]), 0.5))
     assert rep.regime == "HFD"
     assert rep.rho_minus == pytest.approx(1.0, abs=1e-9)
     assert np.isinf(rep.step_bound)  # bipartite: no step-size ceiling
 
 
 def test_lfd_on_k2_with_positive_weight():
-    rep = classify_regime(path(2), np.array([[1.0]]), 0.5)
+    rep = classify_regime(path(2), flow(np.array([[1.0]]), 0.5))
     assert rep.regime == "LFD"
     assert rep.rate_ratio is None
 
 
 def test_boundary_when_growths_tie():
     # K_2 (lambda_max = 2), W = diag(1, -1): rho_minus = 1 = mu_top exactly
-    rep = classify_regime(path(2), np.diag([1.0, -1.0]), 0.5)
+    rep = classify_regime(path(2), flow(np.diag([1.0, -1.0]), 0.5))
     assert rep.regime == "Boundary"
 
 
 def test_nonnegative_spectrum_without_positive_top_is_boundary():
-    rep = classify_regime(path(2), np.zeros((2, 2)), 0.5)
+    rep = classify_regime(path(2), flow(np.zeros((2, 2)), 0.5))
     assert rep.regime == "Boundary"
 
 
 def test_subnormal_weights_are_boundary():
     # eigenvalues this small cannot reconstruct W to relative precision
     W = [[0.0, 1e-323], [1e-323, 1e-323]]
-    assert classify_regime(path(2), W, 0.5).regime == "Boundary"
+    assert classify_regime(path(2), flow(W, 0.5)).regime == "Boundary"
 
 
 def test_step_size_violation_on_non_bipartite():
     # C5: lambda_max ~ 1.809, bound = 2/(tau*(2-lambda_max)) ~ 20.9 at tau=0.5
-    rep = classify_regime(cycle(5), np.array([[-25.0]]), 0.5)
+    rep = classify_regime(cycle(5), flow(np.array([[-25.0]]), 0.5))
     assert rep.regime == "StepSizeViolated"
     assert abs(rep.mu_bottom) > rep.step_bound
 
@@ -236,26 +241,37 @@ def test_step_size_violation_on_non_bipartite():
 ])
 def test_classify_names_W_in_its_errors(W, message):
     with pytest.raises(ValidationError, match=message):
-        classify_regime(path(2), W, 0.5)
+        classify_regime(path(2), flow(W, 0.5))
+
+
+@pytest.mark.parametrize("spec, message", [
+    (ModelSpec("gradient_flow", weights=WeightSet(W=[[-1.0]], Omega=[[0.5]])), "Omega = 0"),
+    (ModelSpec("gradient_flow", weights=WeightSet(W=[[-1.0]], Wtilde=[[0.3]])), "no source"),
+    (ModelSpec("no_residual", weights=WeightSet(W=[[-1.0]])), "not 'no_residual'"),
+    (ModelSpec("heat"), "not 'heat'"),
+])
+def test_classify_refuses_a_spec_it_cannot_read_off_W(spec, message):
+    with pytest.raises(ConfigurationError, match=message):
+        classify_regime(path(2), spec)
 
 
 def test_classify_requires_connected():
     with pytest.raises(ValidationError):
-        classify_regime(Graph(4, ((0, 1), (2, 3))), np.array([[-1.0]]), 0.5)
+        classify_regime(Graph(4, ((0, 1), (2, 3))), flow(np.array([[-1.0]]), 0.5))
 
 
 # --- rates ------------------------------------------------------------------
 
 def test_rates_frozen_k2():
     # K_2, W = [[-1]], tau = 0.5: delta = -1, epsilon = 2, ratio = 1/3
-    rep = classify_regime(path(2), np.array([[-1.0]]), 0.5)
+    rep = classify_regime(path(2), flow(np.array([[-1.0]]), 0.5))
     assert rep.delta_hfd == pytest.approx(-1.0, abs=1e-9)
     assert rep.epsilon_hfd == pytest.approx(2.0, abs=1e-9)
     assert rep.rate_ratio == pytest.approx(1.0 / 3.0, abs=1e-9)
 
 
 def test_rates_refuse_non_hfd():
-    rep = classify_regime(path(2), np.array([[1.0]]), 0.5)
+    rep = classify_regime(path(2), flow(np.array([[1.0]]), 0.5))
     assert rep.regime == "LFD"
     assert (rep.delta_hfd, rep.epsilon_hfd, rep.rate_ratio) == (None, None, None)
     witness = Witness("rate_certification", "rates_lfd_k2", path(2),
@@ -274,7 +290,7 @@ def test_rate_ratio_bounds_every_subdominant_mode():
         d = int(rng.integers(1, 5))
         wmat = sym(rng, rng.uniform(-1.5, 1.0, size=d))
         tau = float(rng.choice([0.25, 0.5]))
-        rep = classify_regime(g, wmat, tau)
+        rep = classify_regime(g, flow(wmat, tau))
         if rep.regime != "HFD":
             continue
         hits += 1
