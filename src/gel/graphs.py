@@ -19,10 +19,11 @@ form that rule picks for its width once, from ``_product_for``.
 ``laplacian_spectrum`` is the full, checked ``numpy.linalg.eigh`` of the
 normalized Laplacian.
 ``extreme_spectrum`` gives only its two ends, the eigenpairs at 0 and at
-lambda_max and the next eigenvalue inward from each, from a Lanczos
-iteration on the same edge sum.  Residual bounds and a Cholesky
-factorization of a matrix's lower triangle, formed and factored one block
-column at a time, certify that no eigenvalue was missed at the top;
+lambda_max and the next eigenvalue inward from each, from a thick-restart
+Lanczos iteration on the same edge sum, which holds O(n * _RESTART) and
+checks each Ritz pair by its explicit residual.  Residual bounds and a
+Cholesky factorization of a matrix's lower triangle, formed and factored
+one block column at a time, certify that no eigenvalue was missed at the top;
 lambda_2 is certified the same way, in new block columns, only when
 something reads it, and 0 needs no certificate on a connected graph.
 A failed certificate falls back to the full decomposition.  A
@@ -237,7 +238,9 @@ class SpectrumEnds:
     eigenvalue lies between the clusters, lambda_2 belongs to the top one and
     below_top to the bottom one.  ``certified`` is False when the ends were
     read off ``laplacian_spectrum``; a lambda_2 whose own certificate fails
-    is read off it too, and leaves ``certified`` as it was.
+    is read off it too, and leaves ``certified`` as it was.  Certified ends
+    are the Ritz pairs of ``extreme_spectrum``'s restarted Lanczos
+    iteration, and its certificate, not the iteration, proves them.
 
     ``lambda_2`` is found on its first read, by ``find_lambda_2``, and kept,
     so ``extreme_spectrum`` certifies it only when something reads it (the
@@ -789,10 +792,52 @@ def laplacian_spectrum(g: Graph) -> SpectralPair:
     return _checked_eigh(_laplacian(g))
 
 
-#: Lanczos steps before the iteration gives up and the full decomposition
-#: runs: 400 steps that do not converge on cycle(1001) cost about as much
-#: as its full decomposition.
+#: Operator products ``L v`` before the iteration gives up and the full
+#: decomposition runs.  The products an iteration needed (its Ritz pairs
+#: are checked at each restart: after 60, 100, 140, ... products) and the
+#: ms it took, the range of medians of 3 or 5 calls after a warm-up, on a
+#: 2-vCPU Xeon (numpy 2.4.6 with OpenBLAS 0.3.31, 2 threads); the cycles,
+#: whose double lambda_max fails the certificate anyway, spend the budget:
+#:
+#: ==================================  ========  ========  ===============
+#: graph (mean degree)                 products  ms        unrestarted ms
+#: ==================================  ========  ========  ===============
+#: erdos_renyi(400, 0.02, 7) (8)       140       8-12      17-22
+#: erdos_renyi(1000, 0.008, 7) (8)     180       15-27     36-47
+#: erdos_renyi(1200, 0.01, 3) (12)     180       17-30     54-71
+#: erdos_renyi(2000, 0.004, 3 or 11)  220       30-50     116-155
+#: erdos_renyi(2000, 0.004, 7) (8)     260       38-60     136-202
+#: erdos_renyi(6000, 0.0015, 1) (9)    340       190-250
+#: erdos_renyi(8000, 10 / n, 1)        300       230-240
+#: erdos_renyi(12000, 10 / n, 1)       340       350-390
+#: cycle(1001), falls back             400       28-45     150-235
+#: cycle(4000), falls back             400       100-140   345-455
+#: ==================================  ========  ========  ===============
+#:
+#: The largest graphs leave 60 products of margin, one and a half restarts.
+#: A budget of 1600 converges on cycle(1001) after 900 products, to fail the
+#: certificate, and spends 420-540 ms on cycle(4000), more than the
+#: unrestarted 400 steps.
 _LANCZOS_STEPS = 400
+
+#: Rows of the Lanczos basis, each held beside its image ``L v``, and the
+#: Ritz pairs nearest each end that a restart keeps: the iteration holds
+#: 2 _RESTART n floats.  Products and median ms of the iteration (5 calls,
+#: same machine as above); 60 / 10 needs about the fewest products and is
+#: within the noise of the fastest:
+#:
+#: ================  =====================  =============
+#: _RESTART / _KEEP  ER n=2000, 3 seeds     ER n=6000
+#: ================  =====================  =============
+#: 40 / 10           220-240, 30-39 ms      360, 247 ms
+#: 60 / 5            260, 48-50 ms          360, 255 ms
+#: 60 / 10           220-260, 40-48 ms      340, 242 ms
+#: 60 / 20           220-240, 49-55 ms      320, 282 ms
+#: 80 / 10           260, 57-59 ms          320, 231 ms
+#: 100 / 10          260, 45-59 ms          340, 279 ms
+#: ================  =====================  =============
+_RESTART = 60
+_KEEP = 10
 
 #: Residual norm at which a Ritz pair counts as converged.
 _RESIDUAL_TOL = 1e-12
@@ -805,12 +850,14 @@ def extreme_spectrum(g: Graph) -> SpectrumEnds:
 
     On a connected graph the kernel vector ``phi0 = sqrt(deg) / |sqrt(deg)|``
     is known, and on a connected bipartite one so is lambda_max = 2, whose
-    vector is phi0 with its sign flipped on one colour class.  A Lanczos
-    iteration with full reorthogonalization on the complement of these finds
-    the rest of both ends from a fixed start vector.  It stops once their
-    residual estimates fall below ``_RESIDUAL_TOL`` or the Krylov space is
-    invariant.  The top end is then certified in two steps, and so is the
-    bottom end when ``lambda_2`` is first read:
+    vector is phi0 with its sign flipped on one colour class.  A
+    thick-restart Lanczos iteration (``_lanczos``) with full
+    reorthogonalization on the complement of these finds the rest of both
+    ends from a fixed start vector, in a basis of at most ``_RESTART`` rows.
+    It stops once the explicit residuals ``|L y - theta y|`` of their Ritz
+    pairs fall below ``_RESIDUAL_TOL`` or the Krylov space is invariant.
+    The iteration proves nothing: the top end is then certified in two
+    steps, and so is the bottom end when ``lambda_2`` is first read:
 
     - The pairs of the end's cluster and of the next eigenvalue inward have
       residuals R.  As many eigenvalues lie within ``rho = sqrt(2) |R|_F``
@@ -833,15 +880,15 @@ def extreme_spectrum(g: Graph) -> SpectrumEnds:
     eigenvalue lies between it and the next one.  The bottom cluster is 0
     alone, exactly, as the graph is connected, unless a Ritz value lies
     within ``TIE_TOL`` of 0; then the bottom end is certified at once.  A
-    disconnected graph, an iteration that does not converge in
-    ``_LANCZOS_STEPS`` steps or a failed top certificate gives the ends of
-    ``laplacian_spectrum`` instead; a failed lambda_2 certificate gives its
-    lambda_2.  A multiple lambda_max on a non-bipartite graph always fails:
-    a single start vector sees one copy.
+    disconnected graph, an iteration that does not converge within
+    ``_LANCZOS_STEPS`` operator products or a failed top certificate gives
+    the ends of ``laplacian_spectrum`` instead; a failed lambda_2
+    certificate gives its lambda_2.  A multiple lambda_max on a
+    non-bipartite graph always fails: a single start vector sees one copy.
     """
     checks = graph_checks(g)
     if checks.connected:
-        # before the Lanczos, which is wasted if the certificate cannot run:
+        # before the iteration, which is wasted if the certificate cannot run:
         # its block columns hold the lower triangle, and the upper halves of
         # their diagonal blocks add O(n * _BLOCK)
         _require_memory(
@@ -916,65 +963,78 @@ def _certified_ends(g: Graph, bipartite: bool) -> SpectrumEnds | None:
 
 
 def _lanczos(lap, known_values: np.ndarray, known: np.ndarray):
-    """Lanczos on L restricted to the complement of the rows of ``known``
-    (exact eigenvectors with eigenvalues ``known_values``), with full
-    reorthogonalization.
+    """Thick-restart Lanczos (Wu & Simon 2000) on L restricted to the
+    complement of the rows of ``known`` (exact eigenvectors with eigenvalues
+    ``known_values``), with full reorthogonalization.
+
+    The basis holds at most ``_RESTART`` orthonormal rows v beside their
+    images ``L v``.  Each new row is the last image orthogonalized twice
+    against the basis and ``known``; the first pass's coefficients are the
+    new column of the projected matrix ``V L V^T``.  Once the basis is full,
+    its Ritz pairs are checked; if they do not give both ends yet, the
+    ``_KEEP`` Ritz pairs nearest each end, with their images, become the
+    basis, and the iteration goes on from the last direction, which is
+    orthogonal to them.
 
     Returns, for the bottom and then the top end, the ascending values and
     the ``(n, p)`` vectors of the end's cluster plus the next eigenvalue
-    inward, merged from the known pairs and the Ritz pairs; or None when
-    those Ritz pairs have not converged within ``_LANCZOS_STEPS`` steps.
+    inward, merged from the known pairs and the Ritz pairs, once each Ritz
+    pair among them has an explicit residual ``|L y - theta y|`` within
+    ``_RESIDUAL_TOL``; or None when they have not within ``_LANCZOS_STEPS``
+    products ``L v``.
     """
-    n = known.shape[1]
-    steps = min(n - known.shape[0], _LANCZOS_STEPS)
-    basis = np.empty((steps, n))
-    diag, off = np.empty(steps), np.empty(steps)
+    count, n = known.shape
+    size = min(n - count, _RESTART)
+    # the known rows first: one pass orthogonalizes against them and the basis
+    stack, images = np.empty((count + size, n)), np.empty((size, n))
+    stack[:count] = known
+    basis = stack[count:]
+    projected = np.empty((size, size))
     q = np.random.default_rng(0).standard_normal(n)
-    check = 10
-    for j in range(steps + 1):
-        for _ in range(2):  # Gram-Schmidt twice keeps the basis orthonormal
-            q -= (basis[:j] @ q) @ basis[:j]
-            q -= (known @ q) @ known
+    q -= (known @ q) @ known
+    rows = products = 0
+    while True:
+        # the second Gram-Schmidt pass keeps the basis orthonormal
+        q -= (stack[:count + rows] @ q) @ stack[:count + rows]
         beta = float(np.linalg.norm(q))
-        if j > 0:
-            off[j - 1] = beta
         # a beta this small means the Krylov space is (numerically) invariant
-        last = j == steps or beta <= _RESIDUAL_TOL
-        if last or j == check:
-            check += max(10, j // 5)  # each check is a dense j x j eigh
-            ends = _converged_ends(known_values, diag[:j], off[: j - 1], beta)
-            if ends is not None:
-                values, ritz, picks = ends
-                vectors = np.concatenate((known, ritz.T @ basis[:j]))
-                return [(values[idx], vectors[idx].T) for idx in picks]
-            if last:
+        invariant = beta <= _RESIDUAL_TOL
+        if invariant or rows == size or products == _LANCZOS_STEPS:
+            theta, ritz = np.linalg.eigh(projected[:rows, :rows])
+            values = np.concatenate((known_values, theta))
+            order = np.argsort(values, kind="stable")
+            low = int(np.count_nonzero(values <= values[order[0]] + TIE_TOL))
+            high = int(np.count_nonzero(values >= values[order[-1]] - TIE_TOL))
+            if low < values.size:  # one cluster: nothing is known beyond it yet
+                picks = (order[: low + 1], order[values.size - high - 1:])
+                wanted = [i for i in np.concatenate(picks).tolist() if i >= count]
+                pairs = ritz[:, [i - count for i in wanted]].T
+                found = pairs @ basis[:rows]
+                residual = pairs @ images[:rows] - values[wanted, None] * found
+                if np.linalg.norm(residual, axis=1).max(initial=0.0) <= _RESIDUAL_TOL:
+                    vectors = {**dict(enumerate(known)), **dict(zip(wanted, found))}
+                    return [(values[idx], np.column_stack([vectors[i] for i in idx.tolist()]))
+                            for idx in picks]
+            # (a full basis narrower than _RESTART spans the whole complement,
+            # so only rounding leaves it not invariant)
+            if invariant or products == _LANCZOS_STEPS or rows < _RESTART:
                 return None
+            # the kept Ritz vectors lie in the span of the old basis, which q
+            # is orthogonal to, so q goes on as the next row
+            kept = np.concatenate((ritz[:, :_KEEP], ritz[:, -_KEEP:]), axis=1).T
+            rows = kept.shape[0]
+            basis[:rows], images[:rows] = kept @ basis, kept @ images
+            projected[:rows, :rows] = np.diag(np.concatenate((theta[:_KEEP], theta[-_KEEP:])))
         q /= beta
-        basis[j] = q
-        q = lap(q)
-        diag[j] = float(basis[j] @ q)
-    return None
-
-
-def _converged_ends(known_values, diag, off, beta):
-    """The merged known and Ritz values, the Ritz vectors of the tridiagonal
-    matrix, and the indices of the two ends (each cluster plus the next value
-    inward, ascending), if every pair in the ends has a residual estimate
-    ``|beta s_last|`` within ``_RESIDUAL_TOL``; else None."""
-    tri = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    theta, ritz = np.linalg.eigh(tri)
-    values = np.concatenate((known_values, theta))
-    estimates = np.abs(beta * ritz[-1]) if theta.size else theta
-    residuals = np.concatenate((np.zeros(known_values.size), estimates))
-    order = np.argsort(values, kind="stable")
-    low = int(np.count_nonzero(values <= values[order[0]] + TIE_TOL))
-    high = int(np.count_nonzero(values >= values[order[-1]] - TIE_TOL))
-    if low == values.size:  # one cluster: nothing is known beyond it yet
-        return None
-    picks = (order[: low + 1], order[values.size - high - 1:])
-    if any(float(residuals[idx].max()) > _RESIDUAL_TOL for idx in picks):
-        return None
-    return values, ritz, picks
+        basis[rows] = q
+        image = images[rows] = lap(q)
+        products += 1
+        rows += 1
+        # the first pass: its coefficients against the basis are the new
+        # column of V L V^T
+        coefficients = stack[:count + rows] @ image
+        projected[:rows, rows - 1] = projected[rows - 1, :rows] = coefficients[count:]
+        q = image - coefficients @ stack[:count + rows]
 
 
 def _certified_end(g: Graph, lap, values, vectors, side: int):

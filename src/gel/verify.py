@@ -91,7 +91,12 @@ class CheckReport:
 
 @dataclass
 class Witness:
-    """Self-contained description of one check instance."""
+    """Self-contained description of one check instance.
+
+    A check reads the witness's fields through the accessors below, which
+    note each matrix, scalar and tag they are asked for; ``run_check``
+    refuses a witness that gives a field its check never read.
+    """
 
     check: str
     label: str
@@ -99,13 +104,21 @@ class Witness:
     matrices: dict[str, np.ndarray] = field(default_factory=dict)
     scalars: dict[str, float] = field(default_factory=dict)
     tags: dict[str, str] = field(default_factory=dict)
+    #: the (kind, name) of every field the accessors were asked for
+    read: set[tuple[str, str]] = field(
+        default_factory=set, init=False, repr=False, compare=False)
 
-    def matrix(self, name: str) -> np.ndarray:
-        if name not in self.matrices:
+    def matrix(self, name: str, required: bool = True) -> np.ndarray | None:
+        """The matrix ``name``; when it is not given, None if not ``required``."""
+        self.read.add(("matrix", name))
+        if name in self.matrices:
+            return self.matrices[name]
+        if required:
             raise ValidationError(f"check {self.check!r} needs matrix {name!r}")
-        return self.matrices[name]
+        return None
 
     def scalar(self, name: str, default: float | None = None) -> float:
+        self.read.add(("scalar", name))
         if name in self.scalars:
             return self.scalars[name]
         if default is None:
@@ -122,23 +135,33 @@ class Witness:
         return check_count(int(value), "steps", 1)
 
     def tag(self, name: str, default: str | None = None) -> str:
+        self.read.add(("tag", name))
         if name in self.tags:
             return self.tags[name]
         if default is None:
             raise ValidationError(f"check {self.check!r} needs tag {name!r}")
         return default
 
+    def unread(self) -> list[tuple[str, str]]:
+        """The (kind, name) of each given field not read since ``read`` was
+        last emptied, matrices, scalars and tags each by name."""
+        given = [("matrix", name) for name in sorted(self.matrices)]
+        given += [("scalar", name) for name in sorted(self.scalars)]
+        given += [("tag", name) for name in sorted(self.tags)]
+        return [item for item in given if item not in self.read]
+
 
 def _weights(w: Witness) -> WeightSet:
     """The witness's W, Omega and Wtilde; the last two default to zeros."""
-    return WeightSet(w.matrix("W"), w.matrices.get("Omega"), w.matrices.get("Wtilde"))
+    return WeightSet(w.matrix("W"), w.matrix("Omega", required=False),
+                     w.matrix("Wtilde", required=False))
 
 
 def _spec(w: Witness, variant: str, **given) -> ModelSpec:
     """The ``variant`` model of the witness's fields, named as in a config
     (the weights, KtK, OmegaTilde, omega_diag and tau); ``given`` fields win."""
-    fields = {name: w.matrices.get(name) for name in ("KtK", "OmegaTilde", "omega_diag")}
-    if "W" in w.matrices:
+    fields = {name: w.matrix(name, required=False) for name in ("KtK", "OmegaTilde", "omega_diag")}
+    if w.matrix("W", required=False) is not None:
         fields["weights"] = _weights(w)
     if "tau" not in given:
         fields["tau"] = w.scalar("tau")
@@ -207,7 +230,7 @@ def _run_gradient_fd(w: Witness) -> CheckReport:
     g = w.graph
     feats = as_features(g, w.matrix("F"))
     weights = _weights(w)
-    F0 = w.matrices.get("F0")
+    F0 = w.matrix("F0", required=False)
     # module lookup keeps the check honest against a patched/buggy gradient
     analytic = -2.0 * energy_mod.energy_gradient(g, feats, weights, F0=F0)
     fd = np.empty_like(feats)
@@ -316,7 +339,7 @@ def _run_kronecker_energy(w: Witness) -> CheckReport:
     g = w.graph
     weights = _weights(w)
     feats = w.matrix("F")
-    F0 = w.matrices.get("F0")
+    F0 = w.matrix("F0", required=False)
     fast = parametric_energy(g, feats, weights, F0=F0)
     oracle = kronecker_oracle_energy(g, feats, weights, F0=F0)
     max_error = abs(fast - oracle) / max(1.0, abs(oracle))
@@ -614,7 +637,16 @@ def run_check(witness: Witness) -> CheckReport:
         raise ValidationError(f"unknown check kind {witness.check!r}")
     if witness.graph is None:
         raise ValidationError(f"check {witness.check!r} needs a graph block")
-    return CHECK_RUNNERS[witness.check](witness)
+    witness.read.clear()
+    report = CHECK_RUNNERS[witness.check](witness)
+    # a field the check never read would pass unseen and ride along in the
+    # serialized witness of a failure
+    unread = witness.unread()
+    if unread:
+        kind, name = unread[0]
+        raise ValidationError(f"check {witness.check!r} reads no {kind} {name!r}; "
+                              "remove it from the witness")
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,13 @@
 import pytest
+from hypothesis import settings
 
 import gel.dynamics
+
+# Every property draws the same examples on every run, so a pass or a failure
+# repeats; no example database carries one run's draws into the next.  Each
+# test's own max_examples and deadline still apply.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

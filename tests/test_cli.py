@@ -719,6 +719,19 @@ def test_replay_of_a_classified_check_with_an_omega_exits_3(workdir, capsys, nam
     assert "needs Omega = 0" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("field", ["scalar steps 1e300", "scalar foo 1", "scalar mu 0.3"])
+def test_replay_of_a_field_its_check_never_reads_exits_3(workdir, capsys, field):
+    # a horizon rule sets the steps, and the model reads no mu: the field
+    # would pass unseen
+    with open(os.path.join(verify._SUITE_DIR, "21_hfd_realized_er9.txt")) as f:
+        path = write(workdir / "w.txt", f.read() + field + "\n")
+    assert main(["replay", path]) == 3
+    captured = capsys.readouterr()
+    name = field.split()[1]
+    assert "[PASS]" not in captured.out and "Traceback" not in captured.err
+    assert f"'regime_realization' reads no scalar '{name}'" in captured.err
+
+
 def _nan_entry(matrix):
     matrix = matrix.copy()
     matrix[0, -1] = np.nan

@@ -25,6 +25,7 @@ from gel.graphs import (
     square_matrix,
     vector,
 )
+from gel.verify import default_suite
 
 
 def test_edges_are_canonicalized():
@@ -306,14 +307,17 @@ def test_complete_bipartite_ends_are_exact_without_iteration_breaking_down():
     assert np.all(sign[:300] == sign[0]) and np.all(sign[300:] == -sign[0])
 
 
+# the Petersen graph: outer 5-cycle, inner pentagram, spokes
+_PETERSEN = Graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                  + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                  + [(i, i + 5) for i in range(5)])
+
+
 @pytest.mark.parametrize(
     "g, top, multiplicity",
     [
         (Graph(7, [(i, j) for i in range(7) for j in range(i + 1, 7)]), 7 / 6, 6),
-        # the Petersen graph: outer 5-cycle, inner pentagram, spokes
-        (Graph(10, [(i, (i + 1) % 5) for i in range(5)]
-               + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-               + [(i, i + 5) for i in range(5)]), 5 / 3, 4),
+        (_PETERSEN, 5 / 3, 4),
     ],
 )
 def test_multiple_lambda_max_gives_its_whole_eigenspace(g, top, multiplicity):
@@ -356,6 +360,61 @@ def test_ends_without_an_interior():
     assert ends.certified
     assert (ends.lambda_2, ends.below_top) == (2.0, 0.0)
     assert ends.interior.size == 0
+
+
+@pytest.mark.parametrize(
+    "g", [cycle(1001), erdos_renyi(7, 1.0, 0), _PETERSEN], ids=["cycle1001", "K7", "petersen"])
+def test_an_iteration_that_cannot_certify_stops_within_its_budget(monkeypatch, g):
+    # a double lambda_max (the odd cycle, whose gaps are also O(1/n^2)) or a
+    # multiple one that a single start vector sees once
+    counts, lanczos = [], gel.graphs._lanczos
+
+    def counted(lap, *args):  # the products L v each iteration asks for
+        counts.append(0)
+
+        def counting(x):
+            counts[-1] += 1
+            return lap(x)
+
+        return lanczos(counting, *args)
+
+    monkeypatch.setattr(gel.graphs, "_lanczos", counted)
+    ends, full = _fresh_ends(g)
+    assert len(counts) == 1 and 0 < counts[0] <= gel.graphs._LANCZOS_STEPS
+    assert not ends.certified and full == 1
+    expected = gel.graphs._ends_of(laplacian_spectrum(g))
+    assert (ends.lambda_max, ends.below_top, ends.lambda_2) == (
+        expected.lambda_max, expected.below_top, expected.lambda_2)
+    assert np.array_equal(ends.top.eigenvectors, expected.top.eigenvectors)
+
+
+def test_the_iteration_holds_a_few_restart_bases():
+    g = erdos_renyi(2000, 0.004, 7)
+    product = gel.graphs._edge_product(g)
+    sqrt_deg = np.sqrt(degree_vector(g))
+    known_values, known = np.zeros(1), (sqrt_deg / np.linalg.norm(sqrt_deg))[None, :]
+
+    def lanczos():
+        return gel.graphs._lanczos(lambda x: x - product(x), known_values, known)
+
+    lanczos()  # warm up outside the trace
+    found, _, peak = _traced(lanczos)
+    assert found is not None
+    # the basis and its images take 2 _RESTART n floats; an unrestarted
+    # basis of _LANCZOS_STEPS rows alone would take 400 n
+    assert peak < 4 * gel.graphs._RESTART * g.n * 8
+
+
+def test_the_restarted_iteration_certifies_what_the_full_one_did():
+    graphs = sorted({w.graph for w in default_suite()}, key=lambda g: (g.n, g.edges.tobytes()))
+    certified = [_fresh_ends(g)[0].certified for g in graphs]
+    assert (len(graphs), sum(certified)) == (32, 30)
+    for g, ok in zip(graphs, certified):
+        # only a multiple lambda_max goes uncertified
+        lam = np.linalg.eigvalsh(normalized_laplacian(g))
+        assert ok == (lam[-2] < lam[-1] - 1e-9 or graph_checks(g).bipartite), g
+    for n, p, seed in ((400, 0.02, 7), (1200, 0.01, 3), (2000, 0.004, 7)):
+        assert _fresh_ends(erdos_renyi(n, p, seed))[0].certified
 
 
 def test_extreme_spectrum_rejects_an_isolated_node():

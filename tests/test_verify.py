@@ -127,10 +127,14 @@ def test_a_witness_step_count_is_capped():
 
 def _runner_peak(check: str, steps: int) -> int:
     rng = np.random.default_rng(4)
+    # monotonicity runs at its own two step sizes, and only it reads sigma
+    scalars, tags = {"steps": steps}, {"sigma": "tanh"}
+    if check == "conservation":
+        scalars, tags = {"steps": steps, "tau": 0.01}, {}
     w = verify.Witness(
         check, check, cycle(64),
         matrices={"F0": rng.normal(size=(64, 2)), "W": np.diag([0.5, 0.3])},
-        scalars={"steps": steps, "tau": 0.01}, tags={"sigma": "tanh"})
+        scalars=scalars, tags=tags)
     tracemalloc.start()
     try:
         verify.run_check(w)
@@ -212,10 +216,14 @@ def test_witness_roundtrip_exact():
 
 
 def test_witness_roundtrip_is_runnable():
-    rep = verify.run_check(verify.parse_witness(
-        verify.serialize_witness(_sample_witness())
-    ))
-    assert rep.passed
+    back = verify.parse_witness(verify.serialize_witness(_sample_witness()))
+    # the energy check reads no scalar or tag: the round trip keeps them, and
+    # the check refuses them
+    with pytest.raises(ValidationError, match="reads no scalar 'steps'"):
+        verify.run_check(back)
+    back.scalars.clear()
+    back.tags.clear()
+    assert verify.run_check(back).passed
 
 
 def test_parse_witness_rejects_bad_header():
