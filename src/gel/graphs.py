@@ -21,12 +21,26 @@ normalized Laplacian.
 ``extreme_spectrum`` gives only its two ends, the eigenpairs at 0 and at
 lambda_max and the next eigenvalue inward from each, from a thick-restart
 Lanczos iteration on the same edge sum, which holds O(n * _RESTART) and
-checks each Ritz pair by its explicit residual.  Residual bounds and a
-Cholesky factorization of a matrix's lower triangle, formed and factored
-one block column at a time, certify that no eigenvalue was missed at the top;
-lambda_2 is certified the same way, in new block columns, only when
-something reads it, and 0 needs no certificate on a connected graph.
-A failed certificate falls back to the full decomposition.  A
+checks each Ritz pair by its explicit residual.  Residual bounds and an
+inertia count certify that no eigenvalue was missed at the top; lambda_2 is
+certified the same way, only when something reads it, and 0 needs no
+certificate on a connected graph.  The count at a point sigma factors
+``[[S, sqrt(c) V], [sqrt(c) V^T, -I]]``, with ``S = +-(sigma I - L)`` and V
+the end's cluster vectors, as ``L D L^T`` without pivoting: first the nodes
+of an independent set, whose pivots are exact scalars as A_hat vanishes
+between them, then the k border rows, whose pivots are negative, then the
+dense Schur complement on the other nodes, by a blocked Cholesky
+factorization in block rows whose triangular solves are substitutions and
+whose updates are conventional matrix products.  Those are the conditions
+of the backward-error bound ``|dB| <= gamma |L| |D| |L^T|`` for
+elimination without pivoting (Higham 2002, Thm 9.3), so a run to the end
+shows ``B + eta I`` has as many positive eigenvalues as there are nodes,
+with ``eta = gamma trace(|L| |D| |L^T|)``; by Haynsworth's inertia
+additivity and Weyl's theorem, at most k eigenvalues of L then lie beyond
+the point moved by eta.  The margin eta is bounded before anything is
+formed, the factorization runs past sigma by that bound, and eta is checked
+against it from the factors; a failed check fails the certificate.  A
+failed certificate falls back to the full decomposition.  A
 dense site, or a generated edge set, that would not fit in the machine's
 physical memory is refused with a ``NumericError`` before it is allocated.
 
@@ -609,12 +623,7 @@ def _edge_product(g: Graph) -> Callable[[np.ndarray], np.ndarray]:
     ``1 / sqrt(deg)``.  O(m d) time and O(m) memory, never n^2.  An isolated
     node is a validation error."""
     inv_sqrt = _inv_sqrt_degree(g)
-    u, v = g.edges[:, 0], g.edges[:, 1]
-    # each edge in both directions, grouped by row; as g.edges is sorted, the
-    # stable sort leaves every row's neighbours ascending
-    order = np.argsort(np.concatenate((v, u)), kind="stable")
-    cols = np.concatenate((u, v))[order]
-    starts = np.concatenate(([0], np.cumsum(degree_vector(g).astype(np.int64))[:-1]))
+    cols, starts = _neighbours(g)
 
     def product(F: np.ndarray) -> np.ndarray:
         scale = inv_sqrt if F.ndim == 1 else inv_sqrt[:, None]
@@ -622,6 +631,29 @@ def _edge_product(g: Graph) -> Callable[[np.ndarray], np.ndarray]:
         return scale * np.add.reduceat(np.take(F * scale, cols, axis=0), starts, axis=0)
 
     return product
+
+
+@lru_cache(maxsize=_CACHE_ENTRIES)
+def _neighbours(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """The row-sorted (CSR) neighbour index of ``g``: ``cols`` lists each
+    edge once in each direction, grouped by row in node order and ascending
+    within a row, and ``starts`` holds where each row's run begins."""
+    u, v = g.edges[:, 0], g.edges[:, 1]
+    # as g.edges is sorted, the stable sort leaves every row's neighbours
+    # ascending
+    order = np.argsort(np.concatenate((v, u)), kind="stable")
+    cols = np.concatenate((u, v))[order]
+    starts = np.concatenate(([0], np.cumsum(degree_vector(g).astype(np.int64))[:-1]))
+    cols.setflags(write=False)
+    starts.setflags(write=False)
+    return cols, starts
+
+
+def _row_slots(starts: np.ndarray, deg: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """The positions in ``_neighbours``' ``cols`` of the rows of ``nodes``
+    (``starts`` from it, ``deg`` the int degrees), one row after another."""
+    count = deg[nodes]
+    return np.repeat(starts[nodes] - np.cumsum(count) + count, count) + np.arange(count.sum())
 
 
 @lru_cache(maxsize=_CACHE_ENTRIES)
@@ -706,22 +738,22 @@ def spectral_decomposition(matrix: np.ndarray) -> SpectralPair:
 
 
 #: Rows (or columns) per block of the blocked passes: the certificate's
-#: lower block columns (``_lower_block_columns``), whose factorization
-#: (``_factor_block_columns``) holds O(n * _BLOCK) temporaries beside them,
+#: upper block rows (``_schur_block_rows``), whose factorization
+#: (``_factor_block_rows``) holds O(n * _BLOCK) temporaries beside them,
 #: and the checks of ``_checked_eigh``, which hold as much beside their
-#: n x n arrays.  128 is the fastest of the blocks tried; beside
-#: LAPACK's own factorization of the full matrix it loses most at small n,
-#: where the certificate costs little anyway.  Median ms of 21
-#: factorizations of a random SPD matrix's block columns, the range over two
-#: runs, on a 2-vCPU Xeon (numpy 2.4.6 with OpenBLAS 0.3.31, 2 threads):
+#: n x n arrays.  The blocks tried run within the noise of each other, and
+#: each beats LAPACK's own factorization of the full matrix; 128 stays.
+#: Median ms of 21 (11 at n = 2000) factorizations of a random SPD matrix's
+#: block rows, with ``_SUB`` = 32, the range over two runs, on a 2-vCPU
+#: Xeon (numpy 2.4.6 with OpenBLAS 0.3.31, 2 threads):
 #:
-#: ======  ===================  =======  =======  =======  =======
-#: n       np.linalg.cholesky   128      160      192      256
-#: ======  ===================  =======  =======  =======  =======
-#: 600     4                    7        7-8      8-9      9
-#: 1000    14-17                18-22    19-22    19-22    21-24
-#: 2000    85-99                90-108   95-112   106-116  108-111
-#: ======  ===================  =======  =======  =======  =======
+#: ======  ===================  =======  =======  =======  =======  =======
+#: n       np.linalg.cholesky   64       96       128      192      256
+#: ======  ===================  =======  =======  =======  =======  =======
+#: 600     6-7                  5        5-6      5        5-6      5
+#: 1000    17-22                13-17    13-17    12-18    12-19    12-19
+#: 2000    98-126               82-106   81-89    75-132   71-131   76-121
+#: ======  ===================  =======  =======  =======  =======  =======
 _BLOCK = 128
 
 
@@ -863,18 +895,16 @@ def extreme_spectrum(g: Graph) -> SpectrumEnds:
       residuals R.  As many eigenvalues lie within ``rho = sqrt(2) |R|_F``
       of their values (Kahan's theorem; Parlett, *The Symmetric Eigenvalue
       Problem*, 11.5).
-    - A Cholesky factorization of ``sigma I - L + c V V^T`` (top end;
-      ``L - sigma I + c V V^T`` at the bottom), with V the cluster's vectors
-      and sigma just past the next eigenvalue, proves by Weyl's interlacing
-      that at most ``rank V`` eigenvalues lie beyond sigma.  sigma is shifted
-      by a bound on the factorization's rounding error, which holds for the
-      blocked factorization run here (Higham 2002, Thm 10.3).  Each end
-      forms only its matrix's lower triangle, in ``_BLOCK``-wide block
-      columns, and factors them in place, dropping each block column once
+    - One factorization counts the eigenvalues beyond a point sigma just
+      past the next eigenvalue: it proves that at most ``rank V`` lie
+      there, V the cluster's vectors (``_certified_end``).  It eliminates an
+      independent set of nodes exactly and factors the Schur complement
+      left on the other nodes, about 0.7 n of them on a sparse graph, in
+      ``_BLOCK``-high block rows of its upper triangle, dropping each once
       it has updated the later ones: the certificate holds about
-      4 n (n + _BLOCK) bytes, half the dense matrix's 8 n^2, and
-      O(n * _BLOCK) beside them, and the bottom end's runs after the top
-      end's are freed.
+      4 r (r + _BLOCK) bytes for its r rows, at most half the dense
+      matrix's 8 n^2, and O(n * _BLOCK) beside them, and the bottom end's
+      runs after the top end's are freed.
 
     Together the two steps show that each cluster is complete and that no
     eigenvalue lies between it and the next one.  The bottom cluster is 0
@@ -889,8 +919,9 @@ def extreme_spectrum(g: Graph) -> SpectrumEnds:
     checks = graph_checks(g)
     if checks.connected:
         # before the iteration, which is wasted if the certificate cannot run:
-        # its block columns hold the lower triangle, and the upper halves of
-        # their diagonal blocks add O(n * _BLOCK)
+        # its block rows hold at most one triangle, all n rows of it when no
+        # node is eliminated, as at the top end of K_{a,b}, and the other
+        # halves of their diagonal blocks add O(n * _BLOCK)
         _require_memory(
             4 * g.n * (g.n + 1), f"the certificate's lower triangle of a {g.n} x {g.n} matrix"
         )
@@ -947,7 +978,7 @@ def _certified_ends(g: Graph, bipartite: bool) -> SpectrumEnds | None:
     if values.size == 2:
         # 0 is a simple eigenvalue of a connected graph, so phi0 alone is the
         # bottom cluster, exactly; lambda_2 is certified on its first read,
-        # in new block columns once the top's are freed
+        # in new block rows once the top's are freed
         def lambda_2() -> float:
             bottom = _certified_end(g, lap, values, vectors, side=-1)
             return bottom[1] if bottom is not None else _ends_of(laplacian_spectrum(g)).lambda_2
@@ -1037,32 +1068,75 @@ def _lanczos(lap, known_values: np.ndarray, known: np.ndarray):
         q = image - coefficients @ stack[:count + rows]
 
 
+#: The weight c of the rank-k term ``c V V^T`` by which the certificate
+#: lifts an end's cluster out of its count: above |sigma - lambda| for every
+#: lambda in [0, 2].
+_LIFT = 4.0
+
+
 def _certified_end(g: Graph, lap, values, vectors, side: int):
     """Certify one end from its ascending ``values`` and their ``vectors``:
     at the top (``side = 1``) the first is the next eigenvalue below the
     cluster, at the bottom (``side = -1``) the last is the next one above.
     Returns the cluster's pairs, signs fixed, and that next value; or None
     when the residuals, the cluster's shape or the inertia count do not
-    certify them.  It holds the lower block columns of one n x n matrix,
-    each freed once factored.
+    certify them.
 
-    The inertia count factors ``M = side (sigma I - L) + c V V^T``, V the
-    cluster's vectors: if M is positive definite, subtracting the rank-k
-    term ``c V V^T`` leaves at most k eigenvalues of ``side (sigma I - L)``
-    at or below 0 (Weyl), so at most k eigenvalues of L lie beyond sigma.
-    M's lower triangle is formed in block columns by ``_lower_block_columns``
-    and factored in them by ``_factor_block_columns``.  The factorization
-    runs at sigma moved inward by ``delta = 2 (n + 2) eps trace(M)``, above
-    the bound ``gamma_{n+1} trace(M)`` on its rounding error, so that its
-    success in floating point proves the count at sigma:
-    a Cholesky factorization that runs to completion gives
-    ``R^T R = M + dM`` with ``|dM| <= gamma_{n+1} |R^T| |R|`` (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, 2002, Thm 10.3, which
-    covers Demmel's 1989 bound), whatever the order of its inner products.
-    That holds for the blocked factorization too, since its triangular
-    solves are substitutions and its products conventional multiplication.
-    sigma sits ``2 (delta + rho)`` past the edge value, whose own eigenvalue
-    (within rho of it) therefore stays on the near side.
+    Each value lies within ``rho`` of an eigenvalue of its own (see
+    ``extreme_spectrum``).  ``_proved_past`` then counts, by one
+    factorization, at most k (the cluster's size) eigenvalues at or beyond
+    a point just past ``sigma = edge + side 2 rho``; the cluster's own k
+    eigenvalues, within rho of it, lie beyond that point, so there are no
+    others.  The count:
+
+    - Which matrix, in which order.  With ``s = side (sigma' - 1)`` at the
+      factored point sigma', ``S = side (sigma' I - L) = s I + side A_hat``
+      and V the cluster's vectors, it factors the bordered
+      ``B = [[S, sqrt(c) V], [sqrt(c) V^T, -I_k]]`` as ``L D L^T`` without
+      pivoting, in the order: the nodes of an independent set I
+      (``_independent_set``), then the k border rows, then the rest R.
+      A_hat vanishes on I x I, so I's pivots are s, each eliminated
+      exactly; I holds only nodes whose column squares
+      ``sum_a w_ai^2 + c |V_i|^2`` are at most s^2, which bounds the growth
+      of what they leave.  The border's pivots are those of
+      ``-E = -(I_k + (c / s) V_I^T V_I)``, negative.  What remains is the
+      Schur complement ``T = P + U U^T`` on R, P the sparse
+      ``s I + side A_RR - (1 / s) A_RI A_IR`` and ``U U^T = W E^-1 W^T``
+      the border's rank-k term (``_schur_block_rows``), factored by a
+      blocked Cholesky factorization in block rows
+      (``_factor_block_rows``).
+    - Why success proves the count.  By Haynsworth's inertia additivity B
+      has as many positive eigenvalues as S has rows exactly when its
+      Schur complement ``M = S + c V V^T`` on S is positive definite, and
+      then removing the rank-k term leaves at most k eigenvalues of S at
+      or below 0 (Weyl): at most k eigenvalues of L lie at or beyond
+      sigma'.  The factorization shows it for ``B + dB``: its pivots are
+      |I| + |R| positive ones and k negative ones, and by Sylvester's law
+      of inertia so are the eigenvalues of ``L D L^T = B + dB``.
+    - Which backward-error theorem.  Elimination without pivoting that runs
+      to completion gives ``|dB| <= gamma |L| |D| |L^T|`` (Higham,
+      *Accuracy and Stability of Numerical Algorithms*, 2002, Thm 9.3),
+      whatever the order in which each entry's inner product is summed, so
+      long as each is summed as one: substitution computes each entry of a
+      factor from its row's inner product, and conventional (not
+      Strassen-like) matrix products sum those inner products in pieces.
+      The scalar pivots, the border's product and T's formation add a few
+      roundings to each product, so gamma is taken as ``(n + k + 8) eps``,
+      twice ``gamma_{n + k + 8}``.  As ``|L| |D| |L^T|`` is positive
+      semidefinite, ``|dB|_2 <= eta = gamma trace(|L| |D| |L^T|)``, so
+      ``B + eta I`` has as many positive eigenvalues as ``B + dB``; with
+      eta < 1 its border's Schur complement is ``M + eta I`` plus a rank-k
+      term, and the count holds at ``sigma' + side eta``.
+    - How the margin is bounded and checked.  Before anything is formed,
+      the growth bound on I gives
+      ``trace(|L| |D| |L^T|) <= (n + 3 |I|) s + k + 2 c |V|_F^2``;
+      delta is gamma times twice that, and the factorization runs at
+      ``sigma' = sigma + side delta``.  Once I and the border are
+      eliminated and T formed, eta is checked against delta from the
+      factors: I's and the border's columns are summed, and T's factor R
+      adds ``|R|_F^2 = trace(R^T R) <= trace(T) / (1 - gamma)``, whatever
+      it computes.  A failed check fails the certificate; a passed one
+      proves the count at ``sigma + side 2 delta``.
     """
     n, p = vectors.shape
     residual = np.column_stack([lap(x) for x in vectors.T]) - vectors * values
@@ -1070,79 +1144,251 @@ def _certified_end(g: Graph, lap, values, vectors, side: int):
     rho = math.sqrt(2.0) * float(np.linalg.norm(residual)) + 4.0 * float(np.linalg.norm(gram))
     edge, cluster = (values[0], values[1:]) if side > 0 else (values[-1], values[:-1])
     v = vectors[:, 1:] if side > 0 else vectors[:, :-1]
-    c = 4.0  # above |sigma - lambda| for every lambda in [0, 2]
-    delta = 2.0 * (n + 2) * np.finfo(float).eps * (n * abs(edge - 1.0) + c * v.shape[1])
-    gap = side * float((cluster.min() if side > 0 else cluster.max()) - edge)
+    inner = float(cluster.min() if side > 0 else cluster.max())
     if (rho > SPECTRAL_TOL
             or float(cluster.max() - cluster.min()) > TIE_TOL - 2.0 * rho
-            or gap <= max(TIE_TOL, 2.0 * delta + rho) + 2.0 * rho):
+            or side * (inner - edge) <= TIE_TOL + 2.0 * rho):
         return None
-    shift = side * (edge + side * (2.0 * rho + delta) - 1.0)
-    if not _factor_block_columns(_lower_block_columns(g, side * _edge_weights(g), c * v, v, shift)):
+    past = _proved_past(g, v, float(edge) + side * 2.0 * rho, side)
+    if past is None or side * (inner - rho - past) <= 0.0:
         return None
     return _frozen_pair(cluster, _fix_eigenvector_signs(v.copy())), float(edge)
 
 
-def _lower_block_columns(g: Graph, weights, cv, v, shift: float) -> list[np.ndarray]:
-    """The lower triangle of ``M = S + cv v^T + shift I`` as block columns,
-    S symmetric with ``weights`` (one per edge) at both ends of each edge.
-
-    Block column k holds rows ``k B..n`` of columns ``k B..(k + 1) B``,
-    ``B = _BLOCK``: its diagonal block in full, both triangles, and the rows
-    below it.  Each is filled from the edges, whose sorted rows ``(lo, hi)``
-    put each edge at ``(hi, lo)`` of the block column holding lo, and at
-    ``(lo, hi)`` too inside the diagonal block; the rank-k term's product;
-    and the shift on the diagonal.  Together they hold about 4 n (n + B)
-    bytes, against 8 n^2 for the dense M."""
-    n = g.n
-    bounds = np.searchsorted(g.edges[:, 0], np.arange(0, n + _BLOCK, _BLOCK))
-    columns = []
-    for k, first in enumerate(range(0, n, _BLOCK)):
-        end = min(first + _BLOCK, n)
-        edges = slice(bounds[k], bounds[k + 1])  # the edges whose lo lies in this column
-        col, row = (g.edges[edges] - first).T
-        block = np.zeros((n - first, end - first))
-        block[row, col] = weights[edges]
-        inside = row < end - first  # both ends in the diagonal block: mirrored
-        block[col[inside], row[inside]] = weights[edges][inside]
-        block += cv[first:] @ v[first:end].T
-        diag = np.arange(end - first)
-        block[diag, diag] += shift
-        columns.append(block)
-    return columns
+def _proved_past(g: Graph, v: np.ndarray, sigma: float, side: int) -> float | None:
+    """``_certified_end``'s count: a point ``sigma + side 2 delta`` with at
+    most ``k = v.shape[1]`` eigenvalues of the normalized Laplacian at or
+    beyond it (at or above it for ``side = 1``, at or below it for
+    ``side = -1``), delta the rounding margin; or None when the
+    factorization fails or its backward error exceeds the margin.  It
+    holds the block rows of one Schur complement, each freed once
+    factored."""
+    n, k = v.shape
+    s = side * (sigma - 1.0)
+    # eligible at sigma, so also at sigma', where s is larger
+    held = _independent_set(g, v, s)
+    gamma = (n + k + 8) * float(np.finfo(float).eps)
+    grown = n + 3 * held.size
+    # twice gamma times the trace bound at s + delta, solved for delta; it
+    # stays far below 1 at any n whose rows fit in memory
+    delta = (2.0 * gamma * (grown * abs(s) + k + 2.0 * _LIFT * float(np.vdot(v, v)))
+             / (1.0 - 2.0 * gamma * grown))
+    rows, eliminated, trace = _schur_block_rows(g, v, held, side, s + delta)
+    if gamma * (eliminated + trace / (1.0 - gamma)) > delta or not _factor_block_rows(rows):
+        return None
+    return sigma + side * 2.0 * delta
 
 
-def _factor_block_columns(columns: list[np.ndarray]) -> bool:
-    """Whether the symmetric matrix whose lower block columns (as from
-    ``_lower_block_columns``) are ``columns`` is positive definite to
-    floating point, by a right-looking blocked Cholesky factorization that
-    overwrites each block column with the factor's and then drops it from
-    ``columns``, so that its memory is freed unless the caller holds it.
+def _independent_set(g: Graph, v: np.ndarray, s: float) -> np.ndarray:
+    """A maximal independent set of ``g`` among its eligible nodes, as
+    ascending node ids: no two of its nodes are adjacent, and every other
+    eligible node has a neighbour in it.
 
-    Each diagonal block is factored by ``np.linalg.cholesky``, which reads
-    its lower triangle and fails exactly when the factorization meets a
-    pivot that is not positive.  The panel below it is solved against the
-    block's factor by ``np.linalg.solve`` on the index-reversed, so upper
-    triangular, factor: its LU meets only zeros below each pivot, swaps no
-    rows and computes only zero multipliers, which leaves a back
-    substitution.  The later block columns are then updated one at a time.
-    Beside ``columns`` it holds O(n * _BLOCK).
+    A node is eligible when the pivot s of ``_proved_past``'s bordered
+    matrix bounds the growth of what eliminating it leaves, s > 0 and
+    ``s^2 >= sum_a w_ai^2 + c |V_i|^2`` (the squares of the node's column
+    off its diagonal), and when what it fills is worth the dense row it
+    saves: ``d_i^2 <= n``, as its ``d_i (d_i - 1) / 2`` two-hop terms are
+    scattered one by one.  Each round, every eligible node left whose key
+    beats that of each neighbour left joins the set, and it and its
+    neighbours leave.  The key is the degree, lower first, then a fixed
+    scramble of the node id (splitmix64's finalizer), so that the rounds
+    do not follow the node order along a path or a cycle.  Each round is
+    O(m) numpy work over the edges still between nodes left; the result
+    depends on the graph, V and s alone.
     """
-    for k, column in enumerate(columns):
-        width = column.shape[1]
+    deg = degree_vector(g)
+    lo, hi = g.edges[:, 0], g.edges[:, 1]
+    left = (deg * deg <= g.n) & (s > 0.0)
+    if left.any():
+        # sum_a w_ai^2 = (1 / d_i) sum_a 1 / d_a
+        squares = (np.bincount(lo, 1.0 / deg[hi], g.n) + np.bincount(hi, 1.0 / deg[lo], g.n)) / deg
+        left &= squares + _LIFT * np.einsum("ij,ij->i", v, v) <= s * s
+    chosen = np.zeros(g.n, dtype=bool)
+    if not left.any():
+        return np.flatnonzero(chosen)
+    between = left[lo] & left[hi]
+    lo, hi = lo[between], hi[between]
+    z = np.arange(g.n, dtype=np.uint64) + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    scramble = z ^ (z >> np.uint64(31))
+    first = (deg[lo] < deg[hi]) | ((deg[lo] == deg[hi]) & (scramble[lo] < scramble[hi]))
+    winner, loser = np.where(first, lo, hi), np.where(first, hi, lo)
+    while left.any():
+        beaten = np.zeros(g.n, dtype=bool)
+        beaten[loser] = True
+        joined = left & ~beaten
+        chosen |= joined
+        left &= ~joined
+        # a node that joined beat every neighbour left
+        left[loser[joined[winner]]] = False
+        between = left[winner] & left[loser]
+        winner, loser = winner[between], loser[between]
+    return np.flatnonzero(chosen)
+
+
+def _schur_block_rows(g: Graph, v: np.ndarray, held: np.ndarray, side: int,
+                      s: float) -> tuple[list[np.ndarray], float, float]:
+    """The upper triangle of the Schur complement T on R, the nodes not in
+    ``held``, of ``_proved_past``'s bordered matrix at ``s``, once the
+    nodes of ``held`` (independent) and then the border are eliminated;
+    with the eliminated pivots' part of ``trace(|L| |D| |L^T|)`` and
+    ``trace(T)``.
+
+    T's rows follow R in node order.  Block row k holds rows ``k B..(k + 1) B``
+    of columns ``k B..|R|``, ``B = _BLOCK``: its diagonal block and the
+    columns right of it.  Each is the border's rank-k term ``U U^T``, one
+    product, with s less the two-hop diagonal ``(1 / s) sum_i w_ai^2``
+    added on the diagonal, ``side w_ab`` at each edge of R and
+    ``-(1 / s) w_ai w_ib`` at ``(a, b)`` for each path ``a - i - b``
+    through ``held``.  Those two enter the upper triangle only, the part
+    ``_factor_block_rows`` reads; the rank-k term fills the diagonal block
+    in full.  U is ``W G^-T``, with ``G G^T = E`` by Cholesky and U^T
+    found by substitution.  The two-hop terms are expanded a block row at a
+    time, in pieces of at most ``n B / 8`` paths, so that beside the block
+    rows, about 4 |R| (|R| + B) bytes, it holds O(n B).
+    """
+    n, k = v.shape
+    c = _LIFT
+    inv_sqrt = _inv_sqrt_degree(g)
+    inside = np.zeros(n, dtype=bool)
+    inside[held] = True
+    rest = np.flatnonzero(~inside)
+    r = rest.size
+    pos = np.cumsum(~inside) - 1  # a node of R's row in T
+    lo, hi = g.edges[:, 0], g.edges[:, 1]
+    link_w = side * inv_sqrt[lo] * inv_sqrt[hi]
+    if held.size:  # the edges of R
+        link = ~inside[lo] & ~inside[hi]
+        lo, hi, link_w = lo[link], hi[link], link_w[link]
+    link_row, link_col = pos[lo], pos[hi]  # the rows ascend, as g.edges is sorted
+    cols, starts = _neighbours(g)
+    deg = degree_vector(g).astype(np.int64)
+    e, ut, eliminated = np.eye(k), math.sqrt(c) * v[rest].T, 0.0
+    hop_row = hop_mid = hop_w = np.empty(0, dtype=np.int64)
+    hop_diag = np.zeros(r)
+    if held.size:  # else s may be 0
+        # the edges i - a from I, ordered by a: every a is in R
+        slot = _row_slots(starts, deg, held)
+        near = pos[cols[slot]]
+        order = np.argsort(near, kind="stable")
+        hop_row, hop_mid = near[order], np.repeat(held, deg[held])[order]
+        hop_w = inv_sqrt[hop_mid] * inv_sqrt[cols[slot[order]]]
+        hop_diag = np.bincount(hop_row, hop_w * hop_w, r) / s
+        # I's pivots s, and their columns of L: B's over s
+        vi = v[held]
+        column = float(np.vdot(hop_w, hop_w)) + c * float(np.vdot(vi, vi))
+        eliminated = held.size * s + column / s
+        e += (c / s) * (vi.T @ vi)
+        # W = sqrt(c) (V_R - (side / s) A_RI V_I)
+        through = np.stack([np.bincount(hop_row, hop_w * x, r) for x in v[hop_mid].T])
+        ut -= (math.sqrt(c) * side / s) * through
+    low = np.linalg.cholesky(e)  # E = I_k plus a positive semidefinite term
+    _substitute(low, ut)  # G U^T = W^T
+    eliminated += float(np.vdot(low, low)) + float(np.vdot(ut, ut))
+
+    firsts = np.arange(0, r + _BLOCK, _BLOCK)
+    hop_bounds, link_bounds = np.searchsorted(hop_row, firsts), np.searchsorted(link_row, firsts)
+    budget = max(n * _BLOCK // 8, 1)
+    rows, trace = [], 0.0
+    for b, first in enumerate(firsts[:-1].tolist()):
+        end = min(first + _BLOCK, r)
+        block = ut[:, first:end].T @ ut[:, first:]
+        width = block.shape[1]
+        diag = np.arange(end - first)
+        block[diag, diag] += s - hop_diag[first:end]
+        flat = block.reshape(-1)
+        links = slice(link_bounds[b], link_bounds[b + 1])
+        np.add.at(flat, (link_row[links] - first) * width + link_col[links] - first, link_w[links])
+        piece, stop = int(hop_bounds[b]), int(hop_bounds[b + 1])
+        while piece < stop:
+            # the paths a - i - b from this block's edges a - i, a piece at a time
+            reach = np.cumsum(deg[hop_mid[piece:stop]])
+            taken = slice(piece, piece + max(int(np.searchsorted(reach, budget, side="right")), 1))
+            mids = hop_mid[taken]
+            slot = _row_slots(starts, deg, mids)
+            a, far = np.repeat(hop_row[taken], deg[mids]), pos[cols[slot]]
+            upper = far > a
+            path_w = (np.repeat(hop_w[taken] * inv_sqrt[mids], deg[mids])[upper]
+                      * inv_sqrt[cols[slot[upper]]])
+            np.add.at(flat, (a[upper] - first) * width + far[upper] - first, path_w / -s)
+            piece = taken.stop
+        trace += float(np.trace(block))
+        rows.append(block)
+    return rows, eliminated, trace
+
+
+#: Rows solved one at a time, by substitution, after one matrix product has
+#: subtracted what the rows above them contribute (``_substitute``).  Below
+#: about 32 the products grow narrow, above it the row-by-row part grows.
+#: Median ms of 11 (5 at n = 4200) factorizations of a random SPD matrix's
+#: ``_BLOCK``-high block rows, the range over two runs, same machine as
+#: ``_BLOCK``'s table (128 solves every row of a block row one by one):
+#:
+#: ======  =======  =======  =======  =======  =======
+#: n       8        16       32       64       128
+#: ======  =======  =======  =======  =======  =======
+#: 600     7        7        5-7      5-7      6-7
+#: 1400    29-33    25-31    25-33    26-33    28-33
+#: 4200    403-495  398-532  407-531  515-530  585-617
+#: ======  =======  =======  =======  =======  =======
+_SUB = 32
+
+
+def _substitute(low: np.ndarray, x: np.ndarray) -> None:
+    """Overwrite ``x`` with ``low^-1 x``, ``low`` lower triangular, by
+    forward substitution, ``_SUB`` rows at a time: one product subtracts
+    from the group's rows what the solved rows above contribute, and each
+    row is then solved from the ones before it in its group.  Beside ``x``
+    it holds ``_SUB`` of its rows."""
+    width = low.shape[0]
+    for first in range(0, width, _SUB):
+        end = min(first + _SUB, width)
+        if first:
+            x[first:end] -= low[first:end, :first] @ x[:first]
+        for i in range(first, end):
+            if i > first:
+                x[i] -= low[i, first:i] @ x[first:i]
+            x[i] /= low[i, i]
+
+
+def _factor_block_rows(rows: list[np.ndarray]) -> bool:
+    """Whether the symmetric matrix whose upper block rows (as from
+    ``_schur_block_rows``) are ``rows`` is positive definite to floating
+    point, by a right-looking blocked Cholesky factorization ``R^T R`` that
+    overwrites each block row with the factor's and then drops it from
+    ``rows``, so that its memory is freed unless the caller holds it.
+
+    Each diagonal block is factored by ``np.linalg.cholesky`` of its
+    transpose, which reads its upper triangle and fails exactly when the
+    factorization meets a pivot that is not positive.  The panel right of
+    it is solved against the block's factor by ``_substitute``, and the
+    later block rows are then updated one at a time.  While the first block
+    row is factored, and every block row is held, each update is taken
+    ``2 _BLOCK`` columns at a time; later ones fit in the room of the freed
+    first one.  So beside ``rows`` it holds O(n * _BLOCK).
+    """
+    for k, row in enumerate(rows):
+        width = row.shape[0]
         try:
-            low = np.linalg.cholesky(column[:width])
+            low = np.linalg.cholesky(row[:, :width].T)
         except np.linalg.LinAlgError:
             return False
-        column[:width] = low
-        # L21 = A21 L11^-T, that is L11 L21^T = A21^T, solved with rows reversed
-        panel = column[width:]  # empty in the last block column
-        panel[...] = np.linalg.solve(low[::-1, ::-1], panel.T[::-1])[::-1].T
+        row[:, :width] = low.T
+        panel = row[:, width:]  # empty in the last block row
+        _substitute(low, panel)  # R12 = R11^-T A12
         start = 0
-        for later in columns[k + 1:]:
-            later -= panel[start:] @ panel[start:start + later.shape[1]].T
-            start += later.shape[1]
-        columns[k] = None
+        for later in rows[k + 1:]:
+            left = panel[:, start:start + later.shape[0]].T
+            # while every block row is held, the products are taken 2 _BLOCK
+            # columns at a time; from the second on, the first's room holds one whole
+            step = 2 * _BLOCK if k == 0 else later.shape[1]
+            for first in range(0, later.shape[1], step):
+                piece = slice(first, first + step)
+                later[:, piece] -= left @ panel[:, start:][:, piece]
+            start += later.shape[0]
+        rows[k] = None
     return True
 
 

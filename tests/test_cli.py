@@ -310,16 +310,16 @@ def test_run_reads_lambda_max_and_rates_without_a_full_decomposition(workdir, mo
 
 
 def _counted_factorizations(monkeypatch) -> list[int]:
-    """The order of each certificate's Cholesky factorization run from here
-    on, with both spectrum caches emptied."""
+    """The order of each certificate's dense Cholesky factorization run from
+    here on, with both spectrum caches emptied."""
     factored = []
-    factor = gel.graphs._factor_block_columns
+    factor = gel.graphs._factor_block_rows
 
-    def counted(columns):
-        factored.append(columns[0].shape[0])  # the first block column has all n rows
-        return factor(columns)
+    def counted(rows):
+        factored.append(rows[0].shape[1])  # the first block row has all the columns
+        return factor(rows)
 
-    monkeypatch.setattr(gel.graphs, "_factor_block_columns", counted)
+    monkeypatch.setattr(gel.graphs, "_factor_block_rows", counted)
     extreme_spectrum.cache_clear()
     laplacian_spectrum.cache_clear()
     return factored
@@ -329,8 +329,9 @@ def test_an_hfd_run_certifies_only_the_top_end(workdir, monkeypatch):
     factored = _counted_factorizations(monkeypatch)
     assert main(["run", write(workdir / "run.cfg", ER_HFD_CFG)]) == 0
     assert "regime = HFD" in (workdir / "run.txt").read_text()
-    # lambda_max, the rates and the HFD profile never read lambda_2
-    assert factored == [400]
+    # lambda_max, the rates and the HFD profile never read lambda_2; the
+    # eliminated independent set leaves under 3/4 of the 400 rows to factor
+    assert len(factored) == 1 and factored[0] < 0.75 * 400
 
 
 def test_an_lfd_profile_still_certifies_lambda_2(monkeypatch):
@@ -339,7 +340,14 @@ def test_an_lfd_profile_still_certifies_lambda_2(monkeypatch):
     factored = _counted_factorizations(monkeypatch)
     # |s| = 1 at lambda = 0 reaches the tie, so the interior is read at lambda_2
     assert gel.spectral.asymptotic_profile(g, ModelSpec("heat", tau=0.5), F0).label == "LFD"
-    assert factored == [400, 400]
+    assert len(factored) == 2 and max(factored) < 0.75 * 400
+
+
+def test_the_top_of_complete_bipartite_factors_every_row(monkeypatch):
+    factored = _counted_factorizations(monkeypatch)
+    # the top's pivot is within rounding of 0, so no node is eliminated
+    assert extreme_spectrum(gel.graphs.complete_bipartite(30, 40)).certified
+    assert factored == [70]
 
 
 def test_bipartite_demo_reads_the_exact_top_without_a_full_decomposition(workdir, monkeypatch):

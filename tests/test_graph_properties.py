@@ -354,8 +354,8 @@ _B = gel.graphs._BLOCK
 @given(st.sampled_from([1, _B - 1, _B, _B + 1, 2 * _B + 3]), st.integers(0, 2**32 - 1),
        st.booleans())
 def test_blocked_cholesky_decides_definiteness(n, seed, definite):
-    # eigenvalues at least 0.01 from 0, far beyond the certificate's shift
-    # delta = 2 (n + 2) eps trace(M) < 1e-10 at these sizes
+    # eigenvalues at least 0.01 from 0, far beyond the certificate's margin
+    # delta < 1e-10 at these sizes
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     values = rng.uniform(0.01, 2.0, n)
@@ -363,25 +363,53 @@ def test_blocked_cholesky_decides_definiteness(n, seed, definite):
         values[rng.integers(n)] = -0.01
     m = (q * values) @ q.T
     m = (m + m.T) / 2
-    columns = [m[first:, first:first + _B].copy() for first in range(0, n, _B)]
-    held = list(columns)  # the routine drops its own references as it goes
-    assert gel.graphs._factor_block_columns(columns) == definite
+    rows = [m[first:first + _B, first:].copy() for first in range(0, n, _B)]
+    held = list(rows)  # the routine drops its own references as it goes
+    assert gel.graphs._factor_block_rows(rows) == definite
     if definite:
         a = np.zeros((n, n))
-        for first, column in zip(range(0, n, _B), held):
-            a[first:, first:first + _B] = column
-        assert np.abs(np.tril(a) - np.linalg.cholesky(m)).max() <= 1e-10
+        for first, row in zip(range(0, n, _B), held):
+            a[first:first + _B, first:] = row
+        assert np.abs(np.triu(a) - np.linalg.cholesky(m).T).max() <= 1e-10
 
 
-def dense_certificate_matrix(g, weights, cv, v, shift):
-    """The certificate's M as the dense n x n array it was formed in before
-    the block columns: the edges scattered, the rank-k term added in row
-    blocks, then the shift."""
-    m = gel.graphs._scatter(g, weights)
-    for first in range(0, g.n, _B):
-        m[first:first + _B] += cv[first:first + _B] @ v.T
-    m.flat[:: g.n + 1] += shift
-    return m
+def _certificate_matrix(g, v, side, s):
+    """The certificate's ``M = s I + side A_hat + c V V^T``, dense."""
+    c = gel.graphs._LIFT
+    return s * np.eye(g.n) + side * normalized_adjacency(g) + c * v @ v.T
+
+
+def dense_schur_complement(g, v, held, side, s):
+    """``M_RR - M_RI M_II^-1 M_IR`` for the certificate's M, R the nodes
+    not in ``held``, by a dense solve; and an entrywise bound on the
+    rounding of either way of forming it, ``(|I| + k + 4) eps`` times the
+    scale ``|M_RR| + |M_RI| |M_II^-1| |M_IR|``: the dense one sums |I|
+    terms in each entry, as V fills M_RI, and the certificate at most one
+    for each path ``a - i - b`` through ``held`` and each of V's k
+    columns."""
+    m = _certificate_matrix(g, v, side, s)
+    inside = np.zeros(g.n, dtype=bool)
+    inside[held] = True
+    rest = np.flatnonzero(~inside)
+    m_rr, m_ri, m_ii = m[np.ix_(rest, rest)], m[np.ix_(rest, held)], m[np.ix_(held, held)]
+    inverse = np.linalg.solve(m_ii, np.eye(held.size))
+    scale = np.abs(m_rr) + np.abs(m_ri) @ np.abs(inverse) @ np.abs(m_ri).T
+    bound = (held.size + v.shape[1] + 4) * np.finfo(float).eps * scale
+    return m_rr - m_ri @ np.linalg.solve(m_ii, m_ri.T), bound
+
+
+def _greedy_independent_set(g):
+    """A maximal independent set by the reference's walk: each node in
+    order joins unless a neighbour already has."""
+    neighbors = [set() for _ in range(g.n)]
+    for u, v in g.edges.tolist():
+        neighbors[u].add(v)
+        neighbors[v].add(u)
+    chosen = []
+    for node in range(g.n):
+        if not neighbors[node] & set(chosen):
+            chosen.append(node)
+    return np.array(chosen, dtype=np.int64)
 
 
 @pytest.mark.parametrize("side", [1, -1])
@@ -391,25 +419,25 @@ def dense_certificate_matrix(g, weights, cv, v, shift):
     ids=["cycle7", "path2B+3", "er3B", "k100_157"],
 )
 def test_block_columns_hold_the_lower_triangle_of_the_dense_matrix(g, p, side):
+    # the block rows of T's upper triangle are, transposed, the block
+    # columns of its lower triangle: T is the dense Schur complement
     rng = np.random.default_rng(g.n + p)
-    v = rng.standard_normal((g.n, p))
-    cv, weights, shift = 4.0 * v, side * gel.graphs._edge_weights(g), side * 0.37
-    dense = dense_certificate_matrix(g, weights, cv, v, shift)
-    columns = gel.graphs._lower_block_columns(g, weights, cv, v, shift)
-    firsts = range(0, g.n, _B)
-    assert len(columns) == len(firsts)
-    for first, column in zip(firsts, columns):
-        width = min(_B, g.n - first)
-        expected = dense[first:, first:first + width]
-        assert column.shape == expected.shape  # the diagonal block in full
-        if p == 1:  # each entry of the rank-1 term is one product, one rounding
-            assert np.array_equal(column, expected)
-        else:
-            # BLAS kernels of the two product shapes may round a two-term sum
-            # differently (with or without a fused multiply-add): a few units
-            # in the last place of the terms' magnitudes
-            scale = np.abs(expected) + np.abs(cv[first:]) @ np.abs(v[first:first + width]).T
-            assert np.all(np.abs(column - expected) <= 4 * np.finfo(float).eps * scale)
+    v = rng.standard_normal((g.n, p)) / np.sqrt(g.n)
+    s = 1.5
+    held = _greedy_independent_set(g)
+    dense, bound = dense_schur_complement(g, v, held, side, s)
+    rows, _, trace = gel.graphs._schur_block_rows(g, v, held, side, s)
+    r = g.n - held.size
+    firsts = range(0, r, _B)
+    assert len(rows) == len(firsts)
+    for first, row in zip(firsts, rows):
+        width = min(_B, r - first)
+        column, expected = row.T, dense[first:, first:first + width]
+        assert column.shape == expected.shape
+        lower = np.tril(np.ones_like(column, dtype=bool))  # the part the factorization reads
+        error = np.abs(column - expected)[lower]
+        assert np.all(error <= bound[first:, first:first + width][lower])
+    assert abs(trace - np.trace(dense)) <= np.trace(bound)
 
 
 def _read_ends(g):
@@ -423,18 +451,23 @@ def _read_ends(g):
 
 
 def _with_dense_certificate(monkeypatch):
-    """Make the certificate form the dense M and factor all of it with one
-    ``np.linalg.cholesky``: a single block column as wide as M."""
-    def factored(columns):
+    """Make the certificate eliminate no node and factor the whole dense M
+    with one ``np.linalg.cholesky``: a single block row as wide as M."""
+    def dense(g, v, held, side, s):
+        m = _certificate_matrix(g, v, side, s)
+        return [m], v.shape[1] + gel.graphs._LIFT * float(np.vdot(v, v)), float(np.trace(m))
+
+    def factored(rows):
         try:
-            np.linalg.cholesky(columns[0])
+            np.linalg.cholesky(rows[0])
         except np.linalg.LinAlgError:
             return False
         return True
 
-    monkeypatch.setattr(gel.graphs, "_lower_block_columns",
-                        lambda *args: [dense_certificate_matrix(*args)])
-    monkeypatch.setattr(gel.graphs, "_factor_block_columns", factored)
+    monkeypatch.setattr(gel.graphs, "_independent_set",
+                        lambda g, v, s: np.empty(0, dtype=np.int64))
+    monkeypatch.setattr(gel.graphs, "_schur_block_rows", dense)
+    monkeypatch.setattr(gel.graphs, "_factor_block_rows", factored)
 
 
 def _assert_same_ends(monkeypatch, g):
@@ -463,6 +496,186 @@ def test_the_block_certificate_decides_as_the_dense_one_on_the_witness_graphs(mo
 )
 def test_the_block_certificate_decides_as_the_dense_one(monkeypatch, g):
     _assert_same_ends(monkeypatch, g)
+
+
+# --- the independent set the certificate eliminates --------------------------
+
+def _eligible(g, v, s):
+    """The oracle of the set's rule: s > 0 and, from the dense A_hat,
+    ``s^2 >= sum_a w_ai^2 + c |V_i|^2``, and ``d_i^2 <= n``."""
+    squares = (normalized_adjacency(g) ** 2).sum(axis=0) + gel.graphs._LIFT * (v * v).sum(axis=1)
+    return (s > 0) & (squares <= s * s) & (degree_vector(g) ** 2 <= g.n)
+
+
+@settings(deadline=None)
+@given(connected_edge_lists(), st.floats(-0.5, 2.0), st.integers(0, 2**32 - 1))
+def test_the_independent_set_is_maximal_among_the_eligible_nodes(case, s, seed):
+    g = Graph(*case)
+    v = np.random.default_rng(seed).standard_normal((g.n, 1)) / np.sqrt(2 * g.n)
+    held = gel.graphs._independent_set(g, v, s)
+    chosen = np.zeros(g.n, dtype=bool)
+    chosen[held] = True
+    eligible = _eligible(g, v, s)
+    assert np.array_equal(held, np.sort(held)) and np.all(eligible[held])
+    a = adjacency_matrix(g) > 0
+    assert not (a & chosen[:, None] & chosen[None, :]).any()  # independent
+    assert np.all(chosen | ~eligible | (a & chosen[None, :]).any(axis=1))  # maximal
+    # the same graph, however its edges were given, gives the same set
+    shuffled = Graph(g.n, np.random.default_rng(seed).permutation(g.edges[:, ::-1]))
+    assert np.array_equal(gel.graphs._independent_set(shuffled, v, s), held)
+
+
+def test_the_independent_set_takes_no_python_loop_over_nodes():
+    g = path(100_000)
+    v = np.zeros((g.n, 1))
+    code, lines = gel.graphs._independent_set.__code__, [0]
+
+    def tracer(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+
+        def count(frame, event, arg):
+            lines[0] += event == "line"
+            return count
+
+        return count
+
+    sys.settrace(tracer)
+    try:
+        held = gel.graphs._independent_set(g, v, 1.0)
+    finally:
+        sys.settrace(None)
+    assert held.size >= g.n // 3  # a maximal independent set of a path
+    assert lines[0] < 1000
+
+
+def _recorded_sets(monkeypatch):
+    """The ``(eligible by the oracle, set)`` of each independent set the
+    certificate draws from here on, with both spectrum caches emptied."""
+    drawn, independent_set = [], gel.graphs._independent_set
+
+    def recorded(g, v, s):
+        held = independent_set(g, v, s)
+        drawn.append((_eligible(g, v, s), held))
+        return held
+
+    monkeypatch.setattr(gel.graphs, "_independent_set", recorded)
+    extreme_spectrum.cache_clear()
+    laplacian_spectrum.cache_clear()
+    return drawn
+
+
+@pytest.mark.parametrize("a, b", [(300, 300), (3, 60)])
+def test_the_independent_set_is_empty_at_the_top_of_complete_bipartite(monkeypatch, a, b):
+    g = complete_bipartite(a, b)
+    drawn = _recorded_sets(monkeypatch)
+    assert extreme_spectrum(g).certified
+    # the top's pivot s is within rounding of 0: no node keeps growth bounded,
+    # not even the degree-3 nodes of K_{3,60}, whose fill alone would allow them
+    ((eligible, held),) = drawn
+    assert not eligible.any() and held.size == 0
+    assert (degree_vector(g) ** 2 <= g.n).any() == (a == 3)
+
+
+def test_the_independent_set_holds_a_third_of_erdos_renyi_at_either_end(monkeypatch):
+    g = erdos_renyi(2000, 0.004, 7)
+    drawn = _recorded_sets(monkeypatch)
+    ends = extreme_spectrum(g)
+    assert ends.certified and ends.lambda_2 > 0
+    assert len(drawn) == 2  # the top end, then lambda_2's
+    for eligible, held in drawn:
+        assert eligible.all()  # s is about 0.65, each sum_a w_ai^2 at most 0.24
+        assert 0.25 * g.n < held.size < 0.35 * g.n
+
+
+# --- soundness of the certificate -------------------------------------------
+
+@pytest.mark.parametrize("eliminate", [True, False], ids=["eliminating", "not-eliminating"])
+@pytest.mark.parametrize("side", [1, -1], ids=["top", "bottom"])
+@pytest.mark.parametrize(
+    "g", [erdos_renyi(400, 0.02, 7), erdos_renyi(1200, 0.01, 3), complete_bipartite(_B, 2 * _B)],
+    ids=["er400", "er1200", "kB_2B"],
+)
+def test_the_certificate_fails_past_the_next_eigenvalue(monkeypatch, g, side, eliminate):
+    lam, vectors = np.linalg.eigh(normalized_laplacian(g))
+    # the end's simple eigenvalue, and the next one inward
+    v, following = (vectors[:, -1:], lam[-2]) if side > 0 else (vectors[:, :1], lam[1])
+    sizes, independent_set = [], gel.graphs._independent_set
+
+    def drawn(g, v, s):
+        held = independent_set(g, v, s) if eliminate else np.empty(0, dtype=np.int64)
+        sizes.append(held.size)
+        return held
+
+    monkeypatch.setattr(gel.graphs, "_independent_set", drawn)
+    # 1e-6 short of the next eigenvalue, at most k = 1 eigenvalue lies beyond
+    sigma = following + side * 1e-6
+    past = gel.graphs._proved_past(g, v, sigma, side)
+    # proved a rounding margin past sigma
+    assert past is not None and 0 < side * (past - sigma) < 1e-6
+    # 1e-6 past it, the next eigenvalue lies beyond too: the count must fail
+    assert gel.graphs._proved_past(g, v, following - side * 1e-6, side) is None
+    # K_{a,b} eliminates nothing at either end, an Erdos-Renyi graph a third
+    assert all((size > 0) == (eliminate and g.n != 3 * _B) for size in sizes)
+
+
+def _ldl_trace(b):
+    """``trace(|L| |D| |L^T|)`` of the ``L D L^T`` factorization of ``b``
+    without pivoting, by elimination one row at a time."""
+    b, total = b.copy(), 0.0
+    for j in range(b.shape[0]):
+        pivot, column = b[j, j], b[j + 1:, j] / b[j, j]
+        total += abs(pivot) * (1.0 + float(column @ column))
+        b[j + 1:, j + 1:] -= np.outer(column, b[j, j + 1:])
+    return total
+
+
+@settings(deadline=None)
+@given(connected_edge_lists(max_nodes=40), st.sampled_from([1, -1]))
+def test_the_margin_covers_the_backward_error_of_the_factorization(case, side):
+    g = Graph(*case)
+    lam, vectors = np.linalg.eigh(normalized_laplacian(g))
+    # a simple end, and sigma halfway to the next eigenvalue
+    end, following = (-1, -2) if side > 0 else (0, 1)
+    assume(abs(lam[end] - lam[following]) > 1e-6)
+    v, sigma = vectors[:, [end]], (lam[end] + lam[following]) / 2
+    past = gel.graphs._proved_past(g, v, sigma, side)
+    assert past is not None
+    delta = side * (past - sigma) / 2
+    assert delta > 0
+    # the bordered matrix at the factored point, in the order I, border, R
+    s = side * (sigma + side * delta - 1.0)
+    held = gel.graphs._independent_set(g, v, side * (sigma - 1.0))
+    inside = np.zeros(g.n, dtype=bool)
+    inside[held] = True
+    order = np.concatenate((held, [g.n], np.flatnonzero(~inside)))
+    c = gel.graphs._LIFT
+    b = np.zeros((g.n + 1, g.n + 1))
+    b[:g.n, :g.n] = s * np.eye(g.n) + side * normalized_adjacency(g)
+    b[:g.n, g.n] = b[g.n, :g.n] = np.sqrt(c) * v[:, 0]
+    b[g.n, g.n] = -1.0
+    # Higham's Thm 9.3 bounds the backward error by gamma_N |L| |D| |L^T|
+    u = np.finfo(float).eps / 2
+    gamma = (g.n + 1) * u / (1 - (g.n + 1) * u)
+    assert gamma * _ldl_trace(b[np.ix_(order, order)]) <= delta
+
+
+@settings(deadline=None)
+@given(connected_edge_lists(max_nodes=40))
+def test_a_certified_end_holds_against_the_dense_spectrum(case):
+    g = Graph(*case)
+    extreme_spectrum.cache_clear()
+    laplacian_spectrum.cache_clear()
+    ends = extreme_spectrum(g)
+    assume(ends.certified)
+    lam = np.linalg.eigvalsh(normalized_laplacian(g))
+    rho = gel.graphs.SPECTRAL_TOL  # every certified pair's residual bound is below it
+    top, bottom = ends.top.eigenvalues, ends.bottom.eigenvalues
+    # the clusters are complete: every other eigenvalue lies at or inside the next ones
+    assert np.abs(lam[-top.size:] - top).max() <= rho
+    assert np.abs(lam[:bottom.size] - bottom).max() <= rho
+    assert abs(lam[-top.size - 1] - ends.below_top) <= rho
+    assert abs(lam[bottom.size] - ends.lambda_2) <= rho
 
 
 @pytest.mark.parametrize(

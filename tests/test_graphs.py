@@ -499,8 +499,10 @@ def test_certificate_holds_its_lower_triangle():
     extreme_spectrum.cache_clear()
     ends, _, peak = _traced(lambda: (ends := extreme_spectrum(g), ends.lambda_2)[0])
     assert ends.certified
-    # the block columns' 4 n (n + _BLOCK) bytes and O(n * _BLOCK) beside them
-    assert peak <= 0.75 * 8 * g.n**2
+    # the block rows of the Schur complement left once an independent set
+    # of about n / 4 nodes is eliminated, 4 r (r + _BLOCK) bytes for its r
+    # rows, and O(n * _BLOCK) beside them
+    assert peak <= 0.4 * 8 * g.n**2
 
 
 def test_the_certificate_forms_no_dense_matrix(monkeypatch):
