@@ -51,7 +51,8 @@ its own ``Lrw F = F - (A F + F) / (deg + 1)`` instead, with
 run.  The product's form is picked once a run, for the run's width, by
 ``graphs._product_for``, the one rule that ``graphs._adjacency_product``
 also applies: an O(m d) sum over the edges on a sparse graph
-(``2 m d < n^2 / 8``) and one dense O(n^2 d) product otherwise, so a sparse
+(``2 m d < n^2 / 8``), in jagged-diagonal slots when n d is large against
+the maximum degree, and one dense O(n^2 d) product otherwise, so a sparse
 run never builds an n x n matrix.
 
 The CSV columns of a state x between the first and the last are read off
@@ -524,7 +525,7 @@ def _advance(plan: _Plan, F: np.ndarray) -> np.ndarray:
     af = plan.product(F) if update.reads_af else None
     if plan.products is not None and af is not None:
         plan.products.append(af)
-    z = 0
+    z = None
     for op, m in plan.terms:
         if op == "I":
             product = F
@@ -534,13 +535,20 @@ def _advance(plan: _Plan, F: np.ndarray) -> np.ndarray:
             product = F - af
         else:
             product = op(F)
-        # np.dot multiplies by a scalar factor and matrix-multiplies by a d x d one
-        z = z + np.dot(product, m)
+        # np.dot multiplies by a scalar factor and matrix-multiplies by a d x
+        # d one, into a new array: the first term's is the sum's
+        if z is None:
+            z = np.dot(product, m)
+        else:
+            z += np.dot(product, m)
     if plan.source is not None:
-        z = z + plan.source
+        z += plan.source
     if update.activation is not None:
         z = update.activation(z)
-    return F + plan.tau * z if update.residual else plan.tau * z
+    z *= plan.tau
+    if update.residual:
+        z += F
+    return z
 
 
 def step_model(spec: ModelSpec, g: Graph, F, F0=None, *, _plan=None) -> np.ndarray:
@@ -650,7 +658,7 @@ def _product_state(
     """The product form of x's diagnostics given ``ax = A_hat x``, in
     O(n d), or None when the deflated value is not above
     ``_DEFLATED_FLOOR |x'|^2``."""
-    deflated = (x - np.outer(phi0, phi0 @ x)).ravel()
+    deflated = (x - phi0[:, None] * (phi0 @ x)).ravel()
     value = float(deflated @ (x - ax).ravel())
     if not value > _DEFLATED_FLOOR * float(deflated @ deflated):
         return None

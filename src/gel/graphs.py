@@ -12,9 +12,11 @@ propagation, on the graph and on its bipartite double cover.
 The public operators are dense numpy arrays, scattered from the edge array,
 for what needs the whole matrix: the full decomposition and the Kronecker
 assemblies of ``verify``.  What only multiplies by A_hat (the dynamics and
-the energies) calls ``_adjacency_product``, which sums over a cached
-row-sorted (CSR) neighbour index on a sparse graph and multiplies by the
-dense matrix, built only then, on a dense one; a dynamics run takes the
+the energies) calls ``_adjacency_product``, which multiplies by the dense
+matrix, built only then, on a dense graph.  On a sparse one it sums over a
+cached neighbour index: in jagged-diagonal slots, one contiguous add per
+slot, when the width of what it multiplies is large against the maximum
+degree, and in row-sorted (CSR) runs otherwise.  A dynamics run takes the
 form that rule picks for its width once, from ``_product_for``.
 ``laplacian_spectrum`` is the full, checked ``numpy.linalg.eigh`` of the
 normalized Laplacian.
@@ -574,32 +576,47 @@ def _inv_sqrt_degree(g: Graph) -> np.ndarray:
 def _adjacency_product(g: Graph, F: np.ndarray) -> np.ndarray:
     """``A_hat F`` for a 1-D or ``(n, d)`` array F.
 
-    It reads one of two forms, by a fixed rule on what the product reads:
-    the edge form (``_edge_product``) when ``2 m d < n^2 / 8``, with d the
-    width of F (1 for a 1-D F), and the dense ``normalized_adjacency(g) @ F``
-    otherwise.  The rule's d matters: the edge form gathers one row of d
-    floats per directed edge, in O(m d), against one BLAS pass over the n^2
-    matrix, in O(n^2 d).  The dense matrix is built only when the rule
-    first picks it.
+    It reads one of three forms, by a fixed rule on what the product reads,
+    with d the width of F (1 for a 1-D F):
 
-    Median milliseconds over 40 calls, dense / edge, on a 2-vCPU Xeon
-    (numpy 2.4.6 with OpenBLAS, 2 threads); * marks the rule's pick:
+    - the dense ``normalized_adjacency(g) @ F`` when ``2 m d >= n^2 / 8``:
+      one BLAS pass over the n^2 matrix, in O(n^2 d), against one gathered
+      row of d floats per directed edge in the other two, in O(m d);
+    - else the slot form (``_slot_product``) when ``128 max_degree < n d``:
+      one contiguous add of up to n d floats per neighbour slot, so
+      max_degree Python steps in all;
+    - else the edge form (``_edge_product``): one ``np.add.reduceat`` over
+      the CSR runs, a short strided sum per row and column.
 
-    ==================  ================  ================
-    graph (2m / n^2)    d = 1             d = 8
-    ==================  ================  ================
-    ER n=2000 (1/250)   0.89 / 0.09 *     2.6 / 0.54 *
-    ER n=1000 (1/127)   0.21 / 0.04 *     0.78 / 0.24 *
-    ER n=2000 (1/31)    0.75 / 0.30 *     2.7 * / 3.9
-    ER n=2000 (1/16)    0.75 / 0.54 *     2.7 * / 7.2
-    ER n=4000 (1/16)    3.3 / 1.9 *       15 * / 43
-    K_{300,300} (1/2)   0.13 * / 0.35     0.22 * / 5.3
-    ER n=200 (1/15)     0.009 / 0.016 *   0.022 * / 0.065
-    ==================  ================  ================
+    Each form is built only when the rule first picks it.
 
-    The one loss, n = 200 at d = 1, is 7 microseconds a call.  The two
-    forms sum in different orders, so they agree to roundoff, not bit for
-    bit.  An isolated node is a validation error.
+    Median milliseconds over 40 calls, dense / edge / slot, on a 2-vCPU
+    Xeon (numpy 2.4.6 with OpenBLAS, 2 threads); * marks the rule's pick:
+
+    =================  ====  ======================  =====================
+    graph (2m / n^2)   max   d = 1                   d = 8
+                       deg
+    =================  ====  ======================  =====================
+    ER n=2000 (1/250)  23    0.62 / 0.05 * / 0.04    2.0 / 0.36 / 0.17 *
+    ER n=1000 (1/127)  18    0.16 / 0.02 * / 0.05    0.60 / 0.24 / 0.11 *
+    ER n=2000 (1/31)   96    0.65 / 0.37 * / 0.47    2.4 * / 3.8 / 1.4
+    ER n=2000 (1/16)   161   0.65 / 0.47 * / 0.55    2.4 * / 7.0 / 2.6
+    ER n=4000 (1/16)   308   2.8 / 1.8 * / 2.0       13 * / 37 / 21
+    K_{300,300} (1/2)  300   0.11 * / 0.32 / 0.54    0.21 * / 4.5 / 1.8
+    ER n=200 (1/16)    23    0.007 / 0.009 * / 0.03  0.014 * / 0.04 / 0.05
+    cycle n=4000       2     3.1 / 0.10 / 0.02 *     14 / 0.41 / 0.14 *
+    wheel n=3000       2999  1.4 / 0.05 * / 3.7      5.9 / 0.38 * / 2.6
+    =================  ====  ======================  =====================
+
+    The slot form overtakes the edge form near ``n d / max_degree`` of 80
+    to 100; its Python step per slot makes it lose by 7 to 70 times on a
+    hub.  The losses of the rule: ER n=200 at d = 1, by 2 microseconds a
+    call, and ER n=2000 (1/31) at d = 8, whose slot form beats the dense
+    product the rule checks first.  Every form sums each row in its
+    own order (the slot form left to right in ascending neighbour order,
+    ``reduceat`` the first term plus a pairwise sum of the rest), so they
+    agree to roundoff, not bit for bit.  An isolated node is a validation
+    error.
     """
     return _product_for(g, 1 if F.ndim == 1 else F.shape[1])(F)
 
@@ -607,11 +624,15 @@ def _adjacency_product(g: Graph, F: np.ndarray) -> np.ndarray:
 def _product_for(g: Graph, width: int) -> Callable[[np.ndarray], np.ndarray]:
     """The map ``F -> A_hat F`` that ``_adjacency_product``'s rule picks for
     an F of ``width`` columns, so that a loop over arrays of one width can
-    pick it once: the edge form when ``2 m width < n^2 / 8``, else the
-    product with the dense matrix, built on this first call."""
-    if 16 * g.num_edges * width < g.n * g.n:
-        return _edge_product(g)
-    return normalized_adjacency(g).__matmul__
+    pick it once: the product with the dense matrix when
+    ``2 m width >= n^2 / 8``, the slot form when
+    ``128 max_degree < n width``, else the edge form.  Each is built on the
+    first call that picks it."""
+    if 16 * g.num_edges * width >= g.n * g.n:
+        return normalized_adjacency(g).__matmul__
+    if 128 * degree_vector(g).max() < g.n * width:
+        return _slot_product(g)
+    return _edge_product(g)
 
 
 @lru_cache(maxsize=_CACHE_ENTRIES)
@@ -629,6 +650,49 @@ def _edge_product(g: Graph) -> Callable[[np.ndarray], np.ndarray]:
         scale = inv_sqrt if F.ndim == 1 else inv_sqrt[:, None]
         # every row is nonempty (no isolated node), as reduceat needs
         return scale * np.add.reduceat(np.take(F * scale, cols, axis=0), starts, axis=0)
+
+    return product
+
+
+@lru_cache(maxsize=_CACHE_ENTRIES)
+def _slot_product(g: Graph) -> Callable[[np.ndarray], np.ndarray]:
+    """``_edge_product``'s map in jagged-diagonal form (Saad, *Iterative
+    Methods for Sparse Linear Systems*, 2nd ed., 3.4), for a 1-D or
+    ``(n, d)`` array F.  The rows are ordered by descending degree; slot j
+    holds the j-th neighbour, in ascending order, of every row of degree
+    above j, and those rows are a prefix of that order.  One gather of the
+    rows of ``F / sqrt(deg)`` in slot order, one contiguous in-place add per
+    slot onto slot 0's prefix, one scale by ``1 / sqrt(deg)`` and one gather
+    back to node order: each row is summed left to right in ascending
+    neighbour order.  The index holds 2 m int32 entries (int64 past 2^31
+    nodes).  A Python step per slot costs O(max_degree), so this pays only
+    when that is small against n d (see ``_product_for``).  An isolated
+    node is a validation error."""
+    inv_sqrt = _inv_sqrt_degree(g)
+    cols, starts = _neighbours(g)
+    deg = degree_vector(g).astype(np.int64)
+    order = np.argsort(-deg, kind="stable")
+    # lengths[j]: the rows of degree above j
+    lengths = g.n - np.cumsum(np.bincount(deg))[:-1]
+    first = starts[order]
+    index = np.concatenate(
+        [cols[first[:length] + j] for j, length in enumerate(lengths.tolist())]
+    ).astype(np.int32 if g.n <= 2**31 else np.int64)
+    ends = np.cumsum(lengths)
+    slots = list(zip((ends - lengths).tolist(), ends.tolist()))[1:]
+    rank = np.empty(g.n, dtype=np.intp)
+    rank[order] = np.arange(g.n)
+    sorted_scale = inv_sqrt[order]
+    n = g.n
+
+    def product(F: np.ndarray) -> np.ndarray:
+        column = F.ndim == 1
+        rows = np.take(F * (inv_sqrt if column else inv_sqrt[:, None]), index, axis=0)
+        total = rows[:n]  # slot 0: every row, as none is isolated
+        for start, stop in slots:
+            total[:stop - start] += rows[start:stop]
+        total *= sorted_scale if column else sorted_scale[:, None]
+        return np.take(total, rank, axis=0)
 
     return product
 

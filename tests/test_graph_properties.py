@@ -303,27 +303,73 @@ def test_adjacency_product_matches_the_dense_operator(case, width, seed):
     assert np.abs(got - want).max() <= 1e-14 * max(1.0, float(np.abs(want).max()))
 
 
-def _reads_dense_operator(monkeypatch, g, width) -> bool:
-    """Whether the A_hat product of ``g`` at this width reads the dense matrix."""
-    calls = []
+def wheel(n: int) -> Graph:
+    """The hub 0 joined to every node of the cycle 1 .. n-1."""
+    rim = np.arange(1, n)
+    return Graph(n, np.concatenate((
+        np.stack((np.zeros_like(rim), rim), axis=1),
+        np.stack((rim, np.roll(rim, -1)), axis=1),
+    )))
 
-    def recorded(graph):
-        calls.append(graph)
-        return normalized_adjacency(graph)
 
-    monkeypatch.setattr(gel.graphs, "normalized_adjacency", recorded)
+def ascending_fold(g: Graph, F: np.ndarray) -> np.ndarray:
+    """``A_hat F`` summed row by row, left to right over the neighbours in
+    ascending order, then scaled: the order the slot form pins."""
+    inv_sqrt = 1.0 / np.sqrt(degree_vector(g))
+    scaled = F * (inv_sqrt if F.ndim == 1 else inv_sqrt[:, None])
+    neighbours = [[] for _ in range(g.n)]
+    for u, v in g.edges.tolist():
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    out = np.empty_like(F)
+    for i, row in enumerate(neighbours):
+        total = scaled[min(row)]
+        for j in sorted(row)[1:]:
+            total = total + scaled[j]
+        out[i] = inv_sqrt[i] * total
+    return out
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.one_of(
+        st.integers(2, 300).map(path),
+        st.integers(3, 300).map(cycle),
+        st.integers(4, 120).map(wheel),
+        st.tuples(st.integers(10, 200), st.integers(0, 99)).map(
+            lambda a: erdos_renyi(a[0], 6.0 / a[0], a[1])),
+    ),
+    st.integers(1, 8),
+    st.integers(0, 2**32 - 1),
+)
+def test_slot_product_sums_each_row_in_ascending_order(g, width, seed):
     shape = (g.n,) if width == 1 else (g.n, width)
-    _adjacency_product(g, np.ones(shape))
-    monkeypatch.undo()
-    return bool(calls)
+    F = np.random.default_rng(seed).normal(size=shape)
+    got = gel.graphs._slot_product(g)(F)
+    want = normalized_adjacency(g) @ F
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-14 * max(1.0, float(np.abs(want).max()))
+    assert np.array_equal(got, ascending_fold(g, F))
 
 
-def test_adjacency_product_rule_picks_the_pinned_side(monkeypatch):
+def _picked_form(g: Graph, width: int) -> str:
+    """Which form ``_product_for`` picks for ``g`` at this width."""
+    product = gel.graphs._product_for(g, width)
+    if isinstance(getattr(product, "__self__", None), np.ndarray):
+        return "dense"
+    forms = {"slot": gel.graphs._slot_product, "edge": gel.graphs._edge_product}
+    (form,) = [name for name, build in forms.items() if product is build(g)]
+    return form
+
+
+def test_adjacency_product_rule_picks_the_pinned_side():
     for g in (erdos_renyi(2000, 0.004, 7), erdos_renyi(1000, 0.008, 7)):
-        assert not _reads_dense_operator(monkeypatch, g, 8), g
+        assert (_picked_form(g, 8), _picked_form(g, 1)) == ("slot", "edge"), g
+    # a hub of degree n - 1 takes n Python steps in the slot form
+    assert _picked_form(wheel(3000), 8) == "edge"
     # dense at d = 1 means dense at every width
     for g in [complete_bipartite(300, 300)] + [w.graph for w in default_suite()]:
-        assert _reads_dense_operator(monkeypatch, g, 1), g
+        assert _picked_form(g, 1) == "dense", g
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gel.graphs
+from gel.dynamics import ModelSpec, run_trajectory
 from gel.errors import NumericError, ParseError, ValidationError
 from gel.graphs import (
     Graph,
@@ -550,6 +551,29 @@ def test_per_graph_caches_hold_a_few_graphs():
     _, held, _ = _traced(spectra_of_dropped_graphs)
     edge_bytes = 16 * 300 * sizes[-1]
     assert held <= 12 * edge_bytes  # about 8 with 4 entries a cache; 32 if every graph stayed
+
+
+def test_the_slot_form_cache_holds_a_few_graphs():
+    # runs at width 8 on sparse graphs take the slot form, each with its own
+    # index; the graphs stay alive beside the cache, so what clearing it
+    # frees is what it alone holds
+    graphs = [erdos_renyi(1000, 0.008, seed) for seed in range(16)]
+    F0 = np.random.default_rng(7).normal(size=(1000, 8))
+    run_trajectory(ModelSpec("heat"), cycle(1000), F0, 1)  # warm up outside the trace
+    tracemalloc.start()
+    try:
+        for g in graphs:
+            run_trajectory(ModelSpec("heat"), g, F0, 2)
+        held, _ = tracemalloc.get_traced_memory()
+        cached = gel.graphs._slot_product.cache_info().currsize
+        gel.graphs._slot_product.cache_clear()
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert cached == gel.graphs._CACHE_ENTRIES
+    # the int32 index of 2 m entries, the rank and the scale of n each
+    slot_bytes = max(8 * g.num_edges + 16 * g.n for g in graphs)
+    assert freed <= 6 * slot_bytes, (freed, slot_bytes)  # about 4; 16 if every one stayed
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, True])
