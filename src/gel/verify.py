@@ -383,10 +383,10 @@ def _contracted(w: Witness, spec: ModelSpec, profile) -> int:
 def _cgnn_horizon(w: Witness, spec: ModelSpec, profile) -> int:
     """Steps until lambda_2's factor over the top factor reaches 1e-8; the
     top eigenvalue of OmegaTilde's symmetric part bounds its spectrum."""
-    lam = laplacian_spectrum(w.graph).eigenvalues
+    lam_2 = extreme_spectrum(w.graph).lambda_2
     mixer = spec.OmegaTilde
     tilde_top = float(np.linalg.eigvalsh(0.5 * (mixer + mixer.T))[-1])
-    ratio = (1.0 + spec.tau * (tilde_top - float(lam[1]))) / (1.0 + spec.tau * tilde_top)
+    ratio = (1.0 + spec.tau * (tilde_top - lam_2)) / (1.0 + spec.tau * tilde_top)
     return _horizon(max(ratio, 0.0), 1e-8)
 
 
@@ -409,7 +409,7 @@ def _conservation(g: Graph, spec: ModelSpec, F0):
     ``exp(log_scale) phi0^T F psi`` from their start, over the state's norm
     ``max(1, exp(log_scale))``: their roundoff grows with that norm, the law
     does not."""
-    phi0 = laplacian_spectrum(g).eigenvectors[:, 0]
+    phi0 = extreme_spectrum(g).bottom.eigenvectors[:, 0]
     psi = spectral_decomposition(spec.weights.W).eigenvectors
     first, drift = None, -np.inf
     while True:

@@ -93,7 +93,7 @@ def test_suite_passes_with_asserts_off(tmp_path):
 
 
 def test_suite_stdout_is_identical_with_asserts_off(tmp_path):
-    # the debug-only cross-checks must feed no printed number
+    # gel asserts nothing, so python -O may change no printed number
     outs = [_gel(["suite"], tmp_path, optimize) for optimize in (False, True)]
     assert all(done.returncode == 0 for done in outs), [done.stderr for done in outs]
     assert outs[0].stdout == outs[1].stdout
@@ -109,7 +109,7 @@ def test_suite_stdout_is_identical_with_asserts_off(tmp_path):
     ids=["gradient_flow-source", "label_propagation"],
 )
 def test_run_csv_is_identical_with_asserts_off(tmp_path, config):
-    # the debug-only cross-checks must feed nothing into the outputs
+    # gel asserts nothing, so python -O may change nothing in the outputs
     csvs = []
     for optimize in (False, True):
         (tmp_path / "run.cfg").write_text(config)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from gel.errors import NumericError, ValidationError
 from gel.graphs import (
     complete_bipartite,
     cycle,
+    degree_vector,
     erdos_renyi,
     laplacian_spectrum,
     normalized_laplacian,
@@ -71,6 +74,27 @@ def test_rayleigh_range_and_scale_invariance():
         rq = rayleigh_quotient(g, F)
         assert -1e-10 <= rq <= 2.0 + 1e-10
         assert rayleigh_quotient(g, 17.0 * F) == pytest.approx(rq, abs=1e-12)
+
+
+def test_dirichlet_energy_next_to_the_kernel_passes_its_cross_check():
+    # |F|^2 is about 5e22, so the trace form's rounding dwarfs D
+    g = erdos_renyi(50, 0.2, 3)
+    F = 1e10 * np.sqrt(degree_vector(g)) + 1e-3 * np.random.default_rng(0).standard_normal(g.n)
+    assert dirichlet_energy(g, F) == pytest.approx(3.779612961807288e-05, rel=1e-12)
+
+
+@pytest.mark.parametrize("scale, noise", [(1e-160, 1e-170), (1e10, 1e-3), (1e160, 1e150)])
+def test_rayleigh_quotient_is_scale_free_at_extreme_scales(scale, noise):
+    # |F|^2 underflows or overflows at both ends; D overflows for rough F
+    g = erdos_renyi(50, 0.2, 3)
+    rough = np.random.default_rng(0).standard_normal(g.n)
+    smooth = scale * np.sqrt(degree_vector(g)) + noise * rough
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dirichlet_energy(g, smooth)
+        for F in (smooth, scale * rough):
+            unit = rayleigh_quotient(g, F / np.abs(F).max())
+            assert abs(rayleigh_quotient(g, F) - unit) <= 1e-9
 
 
 def test_rayleigh_rejects_zero():

@@ -16,6 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import gel.dynamics
 import gel.graphs
 from gel.dynamics import ModelSpec, run_trajectory, trajectory_states
 from gel.energy import WeightSet
@@ -235,6 +236,21 @@ def test_the_regime_is_the_frequency_a_long_run_reaches(case, d, data):
     assert abs(traj.rayleigh[-1] - target) <= 1e-6
 
 
+def trace_form_miss(g, dirichlet, states):
+    """The largest miss of a Dirichlet column from the trace form
+    ``|x|^2 - tr(x^T A_hat x)`` of its states, over ``max(1, |x|^2)``.
+    A_hat is the reference's dense one, its degrees counted off the edges."""
+    a = np.array(oracle_adjacency(g.n, g.edges.tolist()))
+    inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
+    a_hat = inv_sqrt[:, None] * a * inv_sqrt
+    miss = 0.0
+    for value, state in zip(dirichlet, states, strict=True):
+        x = state.direction
+        sq = float(np.sum(x * x))
+        miss = max(miss, abs(value - (sq - float(np.sum(x * (a_hat @ x))))) / max(1.0, sq))
+    return miss
+
+
 def edge_form_columns(g, spec, x, F0):
     """Rayleigh quotient, Dirichlet energy and energy column of the state x,
     summed over the edges of ``g``."""
@@ -282,11 +298,23 @@ def test_trajectory_columns_match_their_edge_form(case, d, data):
     F0 = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(size=(g.n, d))
     traj = run_trajectory(spec, g, F0, steps)
     assert traj.dirichlet.min() >= 0.0
-    for k, state in enumerate(trajectory_states(spec, g, F0, steps)):
+    states = list(trajectory_states(spec, g, F0, steps))
+    for k, state in enumerate(states):
         want = edge_form_columns(g, spec, state.direction, F0)
         got = (traj.rayleigh[k], traj.dirichlet[k], traj.energy[k])
         for name, a, b in zip(("rayleigh", "dirichlet", "energy"), got, want):
             assert abs(a - b) <= max(1e-12 * abs(b), 1e-15), (k, name, a, b)
+    assert trace_form_miss(g, traj.dirichlet, states) <= 1e-9
+
+
+def test_degrees_off_the_edges_miss_the_trace_form(monkeypatch):
+    # the product form deflates the states of phi0 = sqrt(deg) / |sqrt(deg)|
+    g = erdos_renyi(40, 0.3, 3)
+    wrong = degree_vector(g) + np.arange(g.n) % 2
+    monkeypatch.setattr(gel.dynamics, "degree_vector", lambda graph: wrong)
+    spec, F0 = ModelSpec("heat"), np.random.default_rng(6).normal(size=(g.n, 1))
+    traj = run_trajectory(spec, g, F0, 3)
+    assert trace_form_miss(g, traj.dirichlet, trajectory_states(spec, g, F0, 3)) > 1e-6
 
 
 @settings(deadline=None)

@@ -1,3 +1,4 @@
+import ast
 import glob
 import importlib
 import os
@@ -17,6 +18,22 @@ def test_every_name_in_all_resolves(module):
     # tools such as perfbench's tracer getattr every listed name
     mod = importlib.import_module(module)
     assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
+
+
+def test_no_module_asserts_or_reads_debug():
+    # a run computes the same with and without python -O, and fails by GelError
+    package = os.path.dirname(os.path.abspath(gel.__file__))
+    found = []
+    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        found += [
+            (os.path.basename(path), node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)
+            or (isinstance(node, ast.Name) and node.id == "__debug__")
+        ]
+    assert found == []
 
 
 def test_package_data_ships_every_suite_witness():

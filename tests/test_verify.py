@@ -19,9 +19,9 @@ from gel.graphs import (
     Graph,
     complete_bipartite,
     cycle,
+    degree_vector,
     erdos_renyi,
     extreme_spectrum,
-    laplacian_spectrum,
     path,
     spectral_decomposition,
 )
@@ -562,7 +562,8 @@ def _own_runner_error(w: verify.Witness) -> float:
             worst = max(worst, float(np.abs(raw / float(np.linalg.norm(raw))
                                             - state.direction).max()))
         return worst
-    phi0 = laplacian_spectrum(g).eigenvectors[:, 0]
+    sqrt_deg = np.sqrt(degree_vector(g))
+    phi0 = sqrt_deg / np.linalg.norm(sqrt_deg)
     psi = spectral_decomposition(spec.weights.W).eigenvectors
     first, drift = None, 0.0
     for state in states:
