@@ -149,15 +149,19 @@ def dirichlet_energy(g: Graph, F) -> float:
     is cross-checked against the Laplacian trace form
     ``|F|^2 - trace(F^T A_hat F)`` within ``1e-9 max(1, |F|^2, |value|)``,
     as the trace form's rounding grows with ``|F|^2``; a disagreement is a
-    NumericError, and a trace form that overflows is not compared.
+    NumericError, and a trace form that overflows is not compared.  An
+    energy beyond the floating range is a NumericError too.
     """
     feats = as_features(g, F)
     head, tail = _edge_rows(g)(feats)
-    diffs = head - tail
-    value = float(np.sum(diffs * diffs))
+    # overflow is reported as the NumericError below, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
+        diffs = head - tail
+        value = float(np.sum(diffs * diffs))
         sq = float(np.sum(feats * feats))
         trace_form = sq - float(np.sum(feats * _adjacency_product(g, feats)))
+    if not np.isfinite(value):
+        raise NumericError("the Dirichlet energy exceeds the floating range")
     if np.isfinite(trace_form) and abs(value - trace_form) > 1e-9 * max(1.0, sq, abs(value)):
         raise NumericError(
             f"the Dirichlet energy disagrees with its trace form: {value!r} vs {trace_form!r}"

@@ -12,21 +12,23 @@ propagation, on the graph and on its bipartite double cover.
 The public operators are dense numpy arrays, scattered from the edge array,
 for what needs the whole matrix: the full decomposition and the Kronecker
 assemblies of ``verify``.  What only multiplies by A_hat (the dynamics and
-the energies) calls ``_adjacency_product``, which multiplies by the dense
-matrix, built only then, on a dense graph.  On a sparse one it sums over a
-cached neighbour index: in jagged-diagonal slots, one contiguous add per
-slot, when the width of what it multiplies is large against the maximum
-degree, and in row-sorted (CSR) runs otherwise.  A dynamics run takes the
-form that rule picks for its width once, from ``_product_for``.
+the energies) calls ``_adjacency_product``.  It sums over a cached
+neighbour index in jagged-diagonal slots, one contiguous add per slot,
+whenever the width of what it multiplies is large against the maximum
+degree; otherwise it multiplies by the dense matrix, built only then, on a
+dense graph, and sums in row-sorted (CSR) runs on a sparse one.  A dynamics
+run takes the form that rule picks for its width once, from
+``_product_for``.
 ``laplacian_spectrum`` is the full, checked ``numpy.linalg.eigh`` of the
 normalized Laplacian.
 ``extreme_spectrum`` gives only its two ends, the eigenpairs at 0 and at
 lambda_max and the next eigenvalue inward from each, from a thick-restart
-Lanczos iteration on the same edge sum, which holds O(n * _RESTART) and
-checks each Ritz pair by its explicit residual.  Residual bounds and an
-inertia count certify that no eigenvalue was missed at the top; lambda_2 is
-certified the same way, only when something reads it, and 0 needs no
-certificate on a connected graph.  The count at a point sigma factors
+Lanczos iteration on the same edge sum, which starts from splitmix64's
+scramble of the node ids (``_scramble``), not from random numbers, holds
+O(n * _RESTART) and checks each Ritz pair by its explicit residual.
+Residual bounds and an inertia count certify that no eigenvalue was missed
+at the top; lambda_2 is certified the same way, only when something reads
+it, and 0 needs no certificate on a connected graph.  The count at a point sigma factors
 ``[[S, sqrt(c) V], [sqrt(c) V^T, -I]]``, with ``S = +-(sigma I - L)`` and V
 the end's cluster vectors, as ``L D L^T`` without pivoting: first the nodes
 of an independent set, whose pivots are exact scalars as A_hat vanishes
@@ -579,12 +581,13 @@ def _adjacency_product(g: Graph, F: np.ndarray) -> np.ndarray:
     It reads one of three forms, by a fixed rule on what the product reads,
     with d the width of F (1 for a 1-D F):
 
-    - the dense ``normalized_adjacency(g) @ F`` when ``2 m d >= n^2 / 8``:
-      one BLAS pass over the n^2 matrix, in O(n^2 d), against one gathered
-      row of d floats per directed edge in the other two, in O(m d);
-    - else the slot form (``_slot_product``) when ``128 max_degree < n d``:
+    - the slot form (``_slot_product``) when ``128 max_degree < n d``:
       one contiguous add of up to n d floats per neighbour slot, so
       max_degree Python steps in all;
+    - else the dense ``normalized_adjacency(g) @ F`` when
+      ``2 m d >= n^2 / 8``: one BLAS pass over the n^2 matrix, in
+      O(n^2 d), against one gathered row of d floats per directed edge in
+      the other two, in O(m d);
     - else the edge form (``_edge_product``): one ``np.add.reduceat`` over
       the CSR runs, a short strided sum per row and column.
 
@@ -599,7 +602,7 @@ def _adjacency_product(g: Graph, F: np.ndarray) -> np.ndarray:
     =================  ====  ======================  =====================
     ER n=2000 (1/250)  23    0.62 / 0.05 * / 0.04    2.0 / 0.36 / 0.17 *
     ER n=1000 (1/127)  18    0.16 / 0.02 * / 0.05    0.60 / 0.24 / 0.11 *
-    ER n=2000 (1/31)   96    0.65 / 0.37 * / 0.47    2.4 * / 3.8 / 1.4
+    ER n=2000 (1/31)   96    0.65 / 0.37 * / 0.47    2.4 / 3.8 / 1.4 *
     ER n=2000 (1/16)   161   0.65 / 0.47 * / 0.55    2.4 * / 7.0 / 2.6
     ER n=4000 (1/16)   308   2.8 / 1.8 * / 2.0       13 * / 37 / 21
     K_{300,300} (1/2)  300   0.11 * / 0.32 / 0.54    0.21 * / 4.5 / 1.8
@@ -610,9 +613,13 @@ def _adjacency_product(g: Graph, F: np.ndarray) -> np.ndarray:
 
     The slot form overtakes the edge form near ``n d / max_degree`` of 80
     to 100; its Python step per slot makes it lose by 7 to 70 times on a
-    hub.  The losses of the rule: ER n=200 at d = 1, by 2 microseconds a
-    call, and ER n=2000 (1/31) at d = 8, whose slot form beats the dense
-    product the rule checks first.  Every form sums each row in its
+    hub.  Where both the slot and the dense condition hold, the slot form
+    is the faster, so the rule tests it first: at d = 8, slot against
+    dense, 0.036 against 0.040 ms on ER n=400 (p = 0.02), 0.13 against
+    0.37 ms on ER n=1000 (p = 0.02) and 1.6 against 3.5 ms on ER n=3000
+    (p = 1/40), medians of 30 to 40 calls; it also keeps the n x n matrix
+    out of such runs.  The loss of the rule: ER n=200 at d = 1, by 2
+    microseconds a call.  Every form sums each row in its
     own order (the slot form left to right in ascending neighbour order,
     ``reduceat`` the first term plus a pairwise sum of the rest), so they
     agree to roundoff, not bit for bit.  An isolated node is a validation
@@ -624,14 +631,13 @@ def _adjacency_product(g: Graph, F: np.ndarray) -> np.ndarray:
 def _product_for(g: Graph, width: int) -> Callable[[np.ndarray], np.ndarray]:
     """The map ``F -> A_hat F`` that ``_adjacency_product``'s rule picks for
     an F of ``width`` columns, so that a loop over arrays of one width can
-    pick it once: the product with the dense matrix when
-    ``2 m width >= n^2 / 8``, the slot form when
-    ``128 max_degree < n width``, else the edge form.  Each is built on the
-    first call that picks it."""
-    if 16 * g.num_edges * width >= g.n * g.n:
-        return normalized_adjacency(g).__matmul__
+    pick it once: the slot form when ``128 max_degree < n width``, the
+    product with the dense matrix when ``2 m width >= n^2 / 8``, else the
+    edge form.  Each is built on the first call that picks it."""
     if 128 * degree_vector(g).max() < g.n * width:
         return _slot_product(g)
+    if 16 * g.num_edges * width >= g.n * g.n:
+        return normalized_adjacency(g).__matmul__
     return _edge_product(g)
 
 
@@ -904,13 +910,15 @@ def laplacian_spectrum(g: Graph) -> SpectralPair:
 #: erdos_renyi(2000, 0.004, 3 or 11)  220       30-50     116-155
 #: erdos_renyi(2000, 0.004, 7) (8)     260       38-60     136-202
 #: erdos_renyi(6000, 0.0015, 1) (9)    340       190-250
-#: erdos_renyi(8000, 10 / n, 1)        300       230-240
-#: erdos_renyi(12000, 10 / n, 1)       340       350-390
+#: erdos_renyi(8000, 10 / n, 1)        340       184-188
+#: erdos_renyi(12000, 10 / n, 1)       380       283-286
 #: cycle(1001), falls back             400       28-45     150-235
 #: cycle(4000), falls back             400       100-140   345-455
 #: ==================================  ========  ========  ===============
 #:
-#: The largest graphs leave 60 products of margin, one and a half restarts.
+#: Seeds 1 to 4 of the two largest sizes take 300 to 380 products, so they
+#: leave 20 products of margin, half a restart; those two rows were timed
+#: apart from the others, on the same machine.
 #: A budget of 1600 converges on cycle(1001) after 900 products, to fail the
 #: certificate, and spends 420-540 ms on cycle(4000), more than the
 #: unrestarted 400 steps.
@@ -949,7 +957,10 @@ def extreme_spectrum(g: Graph) -> SpectrumEnds:
     vector is phi0 with its sign flipped on one colour class.  A
     thick-restart Lanczos iteration (``_lanczos``) with full
     reorthogonalization on the complement of these finds the rest of both
-    ends from a fixed start vector, in a basis of at most ``_RESTART`` rows.
+    ends from a fixed start vector, in a basis of at most ``_RESTART`` rows:
+    node i's entry is the top 53 bits of splitmix64's finalizer of i
+    (``_scramble``) mapped to [-1, 1), so that nothing imports
+    ``numpy.random`` to draw it.
     It stops once the explicit residuals ``|L y - theta y|`` of their Ritz
     pairs fall below ``_RESIDUAL_TOL`` or the Krylov space is invariant.
     The iteration proves nothing: the top end is then certified in two
@@ -1085,7 +1096,7 @@ def _lanczos(lap, known_values: np.ndarray, known: np.ndarray):
     stack[:count] = known
     basis = stack[count:]
     projected = np.empty((size, size))
-    q = np.random.default_rng(0).standard_normal(n)
+    q = (_scramble(n) >> np.uint64(11)) * 2.0**-52 - 1.0
     q -= (known @ q) @ known
     rows = products = 0
     while True:
@@ -1243,6 +1254,15 @@ def _proved_past(g: Graph, v: np.ndarray, sigma: float, side: int) -> float | No
     return sigma + side * 2.0 * delta
 
 
+def _scramble(n: int) -> np.ndarray:
+    """splitmix64's finalizer (Steele, Lea & Flood 2014) of the node ids
+    ``0..n-1``: a fixed, well-mixed uint64 key per node."""
+    z = np.arange(n, dtype=np.uint64) + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
 def _independent_set(g: Graph, v: np.ndarray, s: float) -> np.ndarray:
     """A maximal independent set of ``g`` among its eligible nodes, as
     ascending node ids: no two of its nodes are adjacent, and every other
@@ -1273,10 +1293,7 @@ def _independent_set(g: Graph, v: np.ndarray, s: float) -> np.ndarray:
         return np.flatnonzero(chosen)
     between = left[lo] & left[hi]
     lo, hi = lo[between], hi[between]
-    z = np.arange(g.n, dtype=np.uint64) + np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    scramble = z ^ (z >> np.uint64(31))
+    scramble = _scramble(g.n)
     first = (deg[lo] < deg[hi]) | ((deg[lo] == deg[hi]) & (scramble[lo] < scramble[hi]))
     winner, loser = np.where(first, lo, hi), np.where(first, hi, lo)
     while left.any():

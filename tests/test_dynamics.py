@@ -573,6 +573,19 @@ def test_sparse_runs_build_no_dense_operator():
         assert peak < 32e6
 
 
+def test_wide_runs_take_the_slot_form_over_the_dense_operator():
+    # both rules hold here (2 m d >= n^2 / 8 and 128 max_degree < n d); the
+    # slot form is the faster, so no n x n matrix is built
+    g = erdos_renyi(400, 0.02, 7)
+    F0 = np.random.default_rng(3).normal(size=(g.n, 8))
+    spec = gf(np.diag(np.linspace(-1.0, 0.5, 8)), tau=0.5)
+    before = normalized_adjacency.cache_info()
+    run_trajectory(spec, g, F0, 20)
+    dirichlet_energy(g, F0)
+    after = normalized_adjacency.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
 def test_trajectory_beyond_physical_memory_is_refused_before_allocating():
     F0 = np.ones((5, 1))
     with pytest.raises(NumericError, match="CSV columns of 100000000000000000001 states"):

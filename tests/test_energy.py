@@ -97,6 +97,18 @@ def test_rayleigh_quotient_is_scale_free_at_extreme_scales(scale, noise):
             assert abs(rayleigh_quotient(g, F) - unit) <= 1e-9
 
 
+def test_dirichlet_energy_beyond_the_floating_range_is_a_numeric_error():
+    # the edge differences are finite but their squares are not
+    g = erdos_renyi(50, 0.2, 3)
+    F = 1e160 * np.random.default_rng(0).standard_normal(g.n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="exceeds the floating range") as raised:
+            dirichlet_energy(g, F)
+        assert raised.value.exit_code == 4
+        assert rayleigh_quotient(g, F) == pytest.approx(0.8932827815903294, rel=1e-12)
+
+
 def test_rayleigh_rejects_zero():
     with pytest.raises(ValidationError):
         rayleigh_quotient(cycle(4), np.zeros(4))

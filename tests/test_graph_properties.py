@@ -809,3 +809,17 @@ def test_graph_core_does_not_import_numpy_ma(tmp_path):
     )
     assert _python(code, cwd=tmp_path) == "0 False False"
     assert "regime = HFD" in (tmp_path / "run.txt").read_text()
+
+
+@pytest.mark.parametrize("argv", [["suite"], ["replay", "22_rate_certified_er9.txt"]])
+def test_suite_and_replay_do_not_import_numpy_random(argv):
+    # they draw no random numbers; numpy.random also loads OpenSSL through
+    # secrets and hashlib, 4 MB of a suite's peak RSS
+    witnesses = os.path.join(os.path.dirname(os.path.abspath(gel.graphs.__file__)), "suite")
+    code = (
+        "import sys\n"
+        "from gel.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print(code, 'numpy.random' in sys.modules)\n"
+    )
+    assert _python(code, cwd=witnesses) == "0 False"

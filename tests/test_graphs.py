@@ -418,6 +418,21 @@ def test_the_restarted_iteration_certifies_what_the_full_one_did():
         assert _fresh_ends(erdos_renyi(n, p, seed))[0].certified
 
 
+def test_every_shipped_witness_graph_but_the_odd_cycles_is_certified():
+    # the odd cycles' lambda_max is double on a non-bipartite graph
+    certified = [extreme_spectrum(w.graph).certified for w in default_suite()]
+    assert [i for i, ok in enumerate(certified) if not ok] == [1, 17, 26, 42]
+    assert len(certified) == 45
+
+
+def test_the_scramble_is_splitmix64():
+    # splitmix64's first outputs from state 0 (Steele, Lea & Flood 2014)
+    assert gel.graphs._scramble(4).tolist() == [
+        0xE220A8397B1DCDAF, 0x910A2DEC89025CC1, 0x975835DE1C9756CE, 0x1D0B14E4DB018FED,
+    ]
+    assert gel.graphs._scramble(4).dtype == np.uint64
+
+
 def test_extreme_spectrum_rejects_an_isolated_node():
     with pytest.raises(ValidationError, match="node 0"):
         extreme_spectrum(Graph(1, []))

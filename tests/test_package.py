@@ -20,18 +20,49 @@ def test_every_name_in_all_resolves(module):
     assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
 
 
+#: The functions that draw random numbers, by module: only they may reach
+#: numpy.random, whose import (with OpenSSL, through secrets and hashlib) is
+#: 4 MB of the peak RSS of a command that draws none, such as ``gel suite``.
+RANDOM_DRAWS = {
+    "graphs.py": "erdos_renyi",
+    "config.py": "initial_features",
+    "cli.py": "preset_bipartite_demo",
+}
+
+
+def _numpy_random(node) -> bool:
+    if isinstance(node, ast.Attribute):
+        return (node.attr == "random" and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy"))
+    if isinstance(node, ast.Import):
+        return any(alias.name.startswith("numpy.random") for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").startswith("numpy.random") or (
+            node.module == "numpy" and any(alias.name == "random" for alias in node.names))
+    return False
+
+
 def test_no_module_asserts_or_reads_debug():
-    # a run computes the same with and without python -O, and fails by GelError
+    # a run computes the same with and without python -O, and fails by
+    # GelError; and only the functions that draw random numbers touch
+    # numpy.random
     package = os.path.dirname(os.path.abspath(gel.__file__))
     found = []
     for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+        name = os.path.basename(path)
         with open(path, encoding="utf-8") as fh:
             tree = ast.parse(fh.read(), filename=path)
+        draws = [
+            range(node.lineno, node.end_lineno + 1)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == RANDOM_DRAWS.get(name)
+        ]
         found += [
-            (os.path.basename(path), node.lineno)
+            (name, node.lineno)
             for node in ast.walk(tree)
             if isinstance(node, ast.Assert)
             or (isinstance(node, ast.Name) and node.id == "__debug__")
+            or (_numpy_random(node) and not any(node.lineno in lines for lines in draws))
         ]
     assert found == []
 
