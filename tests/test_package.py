@@ -30,18 +30,6 @@ RANDOM_DRAWS = {
 }
 
 
-def _numpy_random(node) -> bool:
-    if isinstance(node, ast.Attribute):
-        return (node.attr == "random" and isinstance(node.value, ast.Name)
-                and node.value.id in ("np", "numpy"))
-    if isinstance(node, ast.Import):
-        return any(alias.name.startswith("numpy.random") for alias in node.names)
-    if isinstance(node, ast.ImportFrom):
-        return (node.module or "").startswith("numpy.random") or (
-            node.module == "numpy" and any(alias.name == "random" for alias in node.names))
-    return False
-
-
 def test_no_module_asserts_or_reads_debug():
     # a run computes the same with and without python -O, and fails by
     # GelError; and only the functions that draw random numbers touch
@@ -62,7 +50,9 @@ def test_no_module_asserts_or_reads_debug():
             for node in ast.walk(tree)
             if isinstance(node, ast.Assert)
             or (isinstance(node, ast.Name) and node.id == "__debug__")
-            or (_numpy_random(node) and not any(node.lineno in lines for lines in draws))
+            or (isinstance(node, ast.Attribute) and node.attr == "random"
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+                and not any(node.lineno in lines for lines in draws))
         ]
     assert found == []
 
