@@ -15,10 +15,10 @@ assemblies of ``verify``.  What only multiplies by A_hat (the dynamics and
 the energies) calls ``_adjacency_product``.  It sums over a cached
 neighbour index in jagged-diagonal slots, one contiguous add per slot,
 whenever the width of what it multiplies is large against the maximum
-degree; otherwise it multiplies by the dense matrix, built only then, on a
-dense graph, and sums in row-sorted (CSR) runs on a sparse one.  A dynamics
-run takes the form that rule picks for its width once, from
-``_product_for``.
+degree and the gathered rows stay below half the dense matrix; otherwise
+it multiplies by the dense matrix, built only then, on a dense graph, and
+sums in row-sorted (CSR) runs on a sparse one.  A dynamics run takes the
+form that rule picks for its width once, from ``_product_for``.
 ``laplacian_spectrum`` is the full, checked ``numpy.linalg.eigh`` of the
 normalized Laplacian.
 ``extreme_spectrum`` gives only its two ends, the eigenpairs at 0 and at
@@ -581,9 +581,9 @@ def _adjacency_product(g: Graph, F: np.ndarray) -> np.ndarray:
     It reads one of three forms, by a fixed rule on what the product reads,
     with d the width of F (1 for a 1-D F):
 
-    - the slot form (``_slot_product``) when ``128 max_degree < n d``:
-      one contiguous add of up to n d floats per neighbour slot, so
-      max_degree Python steps in all;
+    - the slot form (``_slot_product``) when ``128 max_degree < n d`` and
+      ``4 m d < n^2``: one contiguous add of up to n d floats per
+      neighbour slot, so max_degree Python steps in all;
     - else the dense ``normalized_adjacency(g) @ F`` when
       ``2 m d >= n^2 / 8``: one BLAS pass over the n^2 matrix, in
       O(n^2 d), against one gathered row of d floats per directed edge in
@@ -613,17 +613,26 @@ def _adjacency_product(g: Graph, F: np.ndarray) -> np.ndarray:
 
     The slot form overtakes the edge form near ``n d / max_degree`` of 80
     to 100; its Python step per slot makes it lose by 7 to 70 times on a
-    hub.  Where both the slot and the dense condition hold, the slot form
-    is the faster, so the rule tests it first: at d = 8, slot against
-    dense, 0.036 against 0.040 ms on ER n=400 (p = 0.02), 0.13 against
-    0.37 ms on ER n=1000 (p = 0.02) and 1.6 against 3.5 ms on ER n=3000
-    (p = 1/40), medians of 30 to 40 calls; it also keeps the n x n matrix
-    out of such runs.  The loss of the rule: ER n=200 at d = 1, by 2
-    microseconds a call.  Every form sums each row in its
-    own order (the slot form left to right in ascending neighbour order,
-    ``reduceat`` the first term plus a pairwise sum of the rest), so they
-    agree to roundoff, not bit for bit.  An isolated node is a validation
-    error.
+    hub.  Where the dense condition holds too, the slot form is still the
+    faster while its gathered rows, 2 m d floats, are at most half the
+    matrix's n^2, so the rule tests it first there and keeps the n x n
+    matrix out of such runs.  Slot against dense, medians of 25 to 30
+    calls: ER n=1000 (p = 0.02) 0.19 / 0.48 ms at d = 8 and 0.35 / 0.57
+    at d = 16; ER n=3000 (1/40) 2.1 / 4.5 at d = 8 and 3.6 / 6.5 at
+    d = 16; ER n=3000 (p = 0.01) 4.0 / 12 and ER n=4000 (p = 0.01)
+    10 / 21 at d = 32.  Past that half the gathered rows grow towards the
+    matrix and beyond it, without bound in d, and on the denser graphs the
+    dense form wins: 3.8 / 3.0 on ER n=2000 (1/16) at d = 12
+    (2 m d / n^2 = 0.75), 5.2 / 3.2 there at d = 16, 17 / 6.3 on ER
+    n=2000 (1/31) at d = 64 and 17 / 0.44 on K_{300,300} at d = 64.  The
+    losses of the rule: ER n=200 at d = 1, by 2 microseconds a call, and
+    sparse graphs just past the half, where the slot form still wins:
+    2.8 / 10 on ER n=2000 (p = 0.004) at d = 128 (0.51), 12 / 21 on ER
+    n=3000 (p = 0.01) and 23 / 33 on ER n=4000 (p = 0.01) at d = 64
+    (0.64).  Every form sums each row in its own order (the slot form
+    left to right in ascending neighbour order, ``reduceat`` the first term
+    plus a pairwise sum of the rest), so they agree to roundoff, not bit
+    for bit.  An isolated node is a validation error.
     """
     return _product_for(g, 1 if F.ndim == 1 else F.shape[1])(F)
 
@@ -631,10 +640,11 @@ def _adjacency_product(g: Graph, F: np.ndarray) -> np.ndarray:
 def _product_for(g: Graph, width: int) -> Callable[[np.ndarray], np.ndarray]:
     """The map ``F -> A_hat F`` that ``_adjacency_product``'s rule picks for
     an F of ``width`` columns, so that a loop over arrays of one width can
-    pick it once: the slot form when ``128 max_degree < n width``, the
-    product with the dense matrix when ``2 m width >= n^2 / 8``, else the
-    edge form.  Each is built on the first call that picks it."""
-    if 128 * degree_vector(g).max() < g.n * width:
+    pick it once: the slot form when ``128 max_degree < n width`` and
+    ``4 m width < n^2``, the product with the dense matrix when
+    ``2 m width >= n^2 / 8``, else the edge form.  Each is built on the
+    first call that picks it."""
+    if 128 * degree_vector(g).max() < g.n * width and 4 * g.num_edges * width < g.n * g.n:
         return _slot_product(g)
     if 16 * g.num_edges * width >= g.n * g.n:
         return normalized_adjacency(g).__matmul__
@@ -918,7 +928,10 @@ def laplacian_spectrum(g: Graph) -> SpectralPair:
 #:
 #: Seeds 1 to 4 of the two largest sizes take 300 to 380 products, so they
 #: leave 20 products of margin, half a restart; those two rows were timed
-#: apart from the others, on the same machine.
+#: apart from the others, on the same machine.  On them the scrambled start
+#: vector costs 40 products more than a normal one from numpy's
+#: ``default_rng(0)`` (300 and 340, in 157-159 and 249 ms): 14 to 18% more
+#: time.  On the rows above it takes as many products.
 #: A budget of 1600 converges on cycle(1001) after 900 products, to fail the
 #: certificate, and spends 420-540 ms on cycle(4000), more than the
 #: unrestarted 400 steps.

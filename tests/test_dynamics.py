@@ -574,8 +574,9 @@ def test_sparse_runs_build_no_dense_operator():
 
 
 def test_wide_runs_take_the_slot_form_over_the_dense_operator():
-    # both rules hold here (2 m d >= n^2 / 8 and 128 max_degree < n d); the
-    # slot form is the faster, so no n x n matrix is built
+    # both rules hold here (2 m d >= n^2 / 8 and 128 max_degree < n d), and
+    # the slot form's gathered rows are under half the matrix (4 m d < n^2);
+    # the slot form is the faster, so no n x n matrix is built
     g = erdos_renyi(400, 0.02, 7)
     F0 = np.random.default_rng(3).normal(size=(g.n, 8))
     spec = gf(np.diag(np.linspace(-1.0, 0.5, 8)), tau=0.5)

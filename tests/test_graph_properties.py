@@ -400,6 +400,21 @@ def test_adjacency_product_rule_picks_the_pinned_side():
         assert _picked_form(g, 1) == "dense", g
 
 
+@pytest.mark.parametrize("g, width, form", [
+    (erdos_renyi(400, 0.02, 7), 8, "slot"),
+    (erdos_renyi(1000, 0.02, 7), 16, "slot"),
+    (erdos_renyi(1000, 0.02, 7), 32, "dense"),
+    (erdos_renyi(2000, 1 / 16, 7), 12, "dense"),
+    (complete_bipartite(300, 300), 65, "dense"),
+], ids=["er400-d8", "er1000-d16", "er1000-d32", "er2000-d12", "k300-d65"])
+def test_the_slot_form_goes_before_the_dense_one_below_half_the_matrix(g, width, form):
+    # both conditions hold; the slot form's 2 m d gathered floats decide
+    assert 128 * int(degree_vector(g).max()) < g.n * width
+    assert 16 * g.num_edges * width >= g.n * g.n
+    assert (4 * g.num_edges * width < g.n * g.n) == (form == "slot")
+    assert _picked_form(g, width) == form
+
+
 @pytest.mark.parametrize(
     "n, p, seed",
     [(1000, 0.008, 1), (1000, 0.008, 7), (1000, 0.008, 31), (2000, 0.004, 7), (2000, 0.004, 32)],

@@ -50,11 +50,41 @@ def test_no_module_asserts_or_reads_debug():
             for node in ast.walk(tree)
             if isinstance(node, ast.Assert)
             or (isinstance(node, ast.Name) and node.id == "__debug__")
-            or (isinstance(node, ast.Attribute) and node.attr == "random"
-                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+            or (_reaches_numpy_random(node)
                 and not any(node.lineno in lines for lines in draws))
         ]
     assert found == []
+
+
+def _reaches_numpy_random(node: ast.AST) -> bool:
+    """``np.random`` or ``numpy.random`` read as an attribute, or imported
+    by any form of ``import`` statement."""
+    if isinstance(node, ast.Attribute):
+        return (node.attr == "random" and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy"))
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[:2] == ["numpy", "random"] for alias in node.names)
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        module = (node.module or "").split(".")
+        return module[:2] == ["numpy", "random"] or (
+            module == ["numpy"] and any(alias.name == "random" for alias in node.names))
+    return False
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ("np.random.default_rng(0)", True),
+    ("import numpy.random", True),
+    ("import numpy.random as npr", True),
+    ("from numpy.random import default_rng", True),
+    ("from numpy import random", True),
+    ("from numpy import linalg, random as r", True),
+    ("import numpy as np", False),
+    ("from numpy import linalg", False),
+    ("import random", False),
+    ("rng.random(3)", False),
+])
+def test_the_numpy_random_lint_sees_imports_and_attributes(source, flagged):
+    assert any(map(_reaches_numpy_random, ast.walk(ast.parse(source)))) == flagged
 
 
 def test_package_data_ships_every_suite_witness():
