@@ -510,7 +510,10 @@ def _run_plan(spec: ModelSpec, g: Graph, d: int, F0, products: list | None = Non
     checked here when the update reads it."""
     update = spec._update
     product = _product_for(g, d)
-    terms = tuple((op if isinstance(op, str) else op(g, product), m) for op, m in update.terms)
+    # a term whose factor is exactly zero adds nothing but zeros; the first
+    # stays when every one is
+    kept = [(op, m) for op, m in update.terms if np.any(m)] or update.terms[:1]
+    terms = tuple((op if isinstance(op, str) else op(g, product), m) for op, m in kept)
     source = None
     if update.source is not None:
         source = np.dot(_require_source(g, F0, d), update.source)
@@ -533,12 +536,13 @@ def _advance(plan: _Plan, F: np.ndarray) -> np.ndarray:
             product = F - af
         else:
             product = op(F)
-        # np.dot multiplies by a scalar factor and matrix-multiplies by a d x
-        # d one, into a new array: the first term's is the sum's
+        # a scalar factor multiplies, a d x d one matrix-multiplies, into a
+        # new array: the first term's is the sum's
+        term = product * m if isinstance(m, float) else np.dot(product, m)
         if z is None:
-            z = np.dot(product, m)
+            z = term
         else:
-            z += np.dot(product, m)
+            z += term
     if plan.source is not None:
         z += plan.source
     if update.activation is not None:

@@ -414,7 +414,9 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     a draw below ``p`` keeps its pair.  The draws are taken ``_PAIR_CHUNK``
     at a time, which gives the same stream as one draw of every pair, so
     memory is O(n + m) beyond the chunk.  If the draw is disconnected the
-    seed is incremented and the draw repeated, up to 100 attempts.
+    seed is incremented and the draw repeated, up to 100 attempts, so two
+    consecutive seeds can give one graph: ``erdos_renyi(12000, 10 / 12000,
+    4)`` draws a disconnected graph first and returns seed 5's.
     """
     n = check_count(n, "erdos_renyi's n", 2)
     if not 0.0 < scalar(p, "edge probability") <= 1.0:
@@ -818,14 +820,15 @@ def spectral_decomposition(matrix: np.ndarray) -> SpectralPair:
 
 
 #: Rows (or columns) per block of the blocked passes: the certificate's
-#: upper block rows (``_schur_block_rows``), whose factorization
-#: (``_factor_block_rows``) holds O(n * _BLOCK) temporaries beside them,
-#: and the checks of ``_checked_eigh``, which hold as much beside their
-#: n x n arrays.  The blocks tried run within the noise of each other, and
-#: each beats LAPACK's own factorization of the full matrix; 128 stays.
-#: Median ms of 21 (11 at n = 2000) factorizations of a random SPD matrix's
-#: block rows, with ``_SUB`` = 32, the range over two runs, on a 2-vCPU
-#: Xeon (numpy 2.4.6 with OpenBLAS 0.3.31, 2 threads):
+#: block rows (``_schur_block_rows``), whose factorization
+#: (``_factor_block_rows``) holds O(n * _BLOCK) temporaries beside its
+#: array, and the checks of ``_checked_eigh``, which hold as much beside
+#: their n x n arrays.  The blocks tried run within the noise of each
+#: other, and each beats LAPACK's own factorization of the full matrix; 128
+#: stays.  Median ms of 21 (11 at n = 2000) factorizations of a random SPD
+#: matrix's block rows, with ``_SUB`` = 32, the range over two runs, on a
+#: 2-vCPU Xeon (numpy 2.4.6 with OpenBLAS 0.3.31, 2 threads), measured with
+#: the right-looking factorization that came before the left-looking one:
 #:
 #: ======  ===================  =======  =======  =======  =======  =======
 #: n       np.linalg.cholesky   64       96       128      192      256
@@ -931,7 +934,11 @@ def laplacian_spectrum(g: Graph) -> SpectralPair:
 #: apart from the others, on the same machine.  On them the scrambled start
 #: vector costs 40 products more than a normal one from numpy's
 #: ``default_rng(0)`` (300 and 340, in 157-159 and 249 ms): 14 to 18% more
-#: time.  On the rows above it takes as many products.
+#: time.  On the rows above it takes as many products.  At n = 12 000,
+#: seeds 1 to 4 draw three graphs (seed 1's first draw is disconnected and
+#: gives seed 2's), each of which takes 380 products.  erdos_renyi(20000,
+#: 10 / n, 1) takes 420, past the budget: it falls back to the full
+#: decomposition, whose 14.9 GiB is refused on a machine of 7.8 GiB.
 #: A budget of 1600 converges on cycle(1001) after 900 products, to fail the
 #: certificate, and spends 420-540 ms on cycle(4000), more than the
 #: unrestarted 400 steps.
@@ -987,12 +994,14 @@ def extreme_spectrum(g: Graph) -> SpectrumEnds:
       past the next eigenvalue: it proves that at most ``rank V`` lie
       there, V the cluster's vectors (``_certified_end``).  It eliminates an
       independent set of nodes exactly and factors the Schur complement
-      left on the other nodes, about 0.7 n of them on a sparse graph, in
-      ``_BLOCK``-high block rows of its upper triangle, dropping each once
-      it has updated the later ones: the certificate holds about
-      4 r (r + _BLOCK) bytes for its r rows, at most half the dense
-      matrix's 8 n^2, and O(n * _BLOCK) beside them, and the bottom end's
-      runs after the top end's are freed.
+      left on the other nodes, about 0.7 n of them on a sparse graph, by
+      a left-looking blocked Cholesky factorization that forms each
+      ``_BLOCK``-high block row only when it factors it and drops each
+      column block of the factor once no later row reads it: the
+      certificate holds at most ``r^2 / 4 + _BLOCK r`` floats for its r
+      rows, an eighth of the dense matrix's 8 n^2 on a sparse graph, and
+      O(n * _BLOCK) beside them, and the bottom end's runs after the top
+      end's is freed.
 
     Together the two steps show that each cluster is complete and that no
     eigenvalue lies between it and the next one.  The bottom cluster is 0
@@ -1007,11 +1016,11 @@ def extreme_spectrum(g: Graph) -> SpectrumEnds:
     checks = graph_checks(g)
     if checks.connected:
         # before the iteration, which is wasted if the certificate cannot run:
-        # its block rows hold at most one triangle, all n rows of it when no
-        # node is eliminated, as at the top end of K_{a,b}, and the other
-        # halves of their diagonal blocks add O(n * _BLOCK)
+        # its factorization holds most when no node is eliminated, as at the
+        # top end of K_{a,b}, and the Schur complement has all n rows
         _require_memory(
-            4 * g.n * (g.n + 1), f"the certificate's lower triangle of a {g.n} x {g.n} matrix"
+            8 * (g.n * g.n // 4 + _BLOCK * g.n),
+            f"the certificate's factorization of a {g.n} x {g.n} matrix",
         )
         ends = _certified_ends(g, checks.bipartite)
         if ends is not None:
@@ -1220,11 +1229,12 @@ def _certified_end(g: Graph, lap, values, vectors, side: int):
       ``trace(|L| |D| |L^T|) <= (n + 3 |I|) s + k + 2 c |V|_F^2``;
       delta is gamma times twice that, and the factorization runs at
       ``sigma' = sigma + side delta``.  Once I and the border are
-      eliminated and T formed, eta is checked against delta from the
-      factors: I's and the border's columns are summed, and T's factor R
-      adds ``|R|_F^2 = trace(R^T R) <= trace(T) / (1 - gamma)``, whatever
-      it computes.  A failed check fails the certificate; a passed one
-      proves the count at ``sigma + side 2 delta``.
+      eliminated, eta is checked against delta from the factors as T's
+      block rows are formed: I's and the border's columns are summed, and
+      T's factor R adds ``|R|_F^2 = trace(R^T R) <= trace(T) / (1 -
+      gamma)``, whatever it computes.  A failed check fails the
+      certificate; a passed one proves the count at ``sigma + side 2
+      delta``.
     """
     n, p = vectors.shape
     residual = np.column_stack([lap(x) for x in vectors.T]) - vectors * values
@@ -1248,9 +1258,15 @@ def _proved_past(g: Graph, v: np.ndarray, sigma: float, side: int) -> float | No
     most ``k = v.shape[1]`` eigenvalues of the normalized Laplacian at or
     beyond it (at or above it for ``side = 1``, at or below it for
     ``side = -1``), delta the rounding margin; or None when the
-    factorization fails or its backward error exceeds the margin.  It
-    holds the block rows of one Schur complement, each freed once
-    factored."""
+    factorization fails or its backward error exceeds the margin.
+
+    The block rows of the Schur complement T are formed one at a time, as
+    the factorization reaches them, and none is kept.  The margin check
+    reads trace(T), so it is made on the rows formed so far before each
+    block row is factored, on all of them before the last.  A partial trace
+    past the margin fails the certificate as the whole trace would: the
+    diagonal of a positive definite T is positive, so its trace is at
+    least any partial one, and a T that is not fails its factorization."""
     n, k = v.shape
     s = side * (sigma - 1.0)
     # eligible at sigma, so also at sigma', where s is larger
@@ -1261,8 +1277,15 @@ def _proved_past(g: Graph, v: np.ndarray, sigma: float, side: int) -> float | No
     # stays far below 1 at any n whose rows fit in memory
     delta = (2.0 * gamma * (grown * abs(s) + k + 2.0 * _LIFT * float(np.vdot(v, v)))
              / (1.0 - 2.0 * gamma * grown))
-    rows, eliminated, trace = _schur_block_rows(g, v, held, side, s + delta)
-    if gamma * (eliminated + trace / (1.0 - gamma)) > delta or not _factor_block_rows(rows):
+    eliminated, add_rows = _schur_block_rows(g, v, held, side, s + delta)
+    trace = 0.0
+
+    def within_margin(first: int, out: np.ndarray) -> bool:
+        nonlocal trace
+        trace += add_rows(first, out)
+        return not gamma * (eliminated + trace / (1.0 - gamma)) > delta
+
+    if not _factor_block_rows(within_margin, n - held.size):
         return None
     return sigma + side * 2.0 * delta
 
@@ -1323,25 +1346,26 @@ def _independent_set(g: Graph, v: np.ndarray, s: float) -> np.ndarray:
 
 
 def _schur_block_rows(g: Graph, v: np.ndarray, held: np.ndarray, side: int,
-                      s: float) -> tuple[list[np.ndarray], float, float]:
-    """The upper triangle of the Schur complement T on R, the nodes not in
-    ``held``, of ``_proved_past``'s bordered matrix at ``s``, once the
-    nodes of ``held`` (independent) and then the border are eliminated;
-    with the eliminated pivots' part of ``trace(|L| |D| |L^T|)`` and
-    ``trace(T)``.
+                      s: float) -> tuple[float, Callable[[int, np.ndarray], float]]:
+    """The Schur complement T on R, the nodes not in ``held``, of
+    ``_proved_past``'s bordered matrix at ``s``, once the nodes of ``held``
+    (independent) and then the border are eliminated, as a function that
+    adds its block rows to an array; with the eliminated pivots' part of
+    ``trace(|L| |D| |L^T|)``.
 
-    T's rows follow R in node order.  Block row k holds rows ``k B..(k + 1) B``
-    of columns ``k B..|R|``, ``B = _BLOCK``: its diagonal block and the
-    columns right of it.  Each is the border's rank-k term ``U U^T``, one
-    product, with s less the two-hop diagonal ``(1 / s) sum_i w_ai^2``
-    added on the diagonal, ``side w_ab`` at each edge of R and
-    ``-(1 / s) w_ai w_ib`` at ``(a, b)`` for each path ``a - i - b``
-    through ``held``.  Those two enter the upper triangle only, the part
-    ``_factor_block_rows`` reads; the rank-k term fills the diagonal block
-    in full.  U is ``W G^-T``, with ``G G^T = E`` by Cholesky and U^T
-    found by substitution.  The two-hop terms are expanded a block row at a
-    time, in pieces of at most ``n B / 8`` paths, so that beside the block
-    rows, about 4 |R| (|R| + B) bytes, it holds O(n B).
+    T's rows follow R in node order.  ``add_rows(first, out)`` adds rows
+    ``first..first + B`` of columns ``first..|R|`` to the ``(B, |R| -
+    first)`` array ``out``, ``B <= _BLOCK``, and returns their part of
+    ``trace(T)``.  Each row is the border's rank-k term ``U U^T``, with s
+    less the two-hop diagonal ``(1 / s) sum_i w_ai^2`` on the diagonal,
+    ``side w_ab`` at each edge of R and ``-(1 / s) w_ai w_ib`` at
+    ``(a, b)`` for each path ``a - i - b`` through ``held``.  Those two
+    enter the upper triangle only, the part ``_factor_block_rows`` reads;
+    the rank-k term fills the diagonal block in full.  U is ``W G^-T``,
+    with ``G G^T = E`` by Cholesky and U^T found by substitution.  The
+    rank-k term is added ``_BLOCK`` columns at a time and the two-hop terms
+    in pieces of at most ``n B / 8`` paths, so beside ``out`` it holds
+    O(n B), and no row once added.
     """
     n, k = v.shape
     c = _LIFT
@@ -1382,22 +1406,22 @@ def _schur_block_rows(g: Graph, v: np.ndarray, held: np.ndarray, side: int,
     _substitute(low, ut)  # G U^T = W^T
     eliminated += float(np.vdot(low, low)) + float(np.vdot(ut, ut))
 
-    firsts = np.arange(0, r + _BLOCK, _BLOCK)
-    hop_bounds, link_bounds = np.searchsorted(hop_row, firsts), np.searchsorted(link_row, firsts)
     budget = max(n * _BLOCK // 8, 1)
-    rows, trace = [], 0.0
-    for b, first in enumerate(firsts[:-1].tolist()):
-        end = min(first + _BLOCK, r)
-        block = ut[:, first:end].T @ ut[:, first:]
-        width = block.shape[1]
+
+    def add_rows(first: int, out: np.ndarray) -> float:
+        end, width = first + out.shape[0], out.shape[1]
+        near = ut[:, first:end].T
+        for piece in range(0, width, _BLOCK):
+            # a slice of the rank-k term at a time, not a second block row
+            out[:, piece:piece + _BLOCK] += near @ ut[:, first + piece:first + piece + _BLOCK]
         diag = np.arange(end - first)
-        block[diag, diag] += s - hop_diag[first:end]
-        flat = block.reshape(-1)
-        links = slice(link_bounds[b], link_bounds[b + 1])
+        out[diag, diag] += s - hop_diag[first:end]
+        flat = out.reshape(-1)  # a view: out is C-contiguous
+        links = slice(*np.searchsorted(link_row, (first, end)))
         np.add.at(flat, (link_row[links] - first) * width + link_col[links] - first, link_w[links])
-        piece, stop = int(hop_bounds[b]), int(hop_bounds[b + 1])
+        piece, stop = np.searchsorted(hop_row, (first, end)).tolist()
         while piece < stop:
-            # the paths a - i - b from this block's edges a - i, a piece at a time
+            # the paths a - i - b from these rows' edges a - i, a piece at a time
             reach = np.cumsum(deg[hop_mid[piece:stop]])
             taken = slice(piece, piece + max(int(np.searchsorted(reach, budget, side="right")), 1))
             mids = hop_mid[taken]
@@ -1408,9 +1432,9 @@ def _schur_block_rows(g: Graph, v: np.ndarray, held: np.ndarray, side: int,
                       * inv_sqrt[cols[slot[upper]]])
             np.add.at(flat, (a[upper] - first) * width + far[upper] - first, path_w / -s)
             piece = taken.stop
-        trace += float(np.trace(block))
-        rows.append(block)
-    return rows, eliminated, trace
+        return float(np.vdot(near, near)) + float(np.sum(s - hop_diag[first:end]))
+
+    return eliminated, add_rows
 
 
 #: Rows solved one at a time, by substitution, after one matrix product has
@@ -1447,42 +1471,70 @@ def _substitute(low: np.ndarray, x: np.ndarray) -> None:
             x[i] /= low[i, i]
 
 
-def _factor_block_rows(rows: list[np.ndarray]) -> bool:
-    """Whether the symmetric matrix whose upper block rows (as from
-    ``_schur_block_rows``) are ``rows`` is positive definite to floating
-    point, by a right-looking blocked Cholesky factorization ``R^T R`` that
-    overwrites each block row with the factor's and then drops it from
-    ``rows``, so that its memory is freed unless the caller holds it.
+def _factor_block_rows(add_rows: Callable[[int, np.ndarray], bool], order: int) -> bool:
+    """Whether the symmetric matrix T of order ``order`` is positive
+    definite to floating point, by a left-looking blocked Cholesky
+    factorization ``T = R^T R`` (Golub & Van Loan, *Matrix Computations*,
+    4.2) that forms each block row of T only when it factors it.
+    ``add_rows(first, out)`` adds T's rows ``first..first + B`` of columns
+    ``first..order``, ``B = min(_BLOCK, order - first)``, to ``out``, a
+    C-contiguous ``(B, order - first)`` array of which the upper triangle
+    is read, and returns whether to go on.
 
-    Each diagonal block is factored by ``np.linalg.cholesky`` of its
+    Matrix products first set the block row to what the factor's rows
+    above contribute, ``-R_<k,k^T R_<k,k:``, one product for each block row
+    above and each quarter of the columns, and T's rows are added to it.
+    Its diagonal block is then factored by ``np.linalg.cholesky`` of its
     transpose, which reads its upper triangle and fails exactly when the
-    factorization meets a pivot that is not positive.  The panel right of
-    it is solved against the block's factor by ``_substitute``, and the
-    later block rows are then updated one at a time.  While the first block
-    row is factored, and every block row is held, each update is taken
-    ``2 _BLOCK`` columns at a time; later ones fit in the room of the freed
-    first one.  So beside ``rows`` it holds O(n * _BLOCK).
+    factorization meets a pivot that is not positive, and the panel right
+    of it is solved against the block's factor by ``_substitute``.
+
+    The factor's rows above block row k, of columns ``k B..order``, lie in
+    one array of ``order^2 // 4`` floats.  Once the block row is factored
+    no later row reads column block k, so every row above moves left over
+    it, as many rows at a time as land before the first of them is read,
+    and the block row's panel joins them.  So the routine holds at most
+    ``order^2 / 4 + _BLOCK order`` floats, ``2 order^2 + 8 _BLOCK order``
+    bytes, and O(order * _BLOCK) beside them.
     """
-    for k, row in enumerate(rows):
-        width = row.shape[0]
+    held = np.empty(0)  # nothing lies above the first block row
+    for first in range(0, order, _BLOCK):
+        height, width = min(_BLOCK, order - first), order - first
+        factor = held[:first * width].reshape(first, width)
+        row = np.empty((height, width))
+        # one product for each block row above, as the right-looking form takes
+        # them, so that the BLAS packs no more of the operands; a quarter of the
+        # columns at a time, so that each product's result is a small part of
+        # the block row
+        step = max(2 * _BLOCK, -(-width // 4))
+        for piece in range(0, width, step):
+            cols = slice(piece, piece + step)
+            top = factor[:_BLOCK]  # empty while nothing is above: the product is zero
+            np.matmul(top[:, :height].T, top[:, cols], out=row[:, cols])
+            for above in range(_BLOCK, first, _BLOCK):
+                rows = factor[above:above + _BLOCK]
+                row[:, cols] += rows[:, :height].T @ rows[:, cols]
+        np.negative(row, out=row)
+        if not add_rows(first, row):
+            return False
         try:
-            low = np.linalg.cholesky(row[:, :width].T)
+            low = np.linalg.cholesky(row[:, :height].T)
         except np.linalg.LinAlgError:
             return False
-        row[:, :width] = low.T
-        panel = row[:, width:]  # empty in the last block row
-        _substitute(low, panel)  # R12 = R11^-T A12
-        start = 0
-        for later in rows[k + 1:]:
-            left = panel[:, start:start + later.shape[0]].T
-            # while every block row is held, the products are taken 2 _BLOCK
-            # columns at a time; from the second on, the first's room holds one whole
-            step = 2 * _BLOCK if k == 0 else later.shape[1]
-            for first in range(0, later.shape[1], step):
-                piece = slice(first, first + step)
-                later[:, piece] -= left @ panel[:, start:][:, piece]
-            start += later.shape[0]
-        rows[k] = None
+        panel = row[:, height:]
+        _substitute(low, panel)  # R12 = R11^-T T12; R11 is read no more
+        rest, moved = width - height, 0
+        if not first:
+            # allocated now, so not beside the first row's temporaries
+            held = np.empty(order * order // 4)
+        while rest and moved < first:
+            # each row lands no later than it starts, and a group lands
+            # before the first of its rows starts
+            end = min(max((moved * width + height) // rest, moved + 1), first)
+            held[moved * rest:end * rest].reshape(end - moved, rest)[...] = factor[moved:end, height:]
+            moved = end
+        held[first * rest:(first + height) * rest].reshape(height, rest)[...] = panel
+        del row, panel  # before the next block row is formed
     return True
 
 

@@ -234,8 +234,8 @@ def test_run_with_steps_beyond_physical_memory_exits_4(workdir, capsys):
 
 
 def test_run_beyond_the_certificates_memory_exits_4_before_factoring(workdir, monkeypatch, capsys):
-    # half an n x n matrix: not even the certificate's lower triangle, with
-    # its diagonal, fits
+    # half an n x n matrix: not the certificate's factorization, n^2 / 4 +
+    # 128 n floats when no node is eliminated
     n = 200
     cfg = write(workdir / "run.cfg", HFD_CFG.replace("complete_bipartite(5,5)", f"cycle({n})")
                 .replace("steps = 60", "steps = 5"))
@@ -244,7 +244,7 @@ def test_run_beyond_the_certificates_memory_exits_4_before_factoring(workdir, mo
     monkeypatch.setattr(np.linalg, "cholesky", lambda *args: factored.append(args))
     extreme_spectrum.cache_clear()
     assert main(["run", cfg]) == 4
-    assert "the certificate's lower triangle of a 200 x 200 matrix" in capsys.readouterr().err
+    assert "the certificate's factorization of a 200 x 200 matrix" in capsys.readouterr().err
     assert factored == []
 
 
@@ -315,9 +315,9 @@ def _counted_factorizations(monkeypatch) -> list[int]:
     factored = []
     factor = gel.graphs._factor_block_rows
 
-    def counted(rows):
-        factored.append(rows[0].shape[1])  # the first block row has all the columns
-        return factor(rows)
+    def counted(add_rows, order):
+        factored.append(order)
+        return factor(add_rows, order)
 
     monkeypatch.setattr(gel.graphs, "_factor_block_rows", counted)
     extreme_spectrum.cache_clear()

@@ -245,6 +245,22 @@ def test_gradient_flow_step_oracle():
     assert np.allclose(out.ravel(), [1.0, -0.5])
 
 
+@pytest.mark.parametrize("spec, kept", [
+    (gf(np.diag([-1.0, 0.5])), ["A"]),  # Omega = 0
+    (ModelSpec("label_propagation", mu=0.0), ["L"]),
+    (gf(np.zeros((2, 2))), ["I"]),  # every factor is zero: the first stays
+], ids=["gradient_flow", "label_propagation", "all_zero"])
+def test_a_run_leaves_out_the_terms_whose_factor_is_zero(spec, kept):
+    g = cycle(7)
+    plan = gel.dynamics._run_plan(spec, g, 2, None)
+    assert [op for op, _ in plan.terms] == kept
+    # the step has the bits of the sum over every term, zero ones included
+    F = np.random.default_rng(5).standard_normal((g.n, 2))
+    af = normalized_adjacency(g) @ F
+    z = sum(np.dot({"I": F, "A": af, "L": F - af}[op], m) for op, m in spec._update.terms)
+    assert np.array_equal(step_model(spec, g, F), F + spec.tau * z)
+
+
 def test_no_residual_replaces_state():
     g = path(2)
     out = step_model(

@@ -452,12 +452,25 @@ def test_blocked_cholesky_decides_definiteness(n, seed, definite):
         values[rng.integers(n)] = -0.01
     m = (q * values) @ q.T
     m = (m + m.T) / 2
-    rows = [m[first:first + _B, first:].copy() for first in range(0, n, _B)]
-    held = list(rows)  # the routine drops its own references as it goes
-    assert gel.graphs._factor_block_rows(rows) == definite
+
+    def add_rows(first, out):
+        out += m[first:first + _B, first:]
+        return True
+
+    # the routine keeps no factor row it has finished with: each block row
+    # of the factor is read off as its panel is solved
+    factor, substitute = [], gel.graphs._substitute
+
+    def solved(low, x):
+        substitute(low, x)
+        factor.append(np.hstack((low.T, x)))
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(gel.graphs, "_substitute", solved)
+        assert gel.graphs._factor_block_rows(add_rows, n) == definite
     if definite:
         a = np.zeros((n, n))
-        for first, row in zip(range(0, n, _B), held):
+        for first, row in zip(range(0, n, _B), factor, strict=True):
             a[first:first + _B, first:] = row
         assert np.abs(np.triu(a) - np.linalg.cholesky(m).T).max() <= 1e-10
 
@@ -515,12 +528,13 @@ def test_block_columns_hold_the_lower_triangle_of_the_dense_matrix(g, p, side):
     s = 1.5
     held = _greedy_independent_set(g)
     dense, bound = dense_schur_complement(g, v, held, side, s)
-    rows, _, trace = gel.graphs._schur_block_rows(g, v, held, side, s)
+    _, add_rows = gel.graphs._schur_block_rows(g, v, held, side, s)
     r = g.n - held.size
-    firsts = range(0, r, _B)
-    assert len(rows) == len(firsts)
-    for first, row in zip(firsts, rows):
+    trace = 0.0
+    for first in range(0, r, _B):
         width = min(_B, r - first)
+        row = np.zeros((width, r - first))
+        trace += add_rows(first, row)
         column, expected = row.T, dense[first:, first:first + width]
         assert column.shape == expected.shape
         lower = np.tril(np.ones_like(column, dtype=bool))  # the part the factorization reads
@@ -544,11 +558,19 @@ def _with_dense_certificate(monkeypatch):
     with one ``np.linalg.cholesky``: a single block row as wide as M."""
     def dense(g, v, held, side, s):
         m = _certificate_matrix(g, v, side, s)
-        return [m], v.shape[1] + gel.graphs._LIFT * float(np.vdot(v, v)), float(np.trace(m))
 
-    def factored(rows):
+        def add_rows(first, out):
+            out += m
+            return float(np.trace(m))
+
+        return v.shape[1] + gel.graphs._LIFT * float(np.vdot(v, v)), add_rows
+
+    def factored(add_rows, order):
+        m = np.zeros((order, order))
+        if not add_rows(0, m):
+            return False
         try:
-            np.linalg.cholesky(rows[0])
+            np.linalg.cholesky(m)
         except np.linalg.LinAlgError:
             return False
         return True

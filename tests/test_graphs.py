@@ -460,11 +460,37 @@ def test_each_dense_spectrum_site_guards_its_own_peak(monkeypatch):
         laplacian_spectrum(g)
 
 
-def test_the_certificate_guard_asks_for_the_lower_triangle(monkeypatch):
-    g = erdos_renyi(150, 0.1, 5)
-    monkeypatch.setattr(gel.graphs, "_physical_memory", lambda: 0.75 * 8 * g.n**2)
+def _certificate_bounds(n):
+    """The certificate guard's bytes for n nodes, and the bytes of the
+    lower triangle with its diagonal, 4 n (n + 1), that a certificate
+    holding every block row of T at once would need."""
+    return 8 * (n * n // 4 + gel.graphs._BLOCK * n), 4 * n * (n + 1)
+
+
+def test_the_certificate_guard_asks_for_its_factorization(monkeypatch):
+    g = erdos_renyi(1200, 0.01, 3)
+    guard, triangle = _certificate_bounds(g.n)
+    assert guard < 0.75 * triangle
+    # room for the factorization, not for the lower triangle
+    monkeypatch.setattr(gel.graphs, "_physical_memory", lambda: (guard + triangle) / 2)
     extreme_spectrum.cache_clear()
     assert extreme_spectrum(g).certified
+
+
+def test_a_certificate_past_the_guard_is_refused_before_allocating(monkeypatch):
+    g = erdos_renyi(1200, 0.01, 3)
+    graph_checks(g)  # cached outside the trace, as a run builds them first
+    guard, _ = _certificate_bounds(g.n)
+    monkeypatch.setattr(gel.graphs, "_physical_memory", lambda: guard - 1)
+    extreme_spectrum.cache_clear()
+    tracemalloc.start()
+    try:
+        with pytest.raises(NumericError, match="factorization of a 1200 x 1200 matrix"):
+            extreme_spectrum(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_erdos_renyi_beyond_physical_memory_is_refused_before_allocating():
@@ -519,6 +545,39 @@ def test_certificate_holds_its_lower_triangle():
     # of about n / 4 nodes is eliminated, 4 r (r + _BLOCK) bytes for its r
     # rows, and O(n * _BLOCK) beside them
     assert peak <= 0.4 * 8 * g.n**2
+
+
+@pytest.mark.parametrize("n, p, seed, share", [(1200, 0.01, 3, 0.3), (2000, 0.004, 7, 0.2)])
+def test_certificate_holds_a_quarter_of_its_rows_square(n, p, seed, share):
+    g = erdos_renyi(n, p, seed)
+    extreme_spectrum(cycle(10))  # warm up imports outside the trace
+    extreme_spectrum.cache_clear()
+    ends, _, peak = _traced(lambda: (ends := extreme_spectrum(g), ends.lambda_2)[0])
+    assert ends.certified
+    # the factor's rows above a block row and the block row, at most about
+    # r^2 / 4 floats for the r rows left once an independent set is
+    # eliminated, and O(n * _BLOCK) beside them
+    assert peak <= share * 8 * g.n**2
+
+
+_B = gel.graphs._BLOCK
+
+
+@pytest.mark.parametrize("order", [_B + 1, 1000])
+def test_the_factorization_holds_a_quarter_square_and_a_block_row(order):
+    rng = np.random.default_rng(order)
+    x = rng.standard_normal((order, order))
+    m = x @ x.T / order + np.eye(order)
+
+    def add_rows(first, out):
+        out += m[first:first + _B, first:]
+        return True
+
+    factored, _, peak = _traced(lambda: gel.graphs._factor_block_rows(add_rows, order))
+    assert factored
+    # beside the factor's rows and the block row, the diagonal block's
+    # factorization and one group of substituted rows
+    assert peak <= 8 * (order * order / 4 + 3 * _B * order)
 
 
 def test_the_certificate_forms_no_dense_matrix(monkeypatch):
