@@ -44,16 +44,28 @@ anyway to renormalize or to record ``log_scale``: a state whose norm is
 not finite or is zero raises a ``NumericError`` naming the step.  Called
 without a plan, ``step_model`` checks F and F0 and scans its result.
 
-Cost model: each step does one operator product, ``AF = A_hat F``, which
-its A and L terms share (I -> F, A -> AF, L -> F - AF); grand_linear does
-its own ``Lrw F = F - (A F + F) / (deg + 1)`` instead, with
+Cost model: a run folds its terms once (``_fold``), with ``L = I - A``,
+into one channel factor M_I of F and one M_A of ``AF = A_hat F``, so a step
+is ``F M_I + AF M_A``: one operator product and at most two channel
+products, a factor that is exactly zero skipped and a factor of exactly 1
+added without a multiply.  label_propagation, for one, steps as
+``z = F (-1 - mu); z += AF; z += F0 mu; z *= tau; z += F``, five passes over
+n d floats where the term by term sum took seven.  grand_linear does its own
+``Lrw F = F - (A F + F) / (deg + 1)`` instead, with
 ``A F = sqrt(deg) A_hat (sqrt(deg) F)`` and its degree factors formed once a
 run.  The product's form is picked once a run, for the run's width, by
 ``graphs._product_for``, the one rule that ``graphs._adjacency_product``
 also applies: an O(m d) sum over the edges on a sparse graph
 (``2 m d < n^2 / 8``), in jagged-diagonal slots when n d is large against
 the maximum degree, and one dense O(n^2 d) product otherwise, so a sparse
-run never builds an n x n matrix.
+run never builds an n x n matrix.  On ``erdos_renyi(1000, 0.008, 7)`` at
+d = 8 (the ``run_er1000_lp`` benchmark's graph and width), on a 2-vCPU Xeon
+with numpy 2.4.6 and OpenBLAS, the slot product takes about 70
+microseconds (its gather about 40, its adds about 29), the rest of the
+label-propagation step about 15, the loop's norm and direction about 10 and
+the record below about 25: about 0.13 ms a step (minimum of repeats),
+against about 0.18 ms before the fold, the flat scales and the passes
+below.
 
 The CSV columns of a state x between the first and the last are read off
 the product ``A x`` that the next step forms, in O(n d) (``_product_state``):
@@ -61,8 +73,13 @@ the Dirichlet energy is ``D = <x', x - A x>`` with x deflated of the kernel
 vector ``phi0 = sqrt(deg) / |sqrt(deg)|``, ``x' = x - phi0 (phi0^T x)``
 (equal to ``<x', L x'>`` as ``A phi0 = phi0``), the Rayleigh quotient
 ``D / |x|^2``, the parametric energy's mixing term ``trace(x^T A_hat x W)``
-the dot ``<A x, x W>``, the LP energy ``D + mu |x - F0|^2``.  The first and
-the last state, and every state of a run that falls back, take the edge
+the dot ``<A x, x W>``, the LP energy ``D + mu |x - F0|^2``.  x' is the one
+array the record makes: a BLAS rank-one product into it and ``x -`` it in
+place.  D is the difference of the dots ``<x', x>`` and ``<x', A x>``,
+``|x|^2`` is ``|x'|^2 + |phi0^T x|^2``, and a raw run's ``A x`` is the
+step's product of the raw state, whose dots the record divides by that
+state's norm.  A zero Omega adds no term to the parametric energy.  The
+first and the last state, and every state of a run that falls back, take the edge
 form instead (``_edge_state``): one gather of the degree-normalized rows at
 both ends of every edge, in O(m d), D the sum of the squared per-edge
 differences and the mixing term twice the per-edge sum of
@@ -132,15 +149,19 @@ _Map = Callable[[np.ndarray], np.ndarray]
 class _State(NamedTuple):
     """A recorded unit direction ``x`` and what its diagnostics share: its
     Dirichlet value ``dirichlet``, ``sq = |x|^2``, the run's reference
-    features ``ref`` (F0), and either ``ax = A_hat x`` (the product form) or
-    the rows of ``x / sqrt(deg)`` at the ``head`` and ``tail`` of each edge
-    and their differences ``diffs`` (the edge form)."""
+    features ``ref`` (F0), and either the product form or the edge form.
+    The product form holds ``ax = A_hat (scale x)``, the product the step
+    from x formed, with ``scale`` the norm of the raw state that step read
+    (1 on a renormalized run).  The edge form holds the rows of
+    ``x / sqrt(deg)`` at the ``head`` and ``tail`` of each edge and their
+    differences ``diffs``."""
 
     x: np.ndarray
     dirichlet: float
     sq: float
     ref: np.ndarray
     ax: np.ndarray | None = None
+    scale: float = 1.0
     head: np.ndarray | None = None
     tail: np.ndarray | None = None
     diffs: np.ndarray | None = None
@@ -162,20 +183,18 @@ _DEFLATED_FLOOR = 1e-3
 
 class _Update(NamedTuple):
     """One row of the module docstring's table.  A term's operator is "I",
-    "A" (A_hat) or "L" (I - A_hat), the last two read off one product
-    ``A_hat F``, or a function ``(g, product) -> (F -> P F)`` (GRAND's Lrw)
-    that a run calls once, handing it the run's ``F -> A_hat F``, and that
-    forms its own product; ``reads_af`` says whether a term needs
-    ``A_hat F`` and is set by ``ModelSpec``.  ``energy`` defaults to the
-    Dirichlet energy; ``edge_energy`` marks one that reads the per-edge
-    differences."""
+    "A" (A_hat) or "L" (I - A_hat), which a run folds into one factor of F
+    and one of ``A_hat F`` (``_fold``), or a function
+    ``(g, product) -> (F -> P F)`` (GRAND's Lrw) that a run calls once,
+    handing it the run's ``F -> A_hat F``, and that forms its own product.
+    ``energy`` defaults to the Dirichlet energy; ``edge_energy`` marks one
+    that reads the per-edge differences."""
 
     terms: tuple[tuple[str | Callable[[Graph, _Map], _Map], np.ndarray | float], ...]
     source: np.ndarray | float | None = None
     residual: bool = True
     energy: Callable[[_State], float] = lambda s: s.dirichlet
     activation: Callable[[np.ndarray], np.ndarray] | None = None
-    reads_af: bool = False
     edge_energy: bool = False
 
 
@@ -184,7 +203,7 @@ def _mixing(s: _State, W: np.ndarray) -> float:
     product form, twice the per-edge sum of ``<head_e W, tail_e>`` on the
     edge form."""
     if s.ax is not None:
-        return float(s.ax.ravel() @ (s.x @ W).ravel())
+        return float(s.ax.ravel() @ (s.x @ W).ravel()) / s.scale
     return 2.0 * float(np.sum((s.head @ W) * s.tail))
 
 
@@ -272,6 +291,20 @@ def _diag_nonlinear(spec: ModelSpec) -> _Update:
     return _Update(terms=(("L", np.diag(-omega)),))
 
 
+def _harmonic(spec: ModelSpec) -> _Update:
+    W = spec.weights.W
+    # overflow is reported as the NumericError below, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        ww = W @ W
+    if not np.all(np.isfinite(ww)):
+        raise NumericError("harmonic's channel factor W W exceeds the floating range")
+    return _Update(
+        (("L", -ww),),
+        energy=lambda st: float(np.sum((st.diffs @ W) ** 2)),
+        edge_energy=True,
+    )
+
+
 class _Entry(NamedTuple):
     required: str | None  # the ModelSpec field the variant cannot do without
     build: Callable[[ModelSpec], _Update]
@@ -291,14 +324,7 @@ _TABLE: dict[str, _Entry] = {
     "cgnn": _Entry("OmegaTilde", _cgnn, reads=("source_free",)),
     "grand_linear": _Entry(None, lambda s: _Update(((_random_walk_laplacian, -1.0),))),
     "pde_gcn_d": _Entry("KtK", _pde_gcn_d),
-    "harmonic": _Entry(
-        "weights",
-        lambda s: _Update(
-            (("L", -(s.weights.W @ s.weights.W)),),
-            energy=lambda st: float(np.sum((st.diffs @ s.weights.W) ** 2)),
-            edge_energy=True,
-        ),
-    ),
+    "harmonic": _Entry("weights", _harmonic),
     "laplacian_omega_eq_w": _Entry(
         "weights",
         lambda s: _Update(
@@ -421,12 +447,7 @@ class ModelSpec:
                 "accepted by the *_nonlinear and diag_nonlinear variants"
             )
         activation = ACTIVATIONS[self.sigma] if entry.nonlinear else None
-        update = entry.build(self)
-        update = update._replace(
-            activation=activation,
-            reads_af=any(op in ("A", "L") for op, _ in update.terms),
-        )
-        object.__setattr__(self, "_update", update)
+        object.__setattr__(self, "_update", entry.build(self)._replace(activation=activation))
 
     @property
     def channels(self) -> int | None:
@@ -491,8 +512,11 @@ def _random_walk_laplacian(g: Graph, product: _Map) -> _Map:
 
 class _Plan(NamedTuple):
     """What every step of one run shares, built once from checked inputs:
-    the spec's update and step size, each term with its operator resolved
-    for the run's graph, and the source ``F0 S`` (None when off).  The
+    the spec's update and step size, the update's terms folded into the
+    factor ``identity`` of F and the factor ``adjacency`` of ``A_hat F``
+    (None for a factor that is exactly zero, see ``_fold``), GRAND's own
+    operator resolved for the run's graph with its factor (``own``, None for
+    every other variant), and the source ``F0 S`` (None when off).  The
     product ``F -> A_hat F`` is picked once, for the run's width, by
     ``graphs._adjacency_product``'s rule; a list in ``products`` receives
     each step's ``A_hat F``, so ``run_trajectory`` reads F's columns off it."""
@@ -500,49 +524,87 @@ class _Plan(NamedTuple):
     update: _Update
     tau: float
     product: _Map
-    terms: tuple[tuple[str | _Map, np.ndarray | float], ...]
+    identity: np.ndarray | float | None
+    adjacency: np.ndarray | float | None
+    own: tuple[_Map, float] | None
     source: np.ndarray | None
     products: list | None
 
 
+#: Where each operator's factor goes in the fold: I on F, A on A_hat F, and
+#: L = I - A_hat on both, with the sign of A_hat.
+_FOLD = {"I": ((0, 1.0),), "A": ((1, 1.0),), "L": ((0, 1.0), (1, -1.0))}
+
+
+def _fold(terms, d: int) -> list:
+    """The factors of F and of ``A_hat F`` that the I, A and L ``terms`` sum
+    to, a float standing for that multiple of the d x d identity.  A factor
+    that is exactly zero is None, so its product is never formed, unless
+    both are: then F's is 0.0, and a step still returns an array."""
+    folded = [None, None]
+    for op, m in terms:
+        for at, sign in _FOLD[op]:
+            a, b = folded[at], sign * m
+            if a is not None and not (isinstance(a, float) and isinstance(b, float)):
+                a, b = (x * np.eye(d) if isinstance(x, float) else x for x in (a, b))
+            folded[at] = b if a is None else a + b
+    kept = [None if m is None or not np.any(m) else m for m in folded]
+    if kept[0] is None and kept[1] is None:
+        kept[0] = 0.0
+    return kept
+
+
 def _run_plan(spec: ModelSpec, g: Graph, d: int, F0, products: list | None = None) -> _Plan:
     """The plan of a run of ``spec`` on ``g`` with d-channel features; F0 is
-    checked here when the update reads it."""
+    checked here when the update reads it, and a source ``F0 S`` beyond the
+    floating range is a ``NumericError``."""
     update = spec._update
     product = _product_for(g, d)
-    # a term whose factor is exactly zero adds nothing but zeros; the first
-    # stays when every one is
-    kept = [(op, m) for op, m in update.terms if np.any(m)] or update.terms[:1]
-    terms = tuple((op if isinstance(op, str) else op(g, product), m) for op, m in kept)
+    identity = adjacency = own = None
+    if isinstance(update.terms[0][0], str):
+        identity, adjacency = _fold(update.terms, d)
+    else:
+        # GRAND's one term: its own operator
+        ((op, m),) = update.terms
+        own = (op(g, product), m)
     source = None
     if update.source is not None:
-        source = np.dot(_require_source(g, F0, d), update.source)
-    return _Plan(update, spec.tau, product, terms, source, products)
+        F0 = _require_source(g, F0, d)
+        # overflow is reported as the NumericError below, not as a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            source = np.dot(F0, update.source)
+        if not np.all(np.isfinite(source)):
+            raise NumericError("the source term F0 S exceeds the floating range; reduce F0 or S")
+    return _Plan(update, spec.tau, product, identity, adjacency, own, source, products)
+
+
+def _times(x: np.ndarray, m: np.ndarray | float) -> np.ndarray:
+    """x times the channel factor m, a scalar or a d x d matrix, into a new array."""
+    return x * m if isinstance(m, float) else np.dot(x, m)
 
 
 def _advance(plan: _Plan, F: np.ndarray) -> np.ndarray:
-    """The arithmetic of one step of ``plan`` from the checked features F."""
+    """The arithmetic of one step of ``plan`` from the checked features F:
+    ``F M_I + (A_hat F) M_A``, or GRAND's ``(Lrw F) m``, plus the source,
+    through sigma, times tau, plus F for the residual.  A factor of exactly
+    1 on ``A_hat F`` is added without a multiply."""
     update = plan.update
-    af = plan.product(F) if update.reads_af else None
-    if plan.products is not None and af is not None:
-        plan.products.append(af)
-    z = None
-    for op, m in plan.terms:
-        if op == "I":
-            product = F
-        elif op == "A":
-            product = af
-        elif op == "L":
-            product = F - af
+    if plan.own is not None:
+        walk, m = plan.own
+        z = _times(walk(F), m)
+    else:
+        af = None
+        if plan.adjacency is not None:
+            af = plan.product(F)
+            if plan.products is not None:
+                plan.products.append(af)
+        if plan.identity is None:
+            z = _times(af, plan.adjacency)
         else:
-            product = op(F)
-        # a scalar factor multiplies, a d x d one matrix-multiplies, into a
-        # new array: the first term's is the sum's
-        term = product * m if isinstance(m, float) else np.dot(product, m)
-        if z is None:
-            z = term
-        else:
-            z += term
+            z = _times(F, plan.identity)
+            m = plan.adjacency
+            if m is not None:
+                z += af if isinstance(m, float) and m == 1.0 else _times(af, m)
     if plan.source is not None:
         z += plan.source
     if update.activation is not None:
@@ -559,8 +621,9 @@ def step_model(spec: ModelSpec, g: Graph, F, F0=None, *, _plan=None) -> np.ndarr
     Sums the variant's ``P_k F M_k`` terms and its source ``F0 S``, applies
     sigma (the identity for the linear family), and returns
     ``F + tau * sigma(Z)``, or ``tau * Z`` for the discarding variant.  The
-    A and L terms share one product ``A_hat F``, an edge sum on a sparse
-    graph (see ``graphs._adjacency_product``).  F and F0 are checked, and
+    I, A and L terms are folded into ``F M_I + (A_hat F) M_A`` (see
+    ``_fold``), with one product ``A_hat F``, an edge sum on a sparse graph
+    (see ``graphs._adjacency_product``).  F and F0 are checked, and
     a non-finite result is a ``NumericError``.  A run's loop passes its
     ``_plan`` instead: the run checked its inputs on entry, the plan holds
     F0, and the loop guards each step with the state's norm.
@@ -609,7 +672,9 @@ def _reference(spec: ModelSpec, g: Graph, F0) -> tuple[np.ndarray, float]:
 def _states(spec, g, reference, norm, steps, products=None) -> Iterator[FeatureState]:
     """The states of a run from its checked ``reference`` features and their
     norm.  A list passed as ``products`` receives, at each step that forms
-    one, ``A_hat`` of the direction the step read.
+    one, the pair of ``A_hat F`` and the norm of the F the step read over
+    its direction: the raw state's norm, or 1 on a renormalized run.  The
+    record divides the dots it reads off ``A_hat F`` by it, not the array.
 
     The run's plan is built once; each step is then guarded by the norm of
     its result alone, which is finite and nonzero exactly when the result is
@@ -630,9 +695,8 @@ def _states(spec, g, reference, norm, steps, products=None) -> Iterator[FeatureS
         if not math.isfinite(size) or size == 0.0:
             what = "collapsed to zero" if size == 0.0 else "overflowed"
             raise NumericError(f"state {what} at step {k}; reduce tau or the steps")
-        if products and not renormalize:
-            # the step read the raw state, of norm ``norm``
-            products[-1] /= norm
+        if products:
+            products[-1] = (products[-1], 1.0 if renormalize else norm)
         norm = size
         direction = state / norm
         log_scale = (log_scale if renormalize else 0.0) + float(np.log(norm))
@@ -651,17 +715,26 @@ def _edge_state(x: np.ndarray, edge_rows, ref: np.ndarray) -> _State:
 
 
 def _product_state(
-    x: np.ndarray, ax: np.ndarray, phi0: np.ndarray, ref: np.ndarray
+    x: np.ndarray, ax: np.ndarray, scale: float, phi0: np.ndarray, ref: np.ndarray
 ) -> _State | None:
-    """The product form of x's diagnostics given ``ax = A_hat x``, in
-    O(n d), or None when the deflated value is not above
-    ``_DEFLATED_FLOOR |x'|^2``."""
-    deflated = (x - phi0[:, None] * (phi0 @ x)).ravel()
-    value = float(deflated @ (x - ax).ravel())
-    if not value > _DEFLATED_FLOOR * float(deflated @ deflated):
+    """The product form of x's diagnostics given ``ax = A_hat (scale x)``
+    and the kernel vector as an (n, 1) column ``phi0``, in O(n d), or None
+    when the deflated value is not above ``_DEFLATED_FLOOR |x'|^2``.  It
+    makes one array, ``x' = x - phi0 (phi0^T x)``: the rank-one product, one
+    BLAS call, then ``x -`` it in place.  D is
+    ``<x', x> - <x', ax> / scale`` and ``|x|^2 = |x'|^2 + |phi0^T x|^2``, a
+    sum of two positive terms, so three dots over n d floats read the
+    state's columns."""
+    coeff = np.dot(phi0.T, x)
+    deflated = np.dot(phi0, coeff)
+    np.subtract(x, deflated, out=deflated)
+    flat = deflated.ravel()
+    value = float(flat @ x.ravel()) - float(flat @ ax.ravel()) / scale
+    deflated_sq = float(flat @ flat)
+    if not value > _DEFLATED_FLOOR * deflated_sq:
         return None
-    flat = x.ravel()
-    return _State(x, value, float(flat @ flat), ref, ax=ax)
+    sq = deflated_sq + float(coeff.ravel() @ coeff.ravel())
+    return _State(x, value, sq, ref, ax=ax, scale=scale)
 
 
 def run_trajectory(spec: ModelSpec, g: Graph, F0, steps: int) -> Trajectory:
@@ -681,12 +754,12 @@ def run_trajectory(spec: ModelSpec, g: Graph, F0, steps: int) -> Trajectory:
     products = phi0 = None
     if not update.edge_energy and graph_checks(g).connected:
         products = []
-        sqrt_deg = np.sqrt(degree_vector(g))
+        sqrt_deg = np.sqrt(degree_vector(g))[:, None]
         phi0 = sqrt_deg / np.linalg.norm(sqrt_deg)
 
-    def record(k: int, state: FeatureState, ax: np.ndarray | None) -> None:
+    def record(k: int, state: FeatureState, product: tuple | None) -> None:
         x = state.direction
-        s = _product_state(x, ax, phi0, reference) if k and ax is not None else None
+        s = _product_state(x, *product, phi0, reference) if k and product else None
         if s is None:
             s = _edge_state(x, edge_rows, reference)
         rayleigh[k] = s.dirichlet / s.sq

@@ -10,6 +10,7 @@ coupling to reference features, and the flow field returned by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -79,9 +80,13 @@ class WeightSet:
     def d(self) -> int:
         return self.W.shape[0]
 
-    @property
+    @cached_property
     def has_source(self) -> bool:
         return bool(np.any(self.Wtilde != 0.0))
+
+    @cached_property
+    def has_residual(self) -> bool:
+        return bool(np.any(self.Omega != 0.0))
 
 
 @dataclass(frozen=True)
@@ -201,8 +206,11 @@ def parametric_energy(g: Graph, F, weights: WeightSet, F0=None) -> float:
 def _parametric_value(F: np.ndarray, mixing: float, weights: WeightSet, F0) -> float:
     """The parametric energy of validated ``F`` given its pairwise mixing term
     ``mixing = trace(F^T A_bar F W)``; ``F0`` is the validated reference, or
-    None when ``weights`` has no source."""
-    value = float(np.sum((F @ weights.Omega) * F)) - mixing
+    None when ``weights`` has no source.  An all-zero Omega adds nothing and
+    is skipped, as a run's plan skips a zero factor."""
+    value = -mixing
+    if weights.has_residual:
+        value += float(np.sum((F @ weights.Omega) * F))
     if F0 is not None:
         value += 2.0 * float(np.sum(F * (F0 @ weights.Wtilde)))
     return value

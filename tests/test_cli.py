@@ -450,6 +450,16 @@ def test_exit_4_on_overflow(workdir):
     assert main(["run", cfg]) == 4
 
 
+def test_exit_4_on_a_harmonic_channel_factor_beyond_the_floating_range(tmp_path):
+    (tmp_path / "h.cfg").write_text(
+        "graph = cycle(5)\nvariant = harmonic\nW = [[1e200, 0], [0, 1]]\nsteps = 5\n"
+        "init = one_hot(0)\ncsv = h.csv\nsvg = h.svg\nreport = h.txt\n"
+    )
+    done = _gel(["run", "h.cfg"], tmp_path, optimize=False)
+    assert done.returncode == 4, done.stderr
+    assert "W W" in done.stderr and "RuntimeWarning" not in done.stderr
+
+
 def test_exit_3_on_nonfinite_ktk(workdir, capsys):
     cfg = write(
         workdir / "nan.cfg",

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gel.dynamics
 import gel.energy
@@ -247,18 +249,28 @@ def test_gradient_flow_step_oracle():
 
 @pytest.mark.parametrize("spec, kept", [
     (gf(np.diag([-1.0, 0.5])), ["A"]),  # Omega = 0
-    (ModelSpec("label_propagation", mu=0.0), ["L"]),
-    (gf(np.zeros((2, 2))), ["I"]),  # every factor is zero: the first stays
-], ids=["gradient_flow", "label_propagation", "all_zero"])
+    (ModelSpec("label_propagation", mu=0.0), ["I", "A"]),  # L = I - A: -1 on F, 1 on A F
+    (gf(np.zeros((2, 2))), ["I"]),  # every factor is zero: F's stays
+    (ModelSpec("cgnn", OmegaTilde=np.eye(2), source_free=True), ["A"]),  # -I + I on F
+], ids=["gradient_flow", "label_propagation", "all_zero", "cgnn_folds_to_zero"])
 def test_a_run_leaves_out_the_terms_whose_factor_is_zero(spec, kept):
     g = cycle(7)
     plan = gel.dynamics._run_plan(spec, g, 2, None)
-    assert [op for op, _ in plan.terms] == kept
-    # the step has the bits of the sum over every term, zero ones included
+    factors = {"I": plan.identity, "A": plan.adjacency}
+    assert [op for op, m in factors.items() if m is not None] == kept
+    # a factor left out does no work: A_hat F is formed only for a kept A
     F = np.random.default_rng(5).standard_normal((g.n, 2))
     af = normalized_adjacency(g) @ F
+    formed = []
+    plan = plan._replace(product=lambda x: formed.append(x) or af)
+    out = gel.dynamics._advance(plan, F)
+    assert len(formed) == ("A" in kept)
+    # the step has the bits of the kept factors' sum ...
+    z = sum(np.dot({"I": F, "A": af}[op], m) for op, m in factors.items() if m is not None)
+    assert np.array_equal(out, F + spec.tau * z)
+    # ... and is the sum over every term, zero ones included, to roundoff
     z = sum(np.dot({"I": F, "A": af, "L": F - af}[op], m) for op, m in spec._update.terms)
-    assert np.array_equal(step_model(spec, g, F), F + spec.tau * z)
+    assert np.abs(out - (F + spec.tau * z)).max() <= 1e-15 * np.abs(F).max()
 
 
 def test_no_residual_replaces_state():
@@ -496,6 +508,102 @@ def test_every_variant_matches_its_formula(variant, source, graph):
     log_scale += np.log(norm)
     assert np.abs(traj.final.direction - state / norm).max() <= 1e-9
     assert abs(traj.final.log_scale - log_scale) <= 1e-9 * max(1.0, abs(log_scale))
+
+
+@st.composite
+def _planned_cases(draw):
+    """A variant, a spec with every parameter its row reads drawn (zero
+    factors and runs without a source included), a graph of at most 12
+    nodes with no isolated node, and F, F0 of 1 to 3 channels."""
+    variant = draw(st.sampled_from(sorted(gel.dynamics.VARIANTS)))
+    entry = gel.dynamics._TABLE[variant]
+    d = draw(st.integers(1, 3))
+    source = draw(st.booleans())
+    entries = st.floats(-2.0, 2.0, allow_subnormal=False)
+
+    def matrix(zero_too=False):
+        m = draw(st.lists(entries, min_size=d * d, max_size=d * d))
+        m = np.array(m).reshape(d, d)
+        return np.zeros((d, d)) if zero_too and draw(st.booleans()) else m
+
+    def sym(zero_too=False):
+        m = matrix(zero_too)
+        return m + m.T
+
+    def vec(sign=1.0):
+        return sign * np.abs(np.array(draw(st.lists(entries, min_size=d, max_size=d))))
+
+    params = {"tau": draw(st.floats(0.01, 2.0))}
+    if entry.nonlinear:
+        params["sigma"] = draw(st.sampled_from(sorted(ACTIVATIONS)))
+    names = set(entry.reads) | {entry.required}
+    if "weights" in names:
+        params["weights"] = WeightSet(
+            W=sym(),
+            Omega=sym(zero_too=True) if "Omega" in names else None,
+            Wtilde=matrix() if source and "Wtilde" in names else None,
+        )
+    if "omega_diag" in names:
+        params["omega_diag"] = vec(-1.0) if variant == "diag_nonlinear" else vec() - 1.0
+    if "beta" in names and source:
+        params["beta"] = draw(st.floats(0.1, 2.0))
+    if "mu" in names:
+        params["mu"] = draw(st.floats(0.1, 2.0)) if source else 0.0
+    if "KtK" in names:
+        k = matrix()
+        params["KtK"] = k.T @ k
+    if "OmegaTilde" in names:
+        params["OmegaTilde"] = np.eye(d) if draw(st.booleans()) else matrix()
+    if "source_free" in names:
+        params["source_free"] = not source
+    spec = ModelSpec(variant, **params)
+
+    n = draw(st.integers(2, 12))
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=20))
+    g = Graph(n, [(i, i + 1) for i in range(n - 1)] + [(u, v) for u, v in extra if u != v])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return spec, g, rng.normal(size=(n, d)), rng.normal(size=(n, d))
+
+
+def _dense_operator(g, op):
+    """The dense n x n matrix of a term's operator: I, A_hat, L, or GRAND's
+    random-walk Laplacian of the self-loop-augmented graph."""
+    if op == "I":
+        return np.eye(g.n)
+    if op == "A":
+        return normalized_adjacency(g)
+    if op == "L":
+        return normalized_laplacian(g)
+    adj = adjacency_matrix(g) + np.eye(g.n)
+    return np.eye(g.n) - adj / adj.sum(axis=1)[:, None]
+
+
+@settings(deadline=None, max_examples=200)
+@given(_planned_cases())
+def test_the_planned_step_is_its_rows_formula_term_by_term(case):
+    # r F + tau sigma(sum_k P_k F M_k + F0 S), each term formed on its own
+    # with a dense operator, against the run's folded factors and sparse
+    # product; roundoff bound: (n + d + 8) eps times the same sum in
+    # absolute values, as every sum here has at most n + d + 4 terms and
+    # sigma (tanh, relu) is 1-Lipschitz
+    spec, g, F, F0 = case
+    update, d = spec._update, F.shape[1]
+
+    def factor(m):
+        return m * np.eye(d) if np.ndim(m) == 0 else np.asarray(m)
+
+    parts = [(_dense_operator(g, op), factor(m)) for op, m in update.terms]
+    z = sum(P @ F @ M for P, M in parts)
+    size = sum(np.abs(P) @ np.abs(F) @ np.abs(M) for P, M in parts)
+    if update.source is not None:
+        z = z + F0 @ factor(update.source)
+        size = size + np.abs(F0) @ np.abs(factor(update.source))
+    sigma = ACTIVATIONS[spec.sigma]
+    want = float(update.residual) * F + spec.tau * sigma(z)
+    size = float(update.residual) * np.abs(F) + spec.tau * size
+    got = step_model(spec, g, F, F0=F0)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(got - want) <= (g.n + d + 8) * eps * size), spec
 
 
 def test_step_rejects_channel_mismatch():
@@ -775,6 +883,30 @@ def test_renormalized_overflow_names_step_without_self_reference():
     with pytest.raises(NumericError, match="step 1") as info:
         run_trajectory(spec, cycle(5), np.ones(5), 3)
     assert "use run_trajectory" not in str(info.value)
+
+
+def test_a_run_that_overflows_fails_at_the_same_step_with_folded_factors():
+    # W = 3e158 and tau = 1e150 are finite apart; folding tau into W would
+    # overflow at plan time, before step 1
+    spec = ModelSpec("gradient_flow", tau=1e150,
+                     weights=WeightSet(W=[[3e158]], Omega=[[0.0]], Wtilde=[[1.0]]))
+    with pytest.raises(NumericError, match="^state overflowed at step 2"):
+        run_trajectory(spec, cycle(5), np.full(5, 1e-155), 3)
+
+
+@pytest.mark.parametrize("spec", [
+    ModelSpec("gradient_flow", weights=WeightSet(W=[[-0.5]], Omega=[[0.0]], Wtilde=[[1e300]])),
+    ModelSpec("graff", weights=WeightSet(W=[[-0.5]]), beta=1e300),
+], ids=["gradient_flow", "graff"])
+def test_a_source_beyond_the_floating_range_is_a_numeric_error(spec):
+    # formed once, when the run is planned, with no RuntimeWarning
+    with pytest.raises(NumericError, match="source term F0 S exceeds the floating range"):
+        run_trajectory(spec, cycle(7), 1e10 * np.ones(7), 3)
+
+
+def test_harmonic_channel_factor_beyond_the_floating_range_is_a_numeric_error():
+    with pytest.raises(NumericError, match="harmonic's channel factor W W"):
+        ModelSpec("harmonic", weights=WeightSet(W=[[1e200]]))
 
 
 @pytest.mark.parametrize(

@@ -373,7 +373,7 @@ def ascending_fold(g: Graph, F: np.ndarray) -> np.ndarray:
 def test_slot_product_sums_each_row_in_ascending_order(g, width, seed):
     shape = (g.n,) if width == 1 else (g.n, width)
     F = np.random.default_rng(seed).normal(size=shape)
-    got = gel.graphs._slot_product(g)(F)
+    got = gel.graphs._slot_product(g).at(width)(F)
     want = normalized_adjacency(g) @ F
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-14 * max(1.0, float(np.abs(want).max()))
@@ -383,10 +383,13 @@ def test_slot_product_sums_each_row_in_ascending_order(g, width, seed):
 def _picked_form(g: Graph, width: int) -> str:
     """Which form ``_product_for`` picks for ``g`` at this width."""
     product = gel.graphs._product_for(g, width)
-    if isinstance(getattr(product, "__self__", None), np.ndarray):
+    # the dense form is the matrix's bound __matmul__; the slot form binds
+    # the width to its cached form's method with functools.partial
+    owner = getattr(getattr(product, "func", product), "__self__", product)
+    if isinstance(owner, np.ndarray):
         return "dense"
     forms = {"slot": gel.graphs._slot_product, "edge": gel.graphs._edge_product}
-    (form,) = [name for name, build in forms.items() if product is build(g)]
+    (form,) = [name for name, build in forms.items() if owner is build(g)]
     return form
 
 
